@@ -11,18 +11,15 @@ check is selected, and curves/*.csv).  Exit code 0 means every non-vacuous
 check passed, 1 means some check failed, 2 means the config was invalid.
 
 Reports are byte-identical across runs for the same (config, seed); the
-environment stamp carries only the package version and the seed.
-ULTRAHEAT_THREADS caps how many checks may run concurrently (default 1;
-results are merged in registry order either way).
+environment stamp carries only the package version and the seed.  Checks
+run one after another and their records are merged in selection order.
 """
 
 import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,13 +89,13 @@ class RunConfig:
             raise ConfigError("config needs a 'kernel' section")
         exps = raw.get("exponents", {})
         grid = raw.get("time_grid", {})
-        gmin = float(grid.get("min", 1e-3))
-        gmax = float(grid.get("max", 1.0))
+        gmin = _number(grid, "min", 1e-3, "time_grid")
+        gmax = _number(grid, "max", 1.0, "time_grid")
         if gmin <= 0:
             raise ConfigError("time grid min must be > 0")
         if gmax < gmin:
             raise ConfigError("time grid max must be >= min")
-        points = int(grid.get("points", 17))
+        points = _number(grid, "points", 17, "time_grid", int)
         if points < 2:
             raise ConfigError("time grid needs at least 2 points")
         scale = grid.get("scale", "log")
@@ -115,9 +112,9 @@ class RunConfig:
         return cls(
             space=raw["space"],
             kernel=raw["kernel"],
-            alpha=float(exps.get("alpha", 1.0)),
-            beta=float(exps.get("beta", 1.0)),
-            r0=None if exps.get("R0") is None else float(exps["R0"]),
+            alpha=_number(exps, "alpha", 1.0, "exponents"),
+            beta=_number(exps, "beta", 1.0, "exponents"),
+            r0=None if exps.get("R0") is None else _number(exps, "R0", None, "exponents"),
             grid_min=gmin,
             grid_max=gmax,
             grid_points=points,
@@ -125,9 +122,17 @@ class RunConfig:
             checks=checks,
             tolerances=tol,
             output_dir=raw.get("output_dir", "."),
-            seed=int(raw.get("seed", 0)),
+            seed=_number(raw, "seed", 0, "config", int),
             options=raw.get("options", {}),
         )
+
+
+def _number(section: dict, key: str, default, where: str, kind=float):
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}") from exc
 
 
 def load_config(path) -> RunConfig:
@@ -512,20 +517,9 @@ class VerificationReport:
 
 
 def execute_checks(ctx: RunContext, checks) -> VerificationReport:
-    cap = max(1, int(os.environ.get("ULTRAHEAT_THREADS", "1")))
-    names = [c for c in checks]
-    reports: dict[str, CheckReport] = {}
-    if cap == 1 or len(names) == 1:
-        for name in names:
-            reports[name] = CHECK_REGISTRY[name](ctx)
-    else:
-        with ThreadPoolExecutor(max_workers=min(cap, len(names))) as pool:
-            futures = {name: pool.submit(CHECK_REGISTRY[name], ctx) for name in names}
-            for name in names:
-                reports[name] = futures[name].result()
     merged = CheckReport()
-    for name in names:  # deterministic merge order
-        for rec in reports[name].records:
+    for name in checks:
+        for rec in CHECK_REGISTRY[name](ctx).records:
             rec.params = dict(rec.params)
             rec.params["check"] = name
             merged.add(rec)

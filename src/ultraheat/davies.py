@@ -27,6 +27,7 @@ the family is first enlarged with the very functions the check evolved and
 the constant recomputed, before failure is declared.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -47,20 +48,33 @@ from .reporting import CheckRecord, CheckReport, record, vacuous
 from .semigroup import generator
 from .space import Ball
 
+log = logging.getLogger(__name__)
+
 # Minimum grid length for the derivative check's error model.
 MIN_DERIVATIVE_GRID = 8
 
 
+def lp_norms(F, mu, qs) -> np.ndarray:
+    """Weighted norms (sum |f|^q mu)^(1/q) of every column f of F, one row per
+    q in qs, in log space for large q; zero columns give 0."""
+    # rows of the transpose are contiguous, so each reduction sums in the
+    # same order as it would for the column on its own
+    A = np.ascontiguousarray(np.abs(np.asarray(F, dtype=float)).T)
+    with np.errstate(divide="ignore"):
+        logA = np.log(A)
+    logmu = np.log(mu)
+    out = np.empty((len(qs), A.shape[0]))
+    for i, q in enumerate(qs):
+        if q == np.inf:
+            out[i] = A.max(axis=1)
+        else:
+            out[i] = np.exp(logsumexp(q * logA + logmu, axis=1) / q)
+    return out
+
+
 def lp_norm(values, mu, q: float) -> float:
-    """Weighted norm (sum |f|^q mu)^(1/q), in log space for large q."""
-    v = np.abs(np.asarray(values, dtype=float))
-    if q == np.inf:
-        return float(v.max())
-    pos = v > 0
-    if not pos.any():
-        return 0.0
-    logv = np.log(v[pos])
-    return float(np.exp(logsumexp(q * logv + np.log(mu[pos])) / q))
+    """Weighted norm (sum |f|^q mu)^(1/q) of one function."""
+    return float(lp_norms(np.asarray(values, dtype=float)[:, None], mu, [q])[0, 0])
 
 
 def nash_ratio_batch(kernel: JumpKernel, rho, nu: float, k0: float, U) -> np.ndarray:
@@ -202,23 +216,21 @@ def lp_derivative_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float,
     tilt_in = np.exp(-psi) * f
     tilt_out = np.exp(psi)
 
-    def norms_at(ts, q):
-        F = tilt_out[:, None] * gen.apply_grid(ts, tilt_in)
-        return np.array([lp_norm(F[:, j], mu, q) for j in range(len(ts))])
-
     def run(c_n_used):
         eps = np.finfo(float).eps
         worst = -np.inf
         witness = None
         F_grid = tilt_out[:, None] * gen.apply_grid(times, tilt_in)
+        n2ps, nps = lp_norms(F_grid, mu, [2 * p, p]).tolist()
         for j, t in enumerate(times):
             h = 1e-4 * t
-            n_pts = norms_at([t - h, t + h, t - h / 2, t + h / 2], 2 * p)
+            F_h = tilt_out[:, None] * gen.apply_grid([t - h, t + h, t - h / 2, t + h / 2],
+                                                     tilt_in)
+            n_pts = lp_norms(F_h, mu, [2 * p])[0]
             d_h = (n_pts[1] - n_pts[0]) / (2 * h)
             d_h2 = (n_pts[3] - n_pts[2]) / h
             deriv = (4 * d_h2 - d_h) / 3
-            n2p = lp_norm(F_grid[:, j], mu, 2 * p)
-            np_ = lp_norm(F_grid[:, j], mu, p)
+            n2p, np_ = n2ps[j], nps[j]
             fd_margin = abs(d_h - d_h2) + 64 * eps * n2p / h
             rhs = -(1.0 / (c_n_used * p)) * n2p ** (1 + 2 * p * nu) * np_ ** (-2 * p * nu) \
                 + (k0 / p) * n2p
@@ -332,11 +344,7 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
         n_pts = ppd * decades + 1
         s = np.exp(np.linspace(math.log(t) - decades * math.log(10), math.log(t), n_pts))
         F = tilt_out[:, None] * gen.apply_grid(s, tilt_in)
-        u = np.empty((ks.size, n_pts))
-        for j in range(n_pts):
-            col = np.abs(F[:, j])
-            for i, k in enumerate(ks):
-                u[i, j] = lp_norm(col, mu, 2.0 ** k)
+        u = lp_norms(F, mu, 2.0 ** ks)
         weighted = s[None, :] ** exponents[:, None] * u
         # s -> 0 limit of the k = 1 weight is ||f||_2 = 1
         w = np.maximum.accumulate(weighted, axis=1)
@@ -361,6 +369,8 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
         drift = float(np.max(np.abs(w2[:, -1] - w[:, -1]) / np.maximum(w2[:, -1], 1e-300)))
         s, u, w, F = s2, u2, w2, F2
         ppd *= 2
+        log.debug("moser refinement: %d points per decade, %d grid points, drift %.3e",
+                  ppd, s.size, drift)
         if drift <= refine_tol:
             break
     else:
@@ -368,6 +378,8 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
             f"running sups did not stabilise within {refine_tol} after "
             f"{max_refinements} refinements (last drift {drift:.3e})"
         )
+    log.debug("moser final grid: %d points (%d per decade over %d decades), drift %.3e",
+              s.size, ppd, decades, drift)
 
     def build_report(c_n_used):
         a_factor, d_factor, c1 = _trace_constants(c_n_used, nu, k0, t)

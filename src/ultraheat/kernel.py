@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     Asymmetric,
+    ConfigError,
     NegativeProfile,
     NegativeWeight,
     NonzeroDiagonal,
@@ -118,8 +119,11 @@ def power_profile(exponent: float, scale: float = 1.0):
 def profile_from_config(cfg: dict):
     """Profile callable from {"kind": "power", "exponent": s, "scale": c}."""
     if cfg.get("kind") != "power":
-        raise ValueError(f"unknown profile kind {cfg.get('kind')!r}")
-    return power_profile(float(cfg["exponent"]), float(cfg.get("scale", 1.0)))
+        raise ConfigError(f"unknown profile kind {cfg.get('kind')!r}")
+    try:
+        return power_profile(float(cfg["exponent"]), float(cfg.get("scale", 1.0)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"power profile needs a numeric exponent and scale: {exc!r}") from exc
 
 
 def isotropic_kernel(space: UltrametricSpace, profile, scaling: str = "none") -> JumpKernel:
@@ -131,7 +135,7 @@ def isotropic_kernel(space: UltrametricSpace, profile, scaling: str = "none") ->
     if isinstance(profile, dict):
         profile = profile_from_config(profile)
     if scaling not in ("none", "mass"):
-        raise ValueError(f"scaling must be 'none' or 'mass', got {scaling!r}")
+        raise ConfigError(f"scaling must be 'none' or 'mass', got {scaling!r}")
     D = space.distance_matrix()
     values = {}
     for level in space.distance_levels:

@@ -413,9 +413,6 @@ class HierarchicalHeatKernel:
         for child in node.children:
             self._walk(child, acc + g * (node.volume - child.volume))
 
-    def rate_of(self, node) -> float:
-        return self._lam[node]
-
     def value(self, t: float, x, y) -> float:
         """p_t(x, y) via the ancestor path of the pair."""
         space = self.space

@@ -302,15 +302,6 @@ class UltrametricSpace:
     def whole(self) -> Ball:
         return Ball(self, self.root)
 
-    def nearest_distance(self, x) -> float:
-        """Distance from x to its nearest distinct point (0 for singleton space)."""
-        node = self._leaf_nodes[self.index(x)]
-        while node.parent is not None:
-            node = node.parent
-            if len(node.children) >= 2 or node.stop - node.start > 1:
-                return node.radius
-        return 0.0
-
     # -- serialisation ----------------------------------------------------------
 
     def to_spec(self) -> dict:

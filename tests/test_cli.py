@@ -215,13 +215,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "missing.json")
 
+    def test_non_numeric_exponent_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, exponents={"alpha": "x"})
+        assert main(["run", "--config", str(path)]) == 2
+        assert "exponents.alpha" in capsys.readouterr().err
 
-def test_thread_cap_keeps_report_identical(tmp_path, monkeypatch):
+    def test_unknown_profile_kind_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, kernel={"isotropic": {"kind": "gauss"}})
+        assert main(["run", "--config", str(path)]) == 2
+        assert "unknown profile kind 'gauss'" in capsys.readouterr().err
+
+
+def test_threads_variable_is_ignored(tmp_path, monkeypatch):
     path = write_config(tmp_path, checks=["ultrametric", "form", "due", "wue"])
     cfg = load_config(path)
-    ctx = build_context(cfg)
-    seq = execute_checks(ctx, cfg.checks).to_json()
+    plain = execute_checks(build_context(cfg), cfg.checks).to_json()
     monkeypatch.setenv("ULTRAHEAT_THREADS", "4")
-    ctx2 = build_context(cfg)
-    par = execute_checks(ctx2, cfg.checks).to_json()
-    assert seq == par
+    with_var = execute_checks(build_context(cfg), cfg.checks).to_json()
+    assert plain == with_var

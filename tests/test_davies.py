@@ -1,11 +1,14 @@
 """Tilt identity, power inequality, derivative inequality, iteration,
 sup bounds, vanishing, and the ODE comparison."""
 
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from ultraheat import (
     moser_iteration,
@@ -19,6 +22,7 @@ from ultraheat.davies import (
     OdeComparisonParams,
     lp_derivative_check,
     lp_norm,
+    lp_norms,
     nash_ratio_batch,
     ode_sweep,
     perturbation_battery,
@@ -193,15 +197,26 @@ class TestIteration:
         assert report.passed
         assert trace.w_final()[0] == pytest.approx(1.0, rel=1e-12)
 
-    def test_s4_point_mass(self, s4, k4):
+    def test_s4_point_mass(self, s4, k4, caplog):
         cfg = ExponentConfig(1.0, 1.0, 2.0)
         c_n = nash_constant(k4, rho=1.0, nu=1.0, k0=cfg.k0(1.0)).constant
         f = np.array([1.0, 0, 0, 0])
-        trace, report = moser_iteration(k4, cfg, 1.0, s4.ball("a", 1), 4.0, f,
-                                        t=1.0, k_max=8, c_n=c_n)
+        with caplog.at_level(logging.DEBUG, logger="ultraheat.davies"):
+            trace, report = moser_iteration(k4, cfg, 1.0, s4.ball("a", 1), 4.0, f,
+                                            t=1.0, k_max=8, c_n=c_n)
         assert report.passed, report.failures()
         # base level: ||f_s||_2 never exceeds the start under an in-range tilt
         assert trace.w_final()[0] <= math.exp(trace.k0) * (1 + 1e-9)
+        # final sups of the scalar per-column norm implementation
+        reference = [1.0, 0.5949025495432078, 0.5458919764829365, 0.5234328589092222,
+                     0.5134680878703777, 0.5098867320041192, 0.5091942210141087,
+                     0.5091579875164777, 0.5091578194514691]
+        np.testing.assert_allclose(trace.w_final(), reference, rtol=1e-15, atol=0)
+        # one debug line per refinement round, then the final grid
+        lines = [r.getMessage() for r in caplog.records]
+        assert lines[-1].startswith(f"moser final grid: {trace.times.size} points")
+        assert len(lines) >= 2
+        assert all(line.startswith("moser refinement:") for line in lines[:-1])
 
     def test_w_nondecreasing_in_time(self, s4, k4):
         cfg = ExponentConfig(1.0, 1.0, 2.0)
@@ -429,3 +444,64 @@ def test_lp_norm_limits():
     # large q approaches the max
     assert lp_norm(f, mu, 2.0 ** 13) == pytest.approx(2.0, rel=1e-3)
     assert lp_norm(np.zeros(3), mu, 4) == 0.0
+
+
+def _scalar_lp_norm(col, mu, q):
+    """Reference: one column, zero entries dropped, one logsumexp."""
+    v = np.abs(col)
+    pos = v > 0
+    if not pos.any():
+        return 0.0
+    return float(np.exp(logsumexp(q * np.log(v[pos]) + np.log(mu[pos])) / q))
+
+
+LP_QS = [1, 1.5, 2, 3] + [2.0 ** k for k in range(2, 14)]
+
+
+class TestLpNorms:
+    @pytest.mark.parametrize("n", [1, 4, 9, 64, 300])
+    def test_bitwise_equal_to_scalar_formula_without_zeros(self, n):
+        rng = np.random.default_rng(n)
+        F = rng.uniform(1e-3, 3.0, (n, 40)) * rng.choice([-1.0, 1.0], (n, 40))
+        mu = rng.uniform(0.5, 2.0, n)
+        out = lp_norms(F, mu, LP_QS)
+        assert out.shape == (len(LP_QS), 40)
+        for i, q in enumerate(LP_QS):
+            for j in range(F.shape[1]):
+                assert out[i, j] == _scalar_lp_norm(F[:, j], mu, q)
+                assert lp_norm(F[:, j], mu, q) == out[i, j]
+
+    @pytest.mark.parametrize("n", [4, 9, 64, 300])
+    def test_random_zero_patterns_agree(self, n):
+        rng = np.random.default_rng(100 + n)
+        F = rng.uniform(1e-3, 3.0, (n, 80))
+        F[rng.uniform(size=F.shape) < 0.4] = 0.0
+        F[:, 0] = 0.0
+        F[0, 1:] = 1.0  # only column 0 is all zero
+        mu = rng.uniform(0.5, 2.0, n)
+        out = lp_norms(F, mu, LP_QS)
+        for i, q in enumerate(LP_QS):
+            ref = np.array([_scalar_lp_norm(F[:, j], mu, q) for j in range(1, 80)])
+            # zeros only move terms between partial sums; for q >= 2 (every
+            # iteration level) the drift stays within 1e-15, while the flatter
+            # q < 2 sums get the dtype bound for reordering n terms
+            rtol = 1e-15 if q >= 2 else n * np.finfo(float).eps
+            np.testing.assert_allclose(out[i, 1:], ref, rtol=rtol, atol=0)
+
+    def test_zero_columns_give_zero_without_warnings(self):
+        mu = np.array([1.0, 2.0, 0.5])
+        F = np.zeros((3, 2))
+        F[1, 1] = -2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lp_norms(F, mu, LP_QS)
+        assert np.all(out[:, 0] == 0.0)
+        assert np.all(out[:, 1] > 0.0)
+
+    def test_large_q_approaches_column_max(self):
+        rng = np.random.default_rng(5)
+        F = rng.uniform(0.0, 2.0, (16, 10))
+        mu = rng.uniform(0.5, 2.0, 16)
+        big = lp_norms(F, mu, [2.0 ** 13, np.inf])
+        np.testing.assert_array_equal(big[1], np.abs(F).max(axis=0))
+        np.testing.assert_allclose(big[0], big[1], rtol=1e-3)
