@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditionFailure
+from .davies import nash_ratio_batch
 from .form import energy_batch
 from .kernel import ExponentConfig, JumpKernel, tj_constant, tj_witness
 from .reporting import CheckRecord, CheckReport, record, vacuous
@@ -93,6 +94,35 @@ def _refine_scan(values_at, grid, tol: float = 1e-9, max_rounds: int = 40):
     return best, best_t
 
 
+def scaled_density(dens: np.ndarray, t: float, alpha: float, beta: float,
+                   capped=0.0) -> np.ndarray:
+    """t^(alpha/beta) p_t(x, y) (1 + capped / t^(1/beta))^beta, whose supremum
+    is C_DUE for capped = 0 (the factor is exactly 1) and C_wUE for the
+    distance matrix capped at R0."""
+    return t ** (alpha / beta) * dens * (1.0 + capped / t ** (1.0 / beta)) ** beta
+
+
+def _density_scan(kind: str, kernel: JumpKernel, alpha: float, beta: float, r0: float,
+                  capped, time_grid, points: int) -> ConditionEstimate:
+    """Minimal C with `scaled_density` <= C over the time range."""
+    gen = generator(kernel)
+    if time_grid is None:
+        time_grid = log_time_grid(r0 ** beta * 1e-4, r0 ** beta, points)
+
+    def matrix_at(t):
+        return scaled_density(gen.density(t), t, alpha, beta, capped)
+
+    best, best_t = _refine_scan(lambda t: float(matrix_at(t).max()), time_grid)
+    m = matrix_at(best_t)
+    i, j = map(int, np.unravel_index(np.argmax(m), m.shape))
+    ids = kernel.space.ids
+    return ConditionEstimate(
+        kind, best,
+        [{"t": best_t, "x": ids[i], "y": ids[j]}],
+        {"alpha": alpha, "beta": beta, "R0": r0, "points": len(time_grid)},
+    )
+
+
 def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
                  time_grid=None, points: int = 129) -> ConditionEstimate:
     """Minimal C with p_t(x, y) <= C t^(-alpha/beta) over the time range.
@@ -102,50 +132,15 @@ def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
     endpoint; the grid is then refined around the maximiser until the
     constant is stable to 1e-9.
     """
-    gen = generator(kernel)
-    if time_grid is None:
-        time_grid = log_time_grid(r0 ** beta * 1e-4, r0 ** beta, points)
-
-    def quantity(t):
-        return t ** (alpha / beta) * float(gen.density(t).max())
-
-    best, best_t = _refine_scan(quantity, time_grid)
-    dens = gen.density(best_t)
-    i, j = map(int, np.unravel_index(np.argmax(dens), dens.shape))
-    ids = kernel.space.ids
-    return ConditionEstimate(
-        "DUE", best,
-        [{"t": best_t, "x": ids[i], "y": ids[j]}],
-        {"alpha": alpha, "beta": beta, "R0": r0, "points": len(time_grid)},
-    )
+    return _density_scan("DUE", kernel, alpha, beta, r0, 0.0, time_grid, points)
 
 
 def wue_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
                  time_grid=None, points: int = 129) -> ConditionEstimate:
     """Minimal C for the off-diagonal estimate with factor
     (1 + (d ^ R0) / t^(1/beta))^(-beta)."""
-    gen = generator(kernel)
-    D = kernel.space.distance_matrix()
-    capped = np.minimum(D, r0)
-    if time_grid is None:
-        time_grid = log_time_grid(r0 ** beta * 1e-4, r0 ** beta, points)
-
-    def matrix_at(t):
-        factor = (1.0 + capped / t ** (1.0 / beta)) ** beta
-        return t ** (alpha / beta) * gen.density(t) * factor
-
-    def quantity(t):
-        return float(matrix_at(t).max())
-
-    best, best_t = _refine_scan(quantity, time_grid)
-    m = matrix_at(best_t)
-    i, j = map(int, np.unravel_index(np.argmax(m), m.shape))
-    ids = kernel.space.ids
-    return ConditionEstimate(
-        "wUE", best,
-        [{"t": best_t, "x": ids[i], "y": ids[j]}],
-        {"alpha": alpha, "beta": beta, "R0": r0, "points": len(time_grid)},
-    )
+    capped = np.minimum(kernel.space.distance_matrix(), r0)
+    return _density_scan("wUE", kernel, alpha, beta, r0, capped, time_grid, points)
 
 
 # -- Nash constant -----------------------------------------------------------------
@@ -187,6 +182,15 @@ def default_function_family(kernel: JumpKernel, rho: float, seed: int = 0,
     return np.column_stack(cols), labels
 
 
+def _family_or_default(kernel: JumpKernel, rho: float, family, seed: int,
+                       n_random: int = 64) -> tuple[np.ndarray, list]:
+    """The supplied functions as columns, or the default family."""
+    if family is None:
+        return default_function_family(kernel, rho, seed=seed, n_random=n_random)
+    U = np.column_stack([np.asarray(u, dtype=float) for u in family])
+    return U, [f"supplied:{i}" for i in range(U.shape[1])]
+
+
 def nash_constant(kernel: JumpKernel, rho: float, nu: float, k0: float,
                   family=None, seed: int = 0, n_random: int = 64) -> ConditionEstimate:
     """Family-relative Nash constant: the largest quotient
@@ -195,18 +199,8 @@ def nash_constant(kernel: JumpKernel, rho: float, nu: float, k0: float,
     enlarge the family with their own iterates when a downstream check
     fails.
     """
-    if family is None:
-        U, labels = default_function_family(kernel, rho, seed=seed, n_random=n_random)
-    else:
-        U = np.column_stack([np.asarray(u, dtype=float) for u in family])
-        labels = [f"supplied:{i}" for i in range(U.shape[1])]
-    mu = kernel.mu
-    e = energy_batch(kernel, U, rho)
-    l2sq = (U * U * mu[:, None]).sum(axis=0)
-    l1 = (np.abs(U) * mu[:, None]).sum(axis=0)
-    ok = l2sq > 0
-    ratios = np.zeros(U.shape[1])
-    ratios[ok] = l2sq[ok] ** (1 + nu) / ((e[ok] + k0 * l2sq[ok]) * l1[ok] ** (2 * nu))
+    U, labels = _family_or_default(kernel, rho, family, seed, n_random)
+    ratios = nash_ratio_batch(kernel, rho, nu, k0, U)
     j = int(np.argmax(ratios))
     return ConditionEstimate(
         "Nash", float(ratios[j]),
@@ -222,11 +216,7 @@ def nash_constant(kernel: JumpKernel, rho: float, nu: float, k0: float,
 def energy_difference_check(kernel: JumpKernel, rho: float, family=None,
                             seed: int = 0, rtol: float = 1e-12) -> CheckReport:
     """E(u) - E_rho(u) <= 4 ||u||_2^2 sup_x J(x, B(x,rho)^c) over a family."""
-    if family is None:
-        U, labels = default_function_family(kernel, rho, seed=seed)
-    else:
-        U = np.column_stack([np.asarray(u, dtype=float) for u in family])
-        labels = [f"supplied:{i}" for i in range(U.shape[1])]
+    U, labels = _family_or_default(kernel, rho, family, seed)
     mu = kernel.mu
     sup_tail = kernel.tail_sup(rho)
     full = energy_batch(kernel, U, None)
@@ -296,6 +286,11 @@ def exit_probability_slope(kernel: JumpKernel, ball: Ball, x, t: float = 1e-5) -
     return 2 * s2 - s1
 
 
+def exit_probability(heat: np.ndarray, ball: Ball) -> float:
+    """sup_{x in B} P_t 1_{B^c}(x) from the heat matrix e^{tL} at time t."""
+    return float((heat[ball.start:ball.stop, :] @ (1.0 - ball.indicator())).max())
+
+
 def tail_probability_check(kernel: JumpKernel, beta: float, c_tj: float, r0: float,
                            time_grid, rtol: float = 1e-12) -> CheckReport:
     """Exit-probability bound with the tracked constant C_tail = 4 C_tj.
@@ -321,14 +316,16 @@ def tail_probability_check(kernel: JumpKernel, beta: float, c_tj: float, r0: flo
         report.add(vacuous("bounds.exit_probability", {"balls": 0}))
         return report
 
-    worst = -np.inf
-    witness = None
+    worst = worst_mono = -np.inf
+    witness = wit_mono = None
     empirical = 0.0
+    # pointwise monotonicity in the radius is checked on every (ball, parent) pair
+    chains = sorted({(nd.start, nd.stop, nd.parent.start, nd.parent.stop)
+                     for nd in space._nodes if nd.parent is not None})
     for t in times:
         heat = gen.heat_matrix(t)
         for ball in balls:
-            comp_mass = 1.0 - ball.indicator()
-            exit_prob = float((heat[ball.start:ball.stop, :] @ comp_mass).max())
+            exit_prob = exit_probability(heat, ball)
             r_eff = min(ball.radius, r0)
             bound = c_tail * t / r_eff ** beta
             tol = rtol * max(1.0, bound)
@@ -339,6 +336,14 @@ def tail_probability_check(kernel: JumpKernel, beta: float, c_tj: float, r0: flo
                            "exit": exit_prob, "bound": bound}
             if c_tj > 0:
                 empirical = max(empirical, exit_prob * r_eff ** beta / (t * 4 * c_tj))
+        for a0, a1, b0, b1 in chains:
+            small = np.zeros(len(space)); small[a0:a1] = 1.0
+            big = np.zeros(len(space)); big[b0:b1] = 1.0
+            drop = heat @ (1.0 - small) - heat @ (1.0 - big)
+            viol = -float(drop.min())
+            if viol > worst_mono:
+                worst_mono = viol
+                wit_mono = {"t": t, "inner": [a0, a1], "outer": [b0, b1]}
     report.add(record(
         "bounds.exit_probability",
         {"beta": beta, "R0": r0, "c_tail": c_tail,
@@ -347,28 +352,6 @@ def tail_probability_check(kernel: JumpKernel, beta: float, c_tj: float, r0: flo
         measured=worst, bound=0.0, margin=0.0, ok=worst <= 0.0, witness=witness,
     ))
 
-    # pointwise monotonicity in the radius, over every nested chain
-    worst_mono = -np.inf
-    wit_mono = None
-    chains: set = set()
-    for leaf in range(len(space)):
-        node = space._leaf_nodes[leaf]
-        chain = []
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        for small, big in zip(chain, chain[1:]):
-            chains.add((small.start, small.stop, big.start, big.stop))
-    for t in times:
-        heat = gen.heat_matrix(t)
-        for a0, a1, b0, b1 in sorted(chains):
-            small = np.zeros(len(space)); small[a0:a1] = 1.0
-            big = np.zeros(len(space)); big[b0:b1] = 1.0
-            drop = heat @ (1.0 - small) - heat @ (1.0 - big)
-            viol = -float(drop.min())
-            if viol > worst_mono:
-                worst_mono = viol
-                wit_mono = {"t": t, "inner": [a0, a1], "outer": [b0, b1]}
     report.add(record(
         "bounds.exit_probability_monotone",
         {"chains": len(chains)},

@@ -37,7 +37,7 @@ from .kernel import (
     kernel_from_csv,
     tj_constant,
 )
-from .reporting import FAIL, CheckRecord, CheckReport, record
+from .reporting import FAIL, CheckReport, record
 from .semigroup import generator, semigroup_selfcheck
 from .space import (
     UltrametricSpace,
@@ -56,8 +56,21 @@ ALL_CHECKS = (
 
 DEFAULT_TOLERANCES = {
     "identity": 1e-12,
-    "spectral": 1e-10,
-    "finite_difference": 1e-6,
+}
+
+# Sequence defaults stay tuples of the literal types shown: their entries go
+# into record params as given (derivative_p 1 and 2 are ints).
+DEFAULT_OPTIONS = {
+    "lambdas": (-50, -5, 0, 5, 50),    # perturbation: tilt strengths
+    "n_random_pairs": 5,               # perturbation: function pairs per case
+    "power_p": (1, 1.5, 2, 4, 8),      # power: exponents p
+    "n_power_functions": 25,           # power: functions per exponent
+    "derivative_p": (1, 2),            # lp_derivative: exponents p
+    "derivative_lambdas": (0.0, 2.0),  # lp_derivative: tilt strengths
+    "moser_lambda": 2.0,               # moser and supbound: tilt strength
+    "moser_k_max": 6,                  # moser: last level 2^(k_max + 1)
+    "ode_sweep": 25,                   # ode: random samples
+    "p8_c_factor": 4.0,                # p8: factor of the truncation comparison
 }
 
 
@@ -79,16 +92,18 @@ class RunConfig:
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     output_dir: str = "."
     seed: int = 0
-    options: dict = field(default_factory=dict)
+    options: dict = field(default_factory=lambda: dict(DEFAULT_OPTIONS))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         if "space" not in raw:
             raise ConfigError("config needs a 'space' section")
         if "kernel" not in raw:
             raise ConfigError("config needs a 'kernel' section")
-        exps = raw.get("exponents", {})
-        grid = raw.get("time_grid", {})
+        exps = _section(raw, "exponents")
+        grid = _section(raw, "time_grid")
         gmin = _number(grid, "min", 1e-3, "time_grid")
         gmax = _number(grid, "max", 1.0, "time_grid")
         if gmin <= 0:
@@ -103,15 +118,10 @@ class RunConfig:
             raise ConfigError(f"unknown time grid scale {scale!r}")
         # an empty list is tolerated here so that `curves` can run without
         # checks; `run` itself insists on a nonempty selection
-        checks = tuple(raw.get("checks", ALL_CHECKS))
-        for c in checks:
-            if c not in ALL_CHECKS:
-                raise ConfigError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(raw.get("tolerances", {}))
+        checks = _check_names(raw.get("checks", ALL_CHECKS))
         return cls(
-            space=raw["space"],
-            kernel=raw["kernel"],
+            space=_section(raw, "space"),
+            kernel=_section(raw, "kernel"),
             alpha=_number(exps, "alpha", 1.0, "exponents"),
             beta=_number(exps, "beta", 1.0, "exponents"),
             r0=None if exps.get("R0") is None else _number(exps, "R0", None, "exponents"),
@@ -120,11 +130,47 @@ class RunConfig:
             grid_points=points,
             grid_scale=scale,
             checks=checks,
-            tolerances=tol,
+            tolerances=_keyed(raw, "tolerances", DEFAULT_TOLERANCES),
             output_dir=raw.get("output_dir", "."),
             seed=_number(raw, "seed", 0, "config", int),
-            options=raw.get("options", {}),
+            options=_keyed(raw, "options", DEFAULT_OPTIONS),
         )
+
+
+def _check_names(names) -> tuple:
+    if not isinstance(names, (list, tuple)):
+        raise ConfigError(f"checks must be a list, got {names!r}")
+    for c in names:
+        if c not in ALL_CHECKS:
+            raise ConfigError(f"unknown check {c!r}; known: {', '.join(ALL_CHECKS)}")
+    return tuple(names)
+
+
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
+
+
+def _keyed(raw: dict, key: str, defaults: dict) -> dict:
+    """The `key` section over its defaults.  Unknown keys are rejected, and
+    each value must be a number, or a list of numbers where the default is
+    a tuple."""
+    section = _section(raw, key)
+    unknown = sorted(set(section) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown {key} keys {unknown}; known: {', '.join(defaults)}")
+    out = dict(defaults)
+    for name, value in section.items():
+        if not isinstance(defaults[name], tuple):
+            out[name] = _number(section, name, None, key, type(defaults[name]))
+        elif isinstance(value, (list, tuple)) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+            out[name] = tuple(value)
+        else:
+            raise ConfigError(f"{key}.{name} must be a list of numbers, got {value!r}")
+    return out
 
 
 def _number(section: dict, key: str, default, where: str, kind=float):
@@ -145,19 +191,20 @@ def load_config(path) -> RunConfig:
 
 
 def build_space(section: dict, seed: int = 0) -> UltrametricSpace:
-    if "file" in section:
-        path = section["file"]
-        if str(path).endswith(".csv"):
-            return from_distance_csv(path)
-        return load_space(path)
-    if "inline" in section:
-        return build_tree(section["inline"])
-    if "generator" in section:
-        gen = dict(section["generator"])
-        kind = gen.pop("kind", None)
-        gen.setdefault("seed", seed)
-        space, _ = generate_space(kind, **gen)
-        return space
+    # a section or file that does not parse is a config error
+    try:
+        if "file" in section:
+            path = str(section["file"])
+            return from_distance_csv(path) if path.endswith(".csv") else load_space(path)
+        if "inline" in section:
+            return build_tree(section["inline"])
+        if "generator" in section:
+            gen = dict(section["generator"])
+            kind = gen.pop("kind", None)
+            gen.setdefault("seed", seed)
+            return generate_space(kind, **gen)[0]
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"space: {exc}") from exc
     raise ConfigError("space section needs 'file', 'inline', or 'generator'")
 
 
@@ -170,7 +217,7 @@ def build_kernel(space: UltrametricSpace, section: dict) -> JumpKernel:
         if "isotropic" in section:
             return isotropic_kernel(space, section["isotropic"],
                                     scaling=section.get("scaling", "none"))
-    except UltraheatError as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"kernel: {exc}") from exc
     raise ConfigError("kernel section needs 'file', 'matrix', or 'isotropic'")
 
@@ -178,8 +225,7 @@ def build_kernel(space: UltrametricSpace, section: dict) -> JumpKernel:
 def time_grid_of(cfg: RunConfig) -> np.ndarray:
     if cfg.grid_scale == "linear":
         return np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_points)
-    return np.exp(np.linspace(math.log(cfg.grid_min), math.log(cfg.grid_max),
-                              cfg.grid_points))
+    return bounds_mod.log_time_grid(cfg.grid_min, cfg.grid_max, cfg.grid_points)
 
 
 # -- generators ----------------------------------------------------------------------
@@ -216,12 +262,9 @@ def generate_space(kind: str, depth: int = 3, branching: int = 3, q: float = 2.0
             return np.exp(rng.uniform(math.log(0.25), math.log(4.0), count))
         raise UnknownGenerator(f"unknown mass law {mass_law!r}")
 
-    if kind == "dyadic":
-        n = 2 ** depth
-        spec = _regular_tree(2, depth, q, draw_masses(n))
-    elif kind == "bary":
-        n = branching ** depth
-        spec = _regular_tree(branching, depth, q, draw_masses(n))
+    if kind in ("dyadic", "bary"):
+        b = 2 if kind == "dyadic" else branching
+        spec = _regular_tree(b, depth, q, draw_masses(b ** depth))
     elif kind == "random":
         spec = _random_tree(rng, depth, q, mass_law, max_points, draw_masses)
     else:
@@ -306,8 +349,8 @@ def _check_form(ctx):
 
 
 def _check_semigroup(ctx):
-    report = semigroup_selfcheck(generator(ctx.kernel), ctx.grid, seed=ctx.seed)
-    for rho in ctx.space.distance_levels:
+    report = CheckReport()
+    for rho in (None,) + ctx.space.distance_levels:
         report.extend(semigroup_selfcheck(generator(ctx.kernel, rho=rho), ctx.grid,
                                           seed=ctx.seed))
     return report
@@ -321,8 +364,8 @@ def _check_perturbation(ctx):
     opts = ctx.options
     return davies.perturbation_battery(
         ctx.kernel,
-        lambdas=tuple(opts.get("lambdas", (-50, -5, 0, 5, 50))),
-        n_pairs=int(opts.get("n_random_pairs", 5)),
+        lambdas=opts["lambdas"],
+        n_pairs=opts["n_random_pairs"],
         seed=ctx.seed,
         rtol=ctx.tolerances["identity"],
     )
@@ -332,29 +375,28 @@ def _check_power(ctx):
     opts = ctx.options
     return davies.power_battery(
         ctx.kernel,
-        p_values=tuple(opts.get("power_p", (1, 1.5, 2, 4, 8))),
-        n_functions=int(opts.get("n_power_functions", 25)),
+        p_values=opts["power_p"],
+        n_functions=opts["n_power_functions"],
         seed=ctx.seed,
         rtol=ctx.tolerances["identity"],
     )
 
 
-def _nash_for(ctx, rho):
-    est = bounds_mod.nash_constant(ctx.kernel, rho=rho, nu=ctx.exponents.nu,
-                                   k0=ctx.exponents.k0(rho), seed=ctx.seed)
-    return est.constant
+def _nash_estimate(ctx, rho):
+    return bounds_mod.nash_constant(ctx.kernel, rho=rho, nu=ctx.exponents.nu,
+                                    k0=ctx.exponents.k0(rho), seed=ctx.seed)
 
 
 def _check_lp_derivative(ctx):
     ball, rho = _pick_scenario(ctx)
-    c_n = _nash_for(ctx, rho)
+    c_n = _nash_estimate(ctx, rho).constant
     report = CheckReport()
     grid = ctx.grid if len(ctx.grid) >= 8 else bounds_mod.log_time_grid(
         ctx.grid[0], ctx.grid[-1], 8)
     rng = np.random.default_rng(ctx.seed)
     f = rng.uniform(0.1, 1.0, len(ctx.space))
-    for p in ctx.options.get("derivative_p", (1, 2)):
-        for lam in ctx.options.get("derivative_lambdas", (0.0, 2.0)):
+    for p in ctx.options["derivative_p"]:
+        for lam in ctx.options["derivative_lambdas"]:
             report.extend(davies.lp_derivative_check(
                 ctx.kernel, ctx.exponents, rho, ball, lam, f, p, grid, c_n))
     return report
@@ -362,9 +404,9 @@ def _check_lp_derivative(ctx):
 
 def _check_moser(ctx):
     ball, rho = _pick_scenario(ctx)
-    c_n = _nash_for(ctx, rho)
-    lam = float(ctx.options.get("moser_lambda", 2.0))
-    k_max = int(ctx.options.get("moser_k_max", 6))
+    c_n = _nash_estimate(ctx, rho).constant
+    lam = ctx.options["moser_lambda"]
+    k_max = ctx.options["moser_k_max"]
     f = np.zeros(len(ctx.space))
     f[ball.start] = 1.0
     _, report = davies.moser_iteration(
@@ -375,46 +417,39 @@ def _check_moser(ctx):
 
 def _check_supbound(ctx):
     ball, rho = _pick_scenario(ctx)
-    c_n = _nash_for(ctx, rho)
-    lam = float(ctx.options.get("moser_lambda", 2.0))
+    c_n = _nash_estimate(ctx, rho).constant
+    lam = ctx.options["moser_lambda"]
     times = ctx.grid[:: max(1, len(ctx.grid) // 8)]
     return davies.sup_bound_check(ctx.kernel, ctx.exponents, rho, ball, lam,
                                   times, c_n)
 
 
 def _check_ode(ctx):
-    report = davies.ode_sweep(n_samples=int(ctx.options.get("ode_sweep", 25)),
+    report = davies.ode_sweep(n_samples=ctx.options["ode_sweep"],
                               seed=ctx.seed)
     return report
 
 
-def _estimate_record(est) -> CheckRecord:
-    ok = np.isfinite(est.constant)
-    return record(f"bounds.{est.kind.lower()}_constant", est.scan, est.constant,
-                  None, 0.0, bool(ok), witness={"witnesses": est.witnesses})
+def _estimate_report(est) -> CheckReport:
+    report = CheckReport()
+    report.add(record(f"bounds.{est.kind.lower()}_constant", est.scan, est.constant,
+                      None, 0.0, bool(np.isfinite(est.constant)),
+                      witness={"witnesses": est.witnesses}))
+    return report
 
 
 def _check_nash(ctx):
-    _, rho = _pick_scenario(ctx)
-    report = CheckReport()
-    report.add(_estimate_record(bounds_mod.nash_constant(
-        ctx.kernel, rho=rho, nu=ctx.exponents.nu, k0=ctx.exponents.k0(rho),
-        seed=ctx.seed)))
-    return report
+    return _estimate_report(_nash_estimate(ctx, _pick_scenario(ctx)[1]))
 
 
 def _check_due(ctx):
-    report = CheckReport()
-    report.add(_estimate_record(bounds_mod.due_constant(
-        ctx.kernel, ctx.exponents.alpha, ctx.exponents.beta, ctx.exponents.r0)))
-    return report
+    return _estimate_report(bounds_mod.due_constant(
+        ctx.kernel, ctx.exponents.alpha, ctx.exponents.beta, ctx.exponents.r0))
 
 
 def _check_wue(ctx):
-    report = CheckReport()
-    report.add(_estimate_record(bounds_mod.wue_constant(
-        ctx.kernel, ctx.exponents.alpha, ctx.exponents.beta, ctx.exponents.r0)))
-    return report
+    return _estimate_report(bounds_mod.wue_constant(
+        ctx.kernel, ctx.exponents.alpha, ctx.exponents.beta, ctx.exponents.r0))
 
 
 def _check_energy_diff(ctx):
@@ -436,7 +471,7 @@ def _check_p8(ctx):
         for f in fs:
             report.extend(bounds_mod.truncation_comparison_check(
                 ctx.kernel, rho, None, f, ctx.grid,
-                c_factor=float(ctx.options.get("p8_c_factor", 4.0)),
+                c_factor=ctx.options["p8_c_factor"],
                 rtol=ctx.tolerances["identity"]))
     return report
 
@@ -555,31 +590,29 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
                     wr.writerow([repr(float(t)), space.ids[i], space.ids[j],
                                  repr(float(dens[i, j]))])
 
-    emit(curves / "p_full.csv", generator(kernel))
+    gen = generator(kernel)
+    emit(curves / "p_full.csv", gen)
     for k, rho in enumerate(space.distance_levels):
         emit(curves / f"q_truncated_{k}.csv", generator(kernel, rho=rho))
 
-    gen = generator(kernel)
     with open(curves / "supremum.csv", "w", encoding="utf-8", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["t", "max_density", "ondiag_quantity", "offdiag_quantity",
                      "exit_quantity"])
-        D = space.distance_matrix()
-        capped = np.minimum(D, cfg.r0)
+        capped = np.minimum(space.distance_matrix(), cfg.r0)
         balls = [b for b in space.balls() if b.radius > 0]
         for t in ctx.grid:
             t = float(t)
             dens = gen.density(t)
-            factor = (1.0 + capped / t ** (1.0 / cfg.beta)) ** cfg.beta
             heat = gen.heat_matrix(t)
             exit_q = 0.0
             for ball in balls:
-                comp = 1.0 - ball.indicator()
-                e = float((heat[ball.start:ball.stop] @ comp).max())
+                e = bounds_mod.exit_probability(heat, ball)
                 exit_q = max(exit_q, e * min(ball.radius, cfg.r0) ** cfg.beta / t)
-            wr.writerow([repr(t), repr(float(dens.max())),
-                         repr(float(t ** (cfg.alpha / cfg.beta) * dens.max())),
-                         repr(float((t ** (cfg.alpha / cfg.beta) * dens * factor).max())),
+            ondiag, offdiag = (
+                float(bounds_mod.scaled_density(dens, t, cfg.alpha, cfg.beta, c).max())
+                for c in (0.0, capped))
+            wr.writerow([repr(t), repr(float(dens.max())), repr(ondiag), repr(offdiag),
                          repr(exit_q)])
 
 
@@ -626,10 +659,7 @@ def run(cfg: RunConfig) -> int:
 
 
 def curves_only(cfg: RunConfig) -> int:
-    ctx = build_context(cfg)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_curves(ctx, out_dir)
+    write_curves(build_context(cfg), Path(cfg.output_dir))
     return 0
 
 
@@ -676,18 +706,15 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "curves"):
             cfg = load_config(args.config)
             if args.out is not None:
                 cfg.output_dir = args.out
+        if args.command == "run":
             if args.seed is not None:
                 cfg.seed = args.seed
             if args.checks is not None:
-                names = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-                for c in names:
-                    if c not in ALL_CHECKS:
-                        raise ConfigError(f"unknown check {c!r}")
-                cfg.checks = names
+                cfg.checks = _check_names([c.strip() for c in args.checks.split(",") if c.strip()])
             return run(cfg)
         if args.command == "generate":
             space_path, kernel_path = generate_files(
@@ -698,13 +725,7 @@ def main(argv=None) -> int:
             print(kernel_path)
             return 0
         if args.command == "curves":
-            cfg = load_config(args.config)
-            if args.out is not None:
-                cfg.output_dir = args.out
             return curves_only(cfg)
-    except (ConfigError, UnknownGenerator) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except UltraheatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -110,6 +110,16 @@ def _evolved_family_ratio(kernel, rho, nu, k0, F, k_list) -> float:
     return best
 
 
+def _tilted_evolution(kernel: JumpKernel, rho, ball: Ball, lam: float, f):
+    """times -> e^{psi} e^{t L_rho} (e^{-psi} f) with psi = lam 1_B, one
+    column per time."""
+    psi = lam * ball.indicator()
+    gen = generator(kernel, rho=rho)
+    tilt_in = np.exp(-psi) * f
+    tilt_out = np.exp(psi)[:, None]
+    return lambda times: tilt_out * gen.apply_grid(times, tilt_in)
+
+
 # -- tilt identity and power inequality -----------------------------------------
 
 
@@ -211,21 +221,17 @@ def lp_derivative_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float,
     f = f / lp_norm(f, mu, 2)
     k0 = cfg.k0(rho)
     nu = cfg.nu
-    psi = lam * ball.indicator()
-    gen = generator(kernel, rho=rho)
-    tilt_in = np.exp(-psi) * f
-    tilt_out = np.exp(psi)
+    evolve = _tilted_evolution(kernel, rho, ball, lam, f)
 
     def run(c_n_used):
         eps = np.finfo(float).eps
         worst = -np.inf
         witness = None
-        F_grid = tilt_out[:, None] * gen.apply_grid(times, tilt_in)
+        F_grid = evolve(times)
         n2ps, nps = lp_norms(F_grid, mu, [2 * p, p]).tolist()
         for j, t in enumerate(times):
             h = 1e-4 * t
-            F_h = tilt_out[:, None] * gen.apply_grid([t - h, t + h, t - h / 2, t + h / 2],
-                                                     tilt_in)
+            F_h = evolve([t - h, t + h, t - h / 2, t + h / 2])
             n_pts = lp_norms(F_h, mu, [2 * p])[0]
             d_h = (n_pts[1] - n_pts[0]) / (2 * h)
             d_h2 = (n_pts[3] - n_pts[2]) / h
@@ -332,10 +338,7 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
     mu = kernel.mu
     f = f / lp_norm(f, mu, 2)
     nu, k0 = cfg.nu, cfg.k0(rho)
-    psi = lam * ball.indicator()
-    gen = generator(kernel, rho=rho)
-    tilt_in = np.exp(-psi) * f
-    tilt_out = np.exp(psi)
+    evolve = _tilted_evolution(kernel, rho, ball, lam, f)
 
     ks = np.arange(1, k_max + 2)
     exponents = (2.0 ** (ks - 1) - 1.0) / (2.0 ** ks * nu)
@@ -343,7 +346,7 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
     def sups_on(ppd):
         n_pts = ppd * decades + 1
         s = np.exp(np.linspace(math.log(t) - decades * math.log(10), math.log(t), n_pts))
-        F = tilt_out[:, None] * gen.apply_grid(s, tilt_in)
+        F = evolve(s)
         u = lp_norms(F, mu, 2.0 ** ks)
         weighted = s[None, :] ** exponents[:, None] * u
         # s -> 0 limit of the k = 1 weight is ||f||_2 = 1

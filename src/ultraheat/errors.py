@@ -38,6 +38,10 @@ class NotUltrametric(SpaceError):
         self.witness = witness
 
 
+class MalformedCsv(UltraheatError, ValueError):
+    """CSV input has the wrong number of rows or columns, or a non-numeric cell."""
+
+
 # -- kernel -------------------------------------------------------------------
 
 class KernelError(UltraheatError, ValueError):

@@ -12,8 +12,6 @@ extra factor.  The rho-truncation keeps the pairs with d(x, y) <= rho
 (closed ball convention, as everywhere in the package).
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, OverlappingBalls
 from .kernel import JumpKernel
 from .reporting import CheckRecord, record
-from .space import Ball
+from .space import Ball, read_csv_rows
 
 
 def _as_vector(kernel: JumpKernel, f) -> np.ndarray:
@@ -124,12 +122,7 @@ class SimpleFunction:
         return out
 
     def __call__(self, point_id) -> float:
-        space = self.balls[0].space
-        i = space.index(point_id)
-        for c, b in zip(self.coefficients, self.balls):
-            if b.contains_index(i):
-                return float(c)
-        return 0.0
+        return float(self.values()[self.balls[0].space.index(point_id)])
 
 
 def simple_function(coefficients, balls) -> SimpleFunction:
@@ -140,14 +133,9 @@ def simple_function(coefficients, balls) -> SimpleFunction:
 def function_from_csv(kernel_or_space, text_or_path) -> np.ndarray:
     """Read a function vector from CSV rows `id,value` keyed by point id."""
     space = getattr(kernel_or_space, "space", kernel_or_space)
-    if isinstance(text_or_path, str) and "\n" not in text_or_path:
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = text_or_path
     out = np.zeros(len(space))
-    for row in csv.reader(io.StringIO(text)):
-        if not row or row[0].strip().lower() == "id":
+    for row in read_csv_rows(text_or_path):
+        if row[0].strip().lower() == "id":
             continue
         out[space.index(row[0].strip())] = float(row[1])
     return out

@@ -29,7 +29,7 @@ from .errors import (
     NonzeroDiagonal,
     NotIsotropic,
 )
-from .space import UltrametricSpace
+from .space import UltrametricSpace, read_id_matrix
 
 
 class JumpKernel:
@@ -137,14 +137,11 @@ def isotropic_kernel(space: UltrametricSpace, profile, scaling: str = "none") ->
     if scaling not in ("none", "mass"):
         raise ConfigError(f"scaling must be 'none' or 'mass', got {scaling!r}")
     D = space.distance_matrix()
-    values = {}
+    w = np.zeros_like(D)
     for level in space.distance_levels:
         g = float(profile(level))
         if g < 0:
             raise NegativeProfile(f"profile({level}) = {g} < 0")
-        values[level] = g
-    w = np.zeros_like(D)
-    for level, g in values.items():
         w[D == level] = g
     if scaling == "mass":
         w = w * np.outer(space.masses, space.masses)
@@ -158,15 +155,8 @@ def from_matrix(space: UltrametricSpace, weights) -> JumpKernel:
 
 def kernel_from_csv(space: UltrametricSpace, text_or_path) -> JumpKernel:
     """Read a weight matrix CSV with a header row of point ids."""
-    if isinstance(text_or_path, str) and "\n" not in text_or_path:
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = text_or_path
-    rows = list(csv.reader(io.StringIO(text)))
-    ids = [c.strip() for c in rows[0]]
+    ids, raw = read_id_matrix(text_or_path, "kernel")
     perm = [space.index(i) for i in ids]
-    raw = np.array([[float(v) for v in row] for row in rows[1:len(ids) + 1]])
     w = np.zeros((len(space), len(space)))
     w[np.ix_(perm, perm)] = raw
     return JumpKernel(space, w)
@@ -185,21 +175,12 @@ def tj_constant(kernel: JumpKernel, beta: float, r0: float) -> float:
         if kernel.space.diam == 0:
             return 0.0
         raise ValueError(f"R0 must lie in (0, diam] = (0, {kernel.space.diam}], got {r0}")
-    levels = [0.0] + list(kernel.space.distance_levels)
-    best = 0.0
-    for i, lo in enumerate(levels):
-        if lo >= r0:
-            break
-        if i + 1 < len(levels):
-            cap = min(levels[i + 1], r0)
-        else:
-            cap = r0  # tail is 0 here anyway
-        best = max(best, cap ** beta * kernel.tail_sup(lo))
-    return best
+    return tj_witness(kernel, beta, r0)["constant"]
 
 
 def tj_witness(kernel: JumpKernel, beta: float, r0: float) -> dict:
-    """Argmax data for the tail-jump scan: point and radius interval."""
+    """The tail-jump level scan: its maximum under "constant", with the
+    argmax point and the radius interval that attain it."""
     levels = [0.0] + list(kernel.space.distance_levels)
     best, info = 0.0, {"point": None, "r_sup": 0.0}
     for i, lo in enumerate(levels):

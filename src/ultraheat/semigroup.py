@@ -28,6 +28,7 @@ O(n * depth) precompute and O(depth) per query, with no n x n matrix.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, EmptyDomain
 from .form import energy_and_scale
@@ -37,28 +38,6 @@ from .space import Ball, UltrametricSpace
 
 # Eigenvalues within this of zero are clamped to exactly zero.
 EIGENVALUE_CLAMP = 1e-12
-
-
-def _component_labels(adj: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a boolean adjacency matrix, in index order."""
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = [start]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(adj[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(int(v))
-                    stack.append(int(v))
-        blocks.append(np.array(sorted(comp)))
-    return blocks
 
 
 class SpectralGenerator:
@@ -104,7 +83,10 @@ class SpectralGenerator:
 
         self._mu = mu[idx]
         self._sqrt_mu = np.sqrt(self._mu)
-        self.blocks = _component_labels(sub > 0)
+        count, labels = connected_components(sub > 0, directed=False)
+        # components are numbered by their smallest index, so blocks come in
+        # index order, each sorted
+        self.blocks = [np.flatnonzero(labels == c) for c in range(count)]
         self._eigs = []
         for block in self.blocks:
             a = -2.0 * sub[np.ix_(block, block)] / np.outer(
@@ -150,11 +132,15 @@ class SpectralGenerator:
 
     # -- evaluation ------------------------------------------------------------
 
+    def _cores(self, t: float):
+        """(block, e^{-t A} in the symmetrised basis) for every component."""
+        for block, (lam, vec) in zip(self.blocks, self._eigs):
+            yield block, (vec * np.exp(-lam * t)) @ vec.T
+
     def heat_matrix(self, t: float) -> np.ndarray:
         """e^{tL} over the domain; exact zeros across components."""
         out = np.zeros((self.size, self.size))
-        for block, (lam, vec) in zip(self.blocks, self._eigs):
-            core = (vec * np.exp(-lam * t)) @ vec.T
+        for block, core in self._cores(t):
             scale = np.outer(1.0 / self._sqrt_mu[block], self._sqrt_mu[block])
             out[np.ix_(block, block)] = core * scale
         return out
@@ -162,8 +148,7 @@ class SpectralGenerator:
     def density(self, t: float) -> np.ndarray:
         """Heat kernel p_t(x, y) = (e^{tL})_{xy} / mu(y) over the domain."""
         out = np.zeros((self.size, self.size))
-        for block, (lam, vec) in zip(self.blocks, self._eigs):
-            core = (vec * np.exp(-lam * t)) @ vec.T
+        for block, core in self._cores(t):
             scale = np.outer(self._sqrt_mu[block], self._sqrt_mu[block])
             out[np.ix_(block, block)] = core / scale
         return out
@@ -175,14 +160,7 @@ class SpectralGenerator:
             raise DimensionMismatch(
                 f"expected vector of length {len(self.space)}, got shape {v.shape}"
             )
-        sub = v[self.omega]
-        out_sub = np.zeros_like(sub)
-        for block, (lam, vec) in zip(self.blocks, self._eigs):
-            coeff = vec.T @ (sub[block] * self._sqrt_mu[block])
-            out_sub[block] = (vec @ (np.exp(-lam * t) * coeff)) / self._sqrt_mu[block]
-        out = np.zeros_like(v)
-        out[self.omega] = out_sub
-        return out
+        return self.apply_grid([t], v)[:, 0]
 
     def apply_grid(self, times, f) -> np.ndarray:
         """e^{tL} f for every t in `times`; returns (n, len(times))."""
@@ -298,10 +276,8 @@ def apply(gen: SpectralGenerator, t: float, f) -> np.ndarray:
 
 def perturbed_apply(gen: SpectralGenerator, t: float, pert: Perturbation, f) -> np.ndarray:
     """Tilted action e^{psi} e^{tL} (e^{-psi} f)."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
     psi = pert.psi()
-    return np.exp(psi) * gen.apply(t, np.exp(-psi) * np.asarray(f, dtype=float))
+    return np.exp(psi) * apply(gen, t, np.exp(-psi) * np.asarray(f, dtype=float))
 
 
 # -- self checks -----------------------------------------------------------------
@@ -417,23 +393,11 @@ class HierarchicalHeatKernel:
         """p_t(x, y) via the ancestor path of the pair."""
         space = self.space
         ix, iy = space.index(x), space.index(y)
-        a = space._leaf_nodes[ix]
-        b = space._leaf_nodes[iy]
+        below = space.lca(ix, iy)
         total = 1.0 / space.total_mass
-        if ix == iy:
-            below = a
-            node = a.parent
-        else:
-            while a is not b:
-                if a.height < b.height:
-                    a = a.parent
-                elif b.height < a.height:
-                    b = b.parent
-                else:
-                    a, b = a.parent, b.parent
-            total += np.exp(-self._lam[a] * t) * (-1.0 / a.volume)
-            below = a
-            node = a.parent
+        if ix != iy:
+            total += np.exp(-self._lam[below] * t) * (-1.0 / below.volume)
+        node = below.parent
         while node is not None:
             total += np.exp(-self._lam[node] * t) * (1.0 / below.volume - 1.0 / node.volume)
             below = node

@@ -23,12 +23,15 @@ import io
 import json
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     EmptySpace,
+    MalformedCsv,
     NonDecreasingRadii,
     NonPositiveMass,
     NotUltrametric,
+    SpaceError,
     UnknownPoint,
 )
 from .reporting import CheckReport, record
@@ -162,7 +165,6 @@ class UltrametricSpace:
         self._nodes: list[_Node] = []
         self._leaf_nodes: list[_Node] = [None] * len(self.ids)
         self._finalize(root)
-        self._validate_radii(root)
         self._dmat = None
 
     # -- construction helpers ---------------------------------------------
@@ -177,20 +179,16 @@ class UltrametricSpace:
             self._leaf_nodes[node.start] = node
             return
         for child in node.children:
-            self._finalize(child, node)
-        node.start = node.children[0].start
-        node.stop = node.children[-1].stop
-        node.volume = float(sum(c.volume for c in node.children))
-        node.height = 1 + max(c.height for c in node.children)
-
-    def _validate_radii(self, node: _Node) -> None:
-        for child in node.children:
             if node.radius - child.radius < RADIUS_GAP:
                 raise NonDecreasingRadii(
                     f"child radius {child.radius} under parent radius {node.radius}: "
                     f"labels must strictly decrease (gap >= {RADIUS_GAP})"
                 )
-            self._validate_radii(child)
+            self._finalize(child, node)
+        node.start = node.children[0].start
+        node.stop = node.children[-1].stop
+        node.volume = float(sum(c.volume for c in node.children))
+        node.height = 1 + max(c.height for c in node.children)
 
     # -- basic queries -------------------------------------------------------
 
@@ -215,11 +213,9 @@ class UltrametricSpace:
             raise UnknownPoint(f"unknown point id {point_id!r}")
         return self._index[key]
 
-    def distance(self, x, y) -> float:
-        """Radius of the lowest common ancestor ball; 0 iff x == y."""
-        i, j = self.index(x), self.index(y)
-        if i == j:
-            return 0.0
+    def lca(self, i: int, j: int) -> _Node:
+        """Lowest common ancestor node of the points at indices i and j
+        (the leaf itself when i == j)."""
         a, b = self._leaf_nodes[i], self._leaf_nodes[j]
         while a is not b:
             if a.height < b.height:
@@ -227,9 +223,12 @@ class UltrametricSpace:
             elif b.height < a.height:
                 b = b.parent
             else:
-                a = a.parent
-                b = b.parent
-        return a.radius
+                a, b = a.parent, b.parent
+        return a
+
+    def distance(self, x, y) -> float:
+        """Radius of the lowest common ancestor ball; 0 iff x == y."""
+        return self.lca(self.index(x), self.index(y)).radius
 
     def distance_matrix(self) -> np.ndarray:
         """Full pairwise distance matrix in canonical point order (cached)."""
@@ -357,14 +356,15 @@ def build_tree(spec: dict) -> UltrametricSpace:
 def from_distance_matrix(matrix, masses=None, ids=None) -> UltrametricSpace:
     """Build the ball tree of an ultrametric distance matrix.
 
-    Merges points at increasing distance thresholds; the round trip
-    `space.distance_matrix()` reproduces the input exactly.  Raises
-    NotUltrametric with a violating triple when the input is not an
-    ultrametric.
+    Merges points at increasing distance thresholds (single linkage), so
+    the round trip `space.distance_matrix()` reproduces the input exactly.
+    A matrix is ultrametric exactly when it equals the distance matrix of
+    its own single-linkage tree; when it does not, raises NotUltrametric
+    with the triple of largest strong-triangle excess.
     """
     D = np.asarray(matrix, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise ValueError(f"distance matrix must be square, got shape {D.shape}")
+        raise SpaceError(f"distance matrix must be square, got shape {D.shape}")
     n = D.shape[0]
     if ids is None:
         ids = [str(i) for i in range(n)]
@@ -373,64 +373,40 @@ def from_distance_matrix(matrix, masses=None, ids=None) -> UltrametricSpace:
         masses = np.ones(n)
     masses = np.asarray(masses, dtype=float)
     if not np.array_equal(D, D.T):
-        raise ValueError("distance matrix must be symmetric")
+        raise SpaceError("distance matrix must be symmetric")
     if np.any(np.diagonal(D) != 0.0):
-        raise ValueError("distance matrix must have zero diagonal")
+        raise SpaceError("distance matrix must have zero diagonal")
     off = ~np.eye(n, dtype=bool)
     if n > 1 and (np.any(D[off] <= 0.0) or not np.all(np.isfinite(D[off]))):
-        raise ValueError("off-diagonal distances must be positive and finite")
+        raise SpaceError("off-diagonal distances must be positive and finite")
 
-    # exhaustive strong-triangle scan, one midpoint at a time
-    for z in range(n):
-        cap = np.maximum.outer(D[:, z], D[z, :])
-        bad = D > cap
-        bad[z, :] = False
-        bad[:, z] = False
-        np.fill_diagonal(bad, False)
-        if bad.any():
-            x, y = map(int, np.argwhere(bad)[0])
-            raise NotUltrametric(
-                f"d({ids[x]},{ids[y]})={D[x, y]} > "
-                f"max(d({ids[x]},{ids[z]}), d({ids[z]},{ids[y]}))={cap[x, y]}",
-                witness=(ids[x], ids[z], ids[y]),
-            )
-
-    # leaves, then single-linkage merges at each threshold in turn
-    leaves = []
+    # clusters keyed by their smallest original index, kept in that order;
+    # leaves carry their original index until the renumbering below.  T is
+    # the distance matrix of the single-linkage tree, which equals D exactly
+    # when D is an ultrametric.
+    clusters = {}
     for i in range(n):
-        node = _Node(0.0)
-        node.start = node.stop = i  # original index; reassigned below
-        leaves.append(node)
-    clusters = [(i, leaves[i], i) for i in range(n)]  # (min original idx, node, rep)
-
+        clusters[i] = leaf = _Node(0.0)
+        leaf.start = leaf.stop = i
+    T = np.zeros_like(D)
     for theta in np.unique(D[off]) if n > 1 else []:
-        parent = list(range(len(clusters)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                if D[clusters[a][2], clusters[b][2]] <= theta:
-                    parent[find(b)] = find(a)
+        _, labels = connected_components(D <= theta, directed=False)
+        T[(labels[:, None] == labels[None, :]) & (T == 0.0) & off] = theta
         groups: dict[int, list] = {}
-        for a in range(len(clusters)):
-            groups.setdefault(find(a), []).append(clusters[a])
-        merged = []
-        for members in groups.values():
-            if len(members) == 1:
-                merged.append(members[0])
-                continue
-            members.sort(key=lambda c: c[0])
-            node = _Node(float(theta), [c[1] for c in members])
-            merged.append((members[0][0], node, members[0][2]))
-        merged.sort(key=lambda c: c[0])
-        clusters = merged
-
-    root = clusters[0][1]
+        for first in clusters:
+            groups.setdefault(labels[first], []).append(first)
+        clusters = {
+            members[0]: clusters[members[0]] if len(members) == 1
+            else _Node(float(theta), [clusters[m] for m in members])
+            for members in groups.values()
+        }
+    if not np.array_equal(T, D):
+        _, (x, z, y) = strong_triangle_excess(D)
+        raise NotUltrametric(
+            f"d({ids[x]},{ids[y]})={D[x, y]} > "
+            f"max(d({ids[x]},{ids[z]}), d({ids[z]},{ids[y]}))={max(D[x, z], D[z, y])}",
+            witness=(ids[x], ids[z], ids[y]),
+        )
 
     # canonical depth-first leaf order
     order: list[int] = []
@@ -444,30 +420,39 @@ def from_distance_matrix(matrix, masses=None, ids=None) -> UltrametricSpace:
         for child in node.children:
             renumber(child)
 
-    renumber(root)
-    space = UltrametricSpace(root, [ids[i] for i in order], masses[order])
+    renumber(clusters[0])
+    return UltrametricSpace(clusters[0], [ids[i] for i in order], masses[order])
 
-    got = space.distance_matrix()
-    want = D[np.ix_(order, order)]
-    if not np.array_equal(got, want):
-        i, j = map(int, np.argwhere(got != want)[0])
-        raise NotUltrametric(
-            f"round trip failed at ({space.ids[i]},{space.ids[j]})",
-            witness=(space.ids[i], space.ids[i], space.ids[j]),
+
+def read_csv_rows(text_or_path) -> list:
+    """Nonblank CSV rows of a file, or of CSV text (a string with a newline)."""
+    if isinstance(text_or_path, str) and "\n" not in text_or_path:
+        with open(text_or_path, "r", encoding="utf-8") as fh:
+            text_or_path = fh.read()
+    return [row for row in csv.reader(io.StringIO(text_or_path)) if row]
+
+
+def read_id_matrix(text_or_path, what: str) -> tuple[list, np.ndarray]:
+    """(ids, matrix) from a CSV whose header row lists point ids and whose
+    data rows hold one number per id, one row per id."""
+    rows = read_csv_rows(text_or_path)
+    ids = [c.strip() for c in rows[0]] if rows else []
+    if not ids or len(rows) != len(ids) + 1 or any(len(r) != len(ids) for r in rows[1:]):
+        raise MalformedCsv(
+            f"{what} CSV needs a header of ids and one row of {len(ids)} values per id, "
+            f"got {len(rows[1:])} data rows of widths {sorted({len(r) for r in rows[1:]})}"
         )
-    return space
+    if len(set(ids)) != len(ids):
+        raise MalformedCsv(f"{what} CSV header repeats a point id: {ids}")
+    try:
+        return ids, np.array([[float(v) for v in row] for row in rows[1:]])
+    except ValueError as exc:
+        raise MalformedCsv(f"{what} CSV has a non-numeric cell: {exc}") from exc
 
 
 def from_distance_csv(text_or_path, masses=None) -> UltrametricSpace:
     """Read a distance matrix CSV (header row of ids) into a space."""
-    if isinstance(text_or_path, str) and "\n" not in text_or_path:
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = text_or_path
-    rows = list(csv.reader(io.StringIO(text)))
-    ids = [c.strip() for c in rows[0]]
-    D = np.array([[float(v) for v in row] for row in rows[1:len(ids) + 1]])
+    ids, D = read_id_matrix(text_or_path, "distance")
     if masses is not None and isinstance(masses, dict):
         masses = [masses[i] for i in ids]
     return from_distance_matrix(D, masses=masses, ids=ids)
@@ -488,6 +473,26 @@ def save_space(space: UltrametricSpace, path) -> None:
 # -- validation ------------------------------------------------------------------
 
 
+def strong_triangle_excess(D) -> tuple[float, tuple | None]:
+    """Largest excess d(x, y) - max(d(x, z), d(z, y)) over distinct x, z, y,
+    floored at 0, with the index triple (x, z, y) attaining it (None when
+    no triple has a positive excess).  Exhaustive: one midpoint z at a time.
+    """
+    D = np.asarray(D, dtype=float)
+    worst, triple = 0.0, None
+    for z in range(D.shape[0]):
+        excess = D - np.maximum.outer(D[:, z], D[z, :])
+        excess[z, :] = -np.inf
+        excess[:, z] = -np.inf
+        np.fill_diagonal(excess, -np.inf)
+        m = float(excess.max())
+        if m > worst:
+            worst = m
+            x, y = map(int, np.unravel_index(np.argmax(excess), excess.shape))
+            triple = (x, z, y)
+    return worst, triple
+
+
 def validate_ultrametric(space: UltrametricSpace, distance_matrix=None) -> CheckReport:
     """Exhaustively check the strong triangle inequality and ball dichotomy.
 
@@ -497,20 +502,9 @@ def validate_ultrametric(space: UltrametricSpace, distance_matrix=None) -> Check
     report = CheckReport()
     D = space.distance_matrix() if distance_matrix is None else np.asarray(distance_matrix)
     n = len(space)
-
-    witness = None
-    worst = 0.0
-    for z in range(n):
-        cap = np.maximum.outer(D[:, z], D[z, :])
-        excess = D - cap
-        excess[z, :] = -np.inf
-        excess[:, z] = -np.inf
-        np.fill_diagonal(excess, -np.inf)
-        m = float(excess.max()) if n > 1 else 0.0
-        if m > worst:
-            worst = m
-            x, y = map(int, np.unravel_index(np.argmax(excess), excess.shape))
-            witness = {"triple": (space.ids[x], space.ids[z], space.ids[y]), "excess": m}
+    worst, triple = strong_triangle_excess(D)
+    witness = None if triple is None else {
+        "triple": tuple(space.ids[i] for i in triple), "excess": worst}
     report.add(record(
         "ultrametric.strong_triangle",
         {"n": n},

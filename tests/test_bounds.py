@@ -19,7 +19,14 @@ from ultraheat import (
     wue_certificate,
     wue_constant,
 )
-from ultraheat.bounds import exit_probability_slope, log_time_grid, tj_estimate
+from ultraheat.bounds import (
+    default_function_family,
+    exit_probability_slope,
+    log_time_grid,
+    tj_estimate,
+)
+from ultraheat.davies import nash_ratio_batch
+from ultraheat.kernel import tj_witness
 
 from conftest import random_scenario
 
@@ -257,3 +264,16 @@ def test_tj_estimate_witness(k4):
     est = tj_estimate(k4, 1.0, 2.0)
     assert est.constant == pytest.approx(1.25, rel=1e-14)
     assert est.witnesses[0]["r_sup"] == 1.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merged_scans_match_their_building_blocks(seed):
+    space, kernel = random_scenario(seed)
+    for beta in (0.5, 1.5):
+        for r0 in space.distance_levels:
+            assert tj_witness(kernel, beta, r0)["constant"] == tj_constant(kernel, beta, r0)
+    for rho in space.distance_levels:
+        nu, k0 = 0.8, rho ** -1.5 + space.diam ** -1.5
+        U, _ = default_function_family(kernel, rho, seed=seed)
+        est = nash_constant(kernel, rho, nu, k0, seed=seed)
+        assert est.constant == nash_ratio_batch(kernel, rho, nu, k0, U).max()

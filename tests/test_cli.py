@@ -8,6 +8,7 @@ import pytest
 
 from ultraheat.cli import (
     ALL_CHECKS,
+    DEFAULT_OPTIONS,
     RunConfig,
     build_context,
     execute_checks,
@@ -224,6 +225,64 @@ class TestConfigParsing:
         path = write_config(tmp_path, kernel={"isotropic": {"kind": "gauss"}})
         assert main(["run", "--config", str(path)]) == 2
         assert "unknown profile kind 'gauss'" in capsys.readouterr().err
+
+
+def _file(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+# each case: config overrides (built in a temporary directory) and a phrase
+# of the one-line error it must produce
+BAD_INPUTS = {
+    "distance csv short of rows": (
+        lambda tmp: {"space": {"file": _file(tmp / "d.csv", "a,b,c\n0,1,2\n1,0,2\n")}},
+        "distance CSV needs"),
+    "distance csv non-numeric cell": (
+        lambda tmp: {"space": {"file": _file(tmp / "d.csv", "a,b,c\n0,1,2\n1,0,x\n2,2,0\n")}},
+        "non-numeric cell"),
+    "kernel csv with one data row": (
+        lambda tmp: {"kernel": {"file": _file(tmp / "k.csv", "a,b,c,d\n0,1,1,1\n")}},
+        "kernel CSV needs"),
+    "exponents not an object": (lambda tmp: {"exponents": 5}, "exponents must be an object"),
+    "time grid not an object": (lambda tmp: {"time_grid": [1]}, "time_grid must be an object"),
+    "non-numeric tolerance": (
+        lambda tmp: {"tolerances": {"identity": "x"}}, "tolerances.identity must be a number"),
+    "missing space file": (
+        lambda tmp: {"space": {"file": str(tmp / "missing.json")}}, "No such file"),
+    "non-numeric radius": (
+        lambda tmp: {"space": {"inline": {"radius": "x", "children": [{"id": "a"}]}}},
+        "space: could not convert"),
+    "non-numeric generator depth": (
+        lambda tmp: {"space": {"generator": {"kind": "dyadic", "depth": "x"}}}, "space: "),
+    "non-numeric kernel matrix entry": (
+        lambda tmp: {"kernel": {"matrix": [[0, "x"], [1, 0]]}}, "kernel: could not convert"),
+    "unknown tolerance key": (
+        lambda tmp: {"tolerances": {"spectrall": 1e-10}}, "unknown tolerances keys ['spectrall']"),
+    "unknown option key": (
+        lambda tmp: {"options": {"moser_lambd": 2.0}}, "unknown options keys ['moser_lambd']"),
+    "non-numeric option list": (
+        lambda tmp: {"options": {"derivative_p": ["x"]}}, "options.derivative_p must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
+    overrides, phrase = BAD_INPUTS[case]
+    path = write_config(tmp_path, **overrides(tmp_path))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert phrase in err[0]
+
+
+def test_option_defaults_and_overrides(tmp_path):
+    cfg = load_config(write_config(tmp_path))
+    assert cfg.options == DEFAULT_OPTIONS
+    assert all(type(p) is int for p in cfg.options["derivative_p"])
+    cfg = load_config(write_config(tmp_path, options={"derivative_p": [3], "moser_k_max": 4}))
+    assert cfg.options["derivative_p"] == (3,) and cfg.options["moser_k_max"] == 4
+    assert cfg.options["lambdas"] == DEFAULT_OPTIONS["lambdas"]
 
 
 def test_threads_variable_is_ignored(tmp_path, monkeypatch):

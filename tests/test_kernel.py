@@ -6,6 +6,7 @@ import pytest
 from ultraheat import isotropic_kernel, from_matrix, power_profile, tj_constant
 from ultraheat.errors import (
     Asymmetric,
+    MalformedCsv,
     NegativeProfile,
     NegativeWeight,
     NonzeroDiagonal,
@@ -67,6 +68,17 @@ class TestConstruction:
         text = kernel_to_csv(k4)
         k = kernel_from_csv(k4.space, text)
         assert np.array_equal(k.w, k4.w)
+
+    @pytest.mark.parametrize("text", [
+        "a,b,c,d\n0,1,1,1\n",                                 # one data row
+        "a,b,c,d\n0,1,1,1\n1,0,1,1\n1,1,0,1\n1,1,1,0\n1,1,1,1\n",  # one row too many
+        "a,b,c,d\n0,1,1\n1,0,1,1\n1,1,0,1\n1,1,1,0\n",      # a short row
+        "a,b,c,d\n0,1,1,1\n1,0,1,1\n1,1,0,x\n1,1,1,0\n",    # non-numeric cell
+        "a,a,c,d\n0,1,1,1\n1,0,1,1\n1,1,0,1\n1,1,1,0\n",    # repeated id
+    ])
+    def test_csv_shape_and_cells_checked(self, s4, text):
+        with pytest.raises(MalformedCsv):
+            kernel_from_csv(s4, text)
 
 
 class TestTail:

@@ -42,6 +42,22 @@ class TestGenerator:
         assert gen.matrix.shape == (1, 1)
         assert gen.matrix[0, 0] == pytest.approx(-2.0 * 1.25, rel=1e-15)
 
+    def test_blocks_are_the_components_in_index_order(self):
+        for seed in range(6):
+            space, kernel = random_scenario(seed)
+            inner = [b for b in space.balls() if 0 < b.radius < space.diam]
+            for rho in (None,) + space.distance_levels:
+                for omega in [None] + inner[:2]:
+                    gen = generator(kernel, rho=rho, omega=omega)
+                    firsts = [int(b[0]) for b in gen.blocks]
+                    assert firsts == sorted(firsts)
+                    assert all(np.all(np.diff(b) > 0) for b in gen.blocks)
+                    assert np.array_equal(np.sort(np.concatenate(gen.blocks)),
+                                          np.arange(gen.size))
+                    for i, a in enumerate(gen.blocks):
+                        for b in gen.blocks[i + 1:]:
+                            assert not gen.matrix[np.ix_(a, b)].any()
+
     def test_empty_domain(self, k4):
         with pytest.raises(EmptyDomain):
             generator(k4, omega=[])

@@ -178,6 +178,41 @@ def test_induced_distance_is_ultrametric(seed):
         assert D[x, y] <= max(D[x, z], D[z, y])
 
 
+def _flat_space(n: int):
+    """n points in one ball, in the order p0 .. p{n-1}; only names the points."""
+    if n == 1:
+        return build_tree({"id": "p0", "mass": 1})
+    return build_tree({"radius": 1, "children": [{"id": f"p{i}", "mass": 1} for i in range(n)]})
+
+
+# entries from a few well-separated levels, so every matrix is either an
+# ultrametric or breaks the strong triangle inequality by a whole level gap
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+             min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+def test_from_distance_matrix_round_trips_or_names_a_violation(case):
+    n, upper = case
+    D = np.zeros((n, n))
+    D[np.triu_indices(n, 1)] = upper
+    D = D + D.T
+    ids = [f"p{i}" for i in range(n)]
+    audit = validate_ultrametric(_flat_space(n), distance_matrix=D).records[0]
+    try:
+        space = from_distance_matrix(D, ids=ids)
+    except NotUltrametric as err:
+        x, z, y = (ids.index(p) for p in err.witness)
+        assert len({x, y, z}) == 3
+        assert D[x, y] > max(D[x, z], D[z, y])
+        assert audit.status == "fail"
+        assert audit.witness["triple"] == err.witness
+    else:
+        perm = [space.index(p) for p in ids]
+        assert np.array_equal(space.distance_matrix()[np.ix_(perm, perm)], D)
+        assert audit.status == "pass"
+
+
 def test_ball_monotone_in_radius(s4):
     for x in s4.ids:
         prev: set = set()
