@@ -32,7 +32,6 @@ from .semigroup import (  # noqa: F401
     Perturbation,
     SpectralGenerator,
     apply,
-    fast_isotropic_heat_kernel,
     generator,
     heat_kernel,
     perturbed_apply,

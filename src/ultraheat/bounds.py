@@ -42,6 +42,11 @@ from .semigroup import generator
 from .space import Ball
 
 
+SCAN_TOL, SCAN_MAX_ROUNDS = 1e-9, 40  # time scan: gain that ends refinement, most rounds
+N_RANDOM_FUNCTIONS = 64  # random functions of each kind in the default Nash family
+CHAIN_POINTS = 17  # time points of the certificate's chaining scan
+
+
 def log_time_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
     """Log-spaced grid including both endpoints."""
     if t_min <= 0 or t_max < t_min:
@@ -71,7 +76,7 @@ def tj_estimate(kernel: JumpKernel, beta: float, r0: float) -> ConditionEstimate
 # -- heat kernel scans ------------------------------------------------------------
 
 
-def _refine_scan(values_at, grid, tol: float = 1e-9, max_rounds: int = 40):
+def _refine_scan(values_at, grid):
     """Maximise a smooth scalar over times by local log-grid refinement."""
     grid = np.asarray(grid, dtype=float)
     vals = np.array([values_at(t) for t in grid])
@@ -79,7 +84,7 @@ def _refine_scan(values_at, grid, tol: float = 1e-9, max_rounds: int = 40):
     best = float(vals.max())
     lo = grid[max(0, int(np.argmax(vals)) - 1)]
     hi = grid[min(len(grid) - 1, int(np.argmax(vals)) + 1)]
-    for _ in range(max_rounds):
+    for _ in range(SCAN_MAX_ROUNDS):
         sub = np.exp(np.linspace(math.log(lo), math.log(hi), 17))
         sub_vals = np.array([values_at(t) for t in sub])
         j = int(np.argmax(sub_vals))
@@ -89,7 +94,7 @@ def _refine_scan(values_at, grid, tol: float = 1e-9, max_rounds: int = 40):
             best, best_t = new_best, float(sub[j])
         lo = sub[max(0, j - 1)]
         hi = sub[min(len(sub) - 1, j + 1)]
-        if improved <= tol * max(1.0, abs(best)):
+        if improved <= SCAN_TOL * max(1.0, abs(best)):
             break
     return best, best_t
 
@@ -103,28 +108,27 @@ def scaled_density(dens: np.ndarray, t: float, alpha: float, beta: float,
 
 
 def _density_scan(kind: str, kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                  capped, time_grid, points: int) -> ConditionEstimate:
+                  capped, points: int) -> ConditionEstimate:
     """Minimal C with `scaled_density` <= C over the time range."""
     gen = generator(kernel)
-    if time_grid is None:
-        time_grid = log_time_grid(r0 ** beta * 1e-4, r0 ** beta, points)
 
     def matrix_at(t):
         return scaled_density(gen.density(t), t, alpha, beta, capped)
 
-    best, best_t = _refine_scan(lambda t: float(matrix_at(t).max()), time_grid)
+    best, best_t = _refine_scan(lambda t: float(matrix_at(t).max()),
+                                log_time_grid(r0 ** beta * 1e-4, r0 ** beta, points))
     m = matrix_at(best_t)
     i, j = map(int, np.unravel_index(np.argmax(m), m.shape))
     ids = kernel.space.ids
     return ConditionEstimate(
         kind, best,
         [{"t": best_t, "x": ids[i], "y": ids[j]}],
-        {"alpha": alpha, "beta": beta, "R0": r0, "points": len(time_grid)},
+        {"alpha": alpha, "beta": beta, "R0": r0, "points": points},
     )
 
 
 def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                 time_grid=None, points: int = 129) -> ConditionEstimate:
+                 points: int = 129) -> ConditionEstimate:
     """Minimal C with p_t(x, y) <= C t^(-alpha/beta) over the time range.
 
     The supremum over the open interval (0, R0^beta) equals the maximum
@@ -132,22 +136,22 @@ def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
     endpoint; the grid is then refined around the maximiser until the
     constant is stable to 1e-9.
     """
-    return _density_scan("DUE", kernel, alpha, beta, r0, 0.0, time_grid, points)
+    return _density_scan("DUE", kernel, alpha, beta, r0, 0.0, points)
 
 
 def wue_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                 time_grid=None, points: int = 129) -> ConditionEstimate:
+                 points: int = 129) -> ConditionEstimate:
     """Minimal C for the off-diagonal estimate with factor
     (1 + (d ^ R0) / t^(1/beta))^(-beta)."""
     capped = np.minimum(kernel.space.distance_matrix(), r0)
-    return _density_scan("wUE", kernel, alpha, beta, r0, capped, time_grid, points)
+    return _density_scan("wUE", kernel, alpha, beta, r0, capped, points)
 
 
 # -- Nash constant -----------------------------------------------------------------
 
 
-def default_function_family(kernel: JumpKernel, rho: float, seed: int = 0,
-                            n_random: int = 64) -> tuple[np.ndarray, list]:
+def default_function_family(kernel: JumpKernel, rho: float,
+                            seed: int = 0) -> tuple[np.ndarray, list]:
     """Columns: eigenfunctions of the truncated generator, indicators of
     all balls and points, seeded random simple functions, and seeded random
     positive vectors."""
@@ -163,7 +167,7 @@ def default_function_family(kernel: JumpKernel, rho: float, seed: int = 0,
         labels.append(f"ball:{ball.start}:{ball.stop}")
     rng = np.random.default_rng(seed)
     levels = list(space.distance_levels) or [0.0]
-    for i in range(n_random):
+    for i in range(N_RANDOM_FUNCTIONS):
         r = levels[rng.integers(0, len(levels))]
         cells = space.partition(r)
         pick = rng.random(len(cells)) < 0.5
@@ -176,30 +180,30 @@ def default_function_family(kernel: JumpKernel, rho: float, seed: int = 0,
         if np.any(u != 0):
             cols.append(u)
             labels.append(f"simple:{i}")
-    for i in range(n_random):
+    for i in range(N_RANDOM_FUNCTIONS):
         cols.append(rng.uniform(0.05, 1.0, n))
         labels.append(f"positive:{i}")
     return np.column_stack(cols), labels
 
 
-def _family_or_default(kernel: JumpKernel, rho: float, family, seed: int,
-                       n_random: int = 64) -> tuple[np.ndarray, list]:
+def _family_or_default(kernel: JumpKernel, rho: float, family,
+                       seed: int) -> tuple[np.ndarray, list]:
     """The supplied functions as columns, or the default family."""
     if family is None:
-        return default_function_family(kernel, rho, seed=seed, n_random=n_random)
+        return default_function_family(kernel, rho, seed=seed)
     U = np.column_stack([np.asarray(u, dtype=float) for u in family])
     return U, [f"supplied:{i}" for i in range(U.shape[1])]
 
 
 def nash_constant(kernel: JumpKernel, rho: float, nu: float, k0: float,
-                  family=None, seed: int = 0, n_random: int = 64) -> ConditionEstimate:
+                  family=None, seed: int = 0) -> ConditionEstimate:
     """Family-relative Nash constant: the largest quotient
     ||u||_2^(2+2nu) ((E_rho(u) + K0 ||u||_2^2) ||u||_1^(2nu))^(-1) over the
     family.  This is a lower estimate of the true constant; consumers
     enlarge the family with their own iterates when a downstream check
     fails.
     """
-    U, labels = _family_or_default(kernel, rho, family, seed, n_random)
+    U, labels = _family_or_default(kernel, rho, family, seed)
     ratios = nash_ratio_batch(kernel, rho, nu, k0, U)
     j = int(np.argmax(ratios))
     return ConditionEstimate(
@@ -276,8 +280,9 @@ def truncation_comparison_check(kernel: JumpKernel, rho: float, omega, f,
     return report
 
 
-def exit_probability_slope(kernel: JumpKernel, ball: Ball, x, t: float = 1e-5) -> float:
+def exit_probability_slope(kernel: JumpKernel, ball: Ball, x) -> float:
     """First-order rate of P_t 1_{B^c}(x) at t -> 0, Richardson-extrapolated."""
+    t = 1e-5
     gen = generator(kernel)
     comp = 1.0 - ball.indicator()
     i = kernel.space.index(x)
@@ -386,8 +391,7 @@ class WueCertificate:
 
 
 def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                    time_grid=None, seed: int = 0, chain_points: int = 17,
-                    raise_on_failure: bool = False) -> WueCertificate:
+                    seed: int = 0, estimates=None) -> WueCertificate:
     """Run the full constant-tracking pipeline on one space and kernel.
 
     Measures the tail-jump and on-diagonal constants, verifies the two-step
@@ -395,22 +399,27 @@ def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
     with r = d(x0, y0)/2 for every admissible pair, derives an off-diagonal
     constant from the tracked route, and compares it against the directly
     measured one (the route is an upper bound, so derived >= measured).
+
+    `estimates` is (C_TJ, DUE, wUE, Nash at rho = R0), each as measured for
+    these arguments; without it the four are measured here.
     """
     cfg = ExponentConfig(alpha, beta, r0)
     space = kernel.space
     checks: list[CheckRecord] = []
 
-    c_tj = tj_constant(kernel, beta, r0)
+    if estimates is None:
+        estimates = (tj_constant(kernel, beta, r0),
+                     due_constant(kernel, alpha, beta, r0),
+                     wue_constant(kernel, alpha, beta, r0),
+                     nash_constant(kernel, rho=r0, nu=cfg.nu, k0=cfg.k0(r0), seed=seed))
+    c_tj, due, wue, nash = estimates
     c_tail = 4.0 * c_tj
-    due = due_constant(kernel, alpha, beta, r0, time_grid=time_grid)
-    wue = wue_constant(kernel, alpha, beta, r0, time_grid=time_grid)
-    nash = nash_constant(kernel, rho=r0, nu=cfg.nu, k0=cfg.k0(r0), seed=seed)
     if not all(np.isfinite([c_tj, due.constant, wue.constant, nash.constant])):
         raise ConditionFailure("non-finite measured constant", step="measure")
 
     gen = generator(kernel)
     D = space.distance_matrix()
-    grid = log_time_grid(r0 ** beta * 1e-4, r0 ** beta, chain_points)
+    grid = log_time_grid(r0 ** beta * 1e-4, r0 ** beta, CHAIN_POINTS)
     worst = -np.inf
     witness = None
     any_pair = False
@@ -450,7 +459,7 @@ def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
     ))
 
     status = "pass" if all(c.status != "fail" for c in checks) else "fail"
-    cert = WueCertificate(
+    return WueCertificate(
         inputs={
             "space": {"n": len(space), "diam": space.diam},
             "exponents": cfg.to_dict(),
@@ -467,8 +476,3 @@ def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
         checks=checks,
         status=status,
     )
-    if raise_on_failure and status == "fail":
-        bad = next(c for c in checks if c.status == "fail")
-        raise ConditionFailure(f"pipeline step {bad.name} failed",
-                               step=bad.name, witness=bad.witness)
-    return cert

@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,16 @@ class RunConfig:
         # an empty list is tolerated here so that `curves` can run without
         # checks; `run` itself insists on a nonempty selection
         checks = _check_names(raw.get("checks", ALL_CHECKS))
+        options = _keyed(raw, "options", DEFAULT_OPTIONS)
+        for name in ("n_random_pairs", "n_power_functions", "ode_sweep", "power_p",
+                     "derivative_p"):
+            _in_range(f"options.{name}", options[name], 1)
+        _in_range("options.moser_k_max", options["moser_k_max"], 1, davies.K_MAX_LIMIT)
+        tolerances = _keyed(raw, "tolerances", DEFAULT_TOLERANCES)
+        _in_range("tolerances.identity", tolerances["identity"], 0)
+        output_dir = raw.get("output_dir", ".")
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
         return cls(
             space=_section(raw, "space"),
             kernel=_section(raw, "kernel"),
@@ -130,10 +141,10 @@ class RunConfig:
             grid_points=points,
             grid_scale=scale,
             checks=checks,
-            tolerances=_keyed(raw, "tolerances", DEFAULT_TOLERANCES),
-            output_dir=raw.get("output_dir", "."),
-            seed=_number(raw, "seed", 0, "config", int),
-            options=_keyed(raw, "options", DEFAULT_OPTIONS),
+            tolerances=tolerances,
+            output_dir=output_dir,
+            seed=_in_range("seed", _number(raw, "seed", 0, "config", int), 0),
+            options=options,
         )
 
 
@@ -155,8 +166,8 @@ def _section(raw: dict, key: str) -> dict:
 
 def _keyed(raw: dict, key: str, defaults: dict) -> dict:
     """The `key` section over its defaults.  Unknown keys are rejected, and
-    each value must be a number, or a list of numbers where the default is
-    a tuple."""
+    each value must be a finite number, or a nonempty list of finite numbers
+    where the default is a tuple."""
     section = _section(raw, key)
     unknown = sorted(set(section) - set(defaults))
     if unknown:
@@ -166,19 +177,33 @@ def _keyed(raw: dict, key: str, defaults: dict) -> dict:
         if not isinstance(defaults[name], tuple):
             out[name] = _number(section, name, None, key, type(defaults[name]))
         elif isinstance(value, (list, tuple)) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                for v in value):
+            if not value:
+                raise ConfigError(f"{key}.{name} must not be empty")
             out[name] = tuple(value)
         else:
-            raise ConfigError(f"{key}.{name} must be a list of numbers, got {value!r}")
+            raise ConfigError(f"{key}.{name} must be a list of finite numbers, got {value!r}")
     return out
 
 
 def _number(section: dict, key: str, default, where: str, kind=float):
     value = section.get(key, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
+    return out
+
+
+def _in_range(where: str, value, low, high=math.inf):
+    """`value`, or each entry of a tuple `value`, checked to lie in [low, high]."""
+    if not all(low <= v <= high for v in (value if isinstance(value, tuple) else (value,))):
+        bound = f"at least {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ConfigError(f"{where} must be {bound}, got {value!r}")
+    return value
 
 
 def load_config(path) -> RunConfig:
@@ -299,6 +324,9 @@ def _random_tree(rng, max_depth: int, q: float, mass_law: str, max_points: int,
 
 @dataclass
 class RunContext:
+    """What the checks of one run read.  Each shared estimate is measured when
+    a check first asks for it and kept, so it is the same whatever the order."""
+
     space: UltrametricSpace
     kernel: JumpKernel
     exponents: ExponentConfig
@@ -307,16 +335,38 @@ class RunContext:
     tolerances: dict
     options: dict
     artifacts: dict = field(default_factory=dict)
+    _nash: dict = field(default_factory=dict, init=False, repr=False)
 
+    @cached_property
+    def scenario(self):
+        """Canonical (ball, rho) for the tilted-evolution checks: the first
+        proper ball, truncated at its own radius."""
+        balls = [b for b in self.space.balls() if 0 < b.radius < self.space.diam]
+        ball = balls[0] if balls else self.space.whole()
+        levels = [r for r in self.space.distance_levels if r <= ball.radius]
+        return ball, levels[-1] if levels else ball.radius
 
-def _pick_scenario(ctx: RunContext):
-    """Canonical (ball, rho) for the tilted-evolution checks: the first
-    proper ball, truncated at its own radius."""
-    balls = [b for b in ctx.space.balls() if 0 < b.radius < ctx.space.diam]
-    ball = balls[0] if balls else ctx.space.whole()
-    levels = [r for r in ctx.space.distance_levels if r <= ball.radius]
-    rho = levels[-1] if levels else ball.radius
-    return ball, rho
+    @cached_property
+    def c_tj(self) -> float:
+        return tj_constant(self.kernel, self.exponents.beta, self.exponents.r0)
+
+    @cached_property
+    def due(self):
+        e = self.exponents
+        return bounds_mod.due_constant(self.kernel, e.alpha, e.beta, e.r0)
+
+    @cached_property
+    def wue(self):
+        e = self.exponents
+        return bounds_mod.wue_constant(self.kernel, e.alpha, e.beta, e.r0)
+
+    def nash(self, rho):
+        """Nash estimate of the rho-truncated form."""
+        if rho not in self._nash:
+            self._nash[rho] = bounds_mod.nash_constant(
+                self.kernel, rho=rho, nu=self.exponents.nu,
+                k0=self.exponents.k0(rho), seed=self.seed)
+        return self._nash[rho]
 
 
 def _check_ultrametric(ctx):
@@ -382,17 +432,12 @@ def _check_power(ctx):
     )
 
 
-def _nash_estimate(ctx, rho):
-    return bounds_mod.nash_constant(ctx.kernel, rho=rho, nu=ctx.exponents.nu,
-                                    k0=ctx.exponents.k0(rho), seed=ctx.seed)
-
-
 def _check_lp_derivative(ctx):
-    ball, rho = _pick_scenario(ctx)
-    c_n = _nash_estimate(ctx, rho).constant
+    ball, rho = ctx.scenario
+    c_n = ctx.nash(rho).constant
     report = CheckReport()
-    grid = ctx.grid if len(ctx.grid) >= 8 else bounds_mod.log_time_grid(
-        ctx.grid[0], ctx.grid[-1], 8)
+    grid = ctx.grid if len(ctx.grid) >= davies.MIN_DERIVATIVE_GRID else \
+        bounds_mod.log_time_grid(ctx.grid[0], ctx.grid[-1], davies.MIN_DERIVATIVE_GRID)
     rng = np.random.default_rng(ctx.seed)
     f = rng.uniform(0.1, 1.0, len(ctx.space))
     for p in ctx.options["derivative_p"]:
@@ -403,21 +448,18 @@ def _check_lp_derivative(ctx):
 
 
 def _check_moser(ctx):
-    ball, rho = _pick_scenario(ctx)
-    c_n = _nash_estimate(ctx, rho).constant
-    lam = ctx.options["moser_lambda"]
-    k_max = ctx.options["moser_k_max"]
+    ball, rho = ctx.scenario
     f = np.zeros(len(ctx.space))
     f[ball.start] = 1.0
     _, report = davies.moser_iteration(
-        ctx.kernel, ctx.exponents, rho, ball, lam, f, t=float(ctx.grid[-1]),
-        k_max=k_max, c_n=c_n)
+        ctx.kernel, ctx.exponents, rho, ball, ctx.options["moser_lambda"], f,
+        t=float(ctx.grid[-1]), k_max=ctx.options["moser_k_max"], c_n=ctx.nash(rho).constant)
     return report
 
 
 def _check_supbound(ctx):
-    ball, rho = _pick_scenario(ctx)
-    c_n = _nash_estimate(ctx, rho).constant
+    ball, rho = ctx.scenario
+    c_n = ctx.nash(rho).constant
     lam = ctx.options["moser_lambda"]
     times = ctx.grid[:: max(1, len(ctx.grid) // 8)]
     return davies.sup_bound_check(ctx.kernel, ctx.exponents, rho, ball, lam,
@@ -425,9 +467,7 @@ def _check_supbound(ctx):
 
 
 def _check_ode(ctx):
-    report = davies.ode_sweep(n_samples=ctx.options["ode_sweep"],
-                              seed=ctx.seed)
-    return report
+    return davies.ode_sweep(n_samples=ctx.options["ode_sweep"], seed=ctx.seed)
 
 
 def _estimate_report(est) -> CheckReport:
@@ -439,17 +479,15 @@ def _estimate_report(est) -> CheckReport:
 
 
 def _check_nash(ctx):
-    return _estimate_report(_nash_estimate(ctx, _pick_scenario(ctx)[1]))
+    return _estimate_report(ctx.nash(ctx.scenario[1]))
 
 
 def _check_due(ctx):
-    return _estimate_report(bounds_mod.due_constant(
-        ctx.kernel, ctx.exponents.alpha, ctx.exponents.beta, ctx.exponents.r0))
+    return _estimate_report(ctx.due)
 
 
 def _check_wue(ctx):
-    return _estimate_report(bounds_mod.wue_constant(
-        ctx.kernel, ctx.exponents.alpha, ctx.exponents.beta, ctx.exponents.r0))
+    return _estimate_report(ctx.wue)
 
 
 def _check_energy_diff(ctx):
@@ -477,16 +515,16 @@ def _check_p8(ctx):
 
 
 def _check_tail(ctx):
-    c_tj = tj_constant(ctx.kernel, ctx.exponents.beta, ctx.exponents.r0)
     return bounds_mod.tail_probability_check(
-        ctx.kernel, ctx.exponents.beta, c_tj, ctx.exponents.r0, ctx.grid,
+        ctx.kernel, ctx.exponents.beta, ctx.c_tj, ctx.exponents.r0, ctx.grid,
         rtol=ctx.tolerances["identity"])
 
 
 def _check_theorem1(ctx):
+    r0 = ctx.exponents.r0
     cert = bounds_mod.wue_certificate(
-        ctx.kernel, ctx.exponents.alpha, ctx.exponents.beta, ctx.exponents.r0,
-        seed=ctx.seed)
+        ctx.kernel, ctx.exponents.alpha, ctx.exponents.beta, r0, seed=ctx.seed,
+        estimates=(ctx.c_tj, ctx.due, ctx.wue, ctx.nash(r0)))
     ctx.artifacts["certificate"] = cert
     report = CheckReport()
     for rec in cert.checks:
@@ -712,7 +750,7 @@ def main(argv=None) -> int:
                 cfg.output_dir = args.out
         if args.command == "run":
             if args.seed is not None:
-                cfg.seed = args.seed
+                cfg.seed = _in_range("--seed", args.seed, 0)
             if args.checks is not None:
                 cfg.checks = _check_names([c.strip() for c in args.checks.split(",") if c.strip()])
             return run(cfg)

@@ -50,8 +50,13 @@ from .space import Ball
 
 log = logging.getLogger(__name__)
 
-# Minimum grid length for the derivative check's error model.
-MIN_DERIVATIVE_GRID = 8
+MIN_DERIVATIVE_GRID = 8  # shortest grid for the derivative check's error model
+K_MAX_LIMIT = 12  # highest iteration level: 2^k powers of the iterates stay finite
+POINTS_PER_DECADE, DECADES = 64, 3  # first iteration grid, over (t 10^-DECADES, t]
+REFINE_TOL = 1e-9  # drift of the running sups that ends grid refinement
+REL_MARGIN = 1e-8  # relative margin of the iteration and sup-bound verdicts
+ODE_EVAL_POINTS, ODE_RTOL, ODE_ATOL = 128, 1e-10, 1e-14  # ODE comparison integration
+ODE_SWEEP_T_MAX = 2.0  # time horizon of the random ODE sweep
 
 
 def lp_norms(F, mu, qs) -> np.ndarray:
@@ -199,7 +204,7 @@ def scalar_power_inequality_check(a_values, b_values, p_values,
 
 def lp_derivative_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float,
                         ball: Ball, lam: float, f, p: float, time_grid,
-                        c_n: float, auto_enlarge: bool = True) -> CheckReport:
+                        c_n: float) -> CheckReport:
     """Finite-difference check of the Lp-norm decay inequality.
 
     The derivative of ||f_t||_2p is estimated with central differences at
@@ -250,7 +255,7 @@ def lp_derivative_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float,
     worst, witness, F_grid = run(c_n)
     c_n_used = c_n
     enlarged = False
-    if worst > 0 and auto_enlarge:
+    if worst > 0:
         # the inequality consumes the Nash quotient exactly at u = f_t^p
         G = np.abs(F_grid)
         colmax = np.maximum(G.max(axis=0), 1e-300)
@@ -315,21 +320,17 @@ def _trace_constants(c_n: float, nu: float, k0: float, t: float):
 
 def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: Ball,
                     lam: float, f, t: float, k_max: int, c_n: float,
-                    points_per_decade: int = 64, decades: int = 3,
-                    refine_tol: float = 1e-9, max_refinements: int = 6,
-                    rel_margin: float = 1e-8,
+                    max_refinements: int = 6,
                     auto_enlarge: bool = True) -> tuple[IterationTrace, CheckReport]:
     """Weighted-sup iteration of the tilted evolution up to level 2^(k_max+1).
 
-    The running sups are taken over a log grid on (t * 10^-decades, t],
-    refined until they stabilise within `refine_tol` (GridRefinementFailed
+    The running sups are taken over a log grid on (t * 10^-DECADES, t],
+    refined until they stabilise within REFINE_TOL (GridRefinementFailed
     otherwise).  Verifies the base bound, the one-step contraction at every
     level, and the uniform bound C1 e^{2 K0 t}.
     """
-    if k_max > 12:
-        raise ValueError(f"k_max must be <= 12 to keep 2^k powers in range, got {k_max}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if not 1 <= k_max <= K_MAX_LIMIT:
+        raise ValueError(f"k_max must lie in [1, {K_MAX_LIMIT}], got {k_max}")
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
         raise NegativeInput("iteration requires f >= 0")
@@ -344,8 +345,8 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
     exponents = (2.0 ** (ks - 1) - 1.0) / (2.0 ** ks * nu)
 
     def sups_on(ppd):
-        n_pts = ppd * decades + 1
-        s = np.exp(np.linspace(math.log(t) - decades * math.log(10), math.log(t), n_pts))
+        n_pts = ppd * DECADES + 1
+        s = np.exp(np.linspace(math.log(t) - DECADES * math.log(10), math.log(t), n_pts))
         F = evolve(s)
         u = lp_norms(F, mu, 2.0 ** ks)
         weighted = s[None, :] ** exponents[:, None] * u
@@ -364,7 +365,7 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
                                    row[j] + (row[j + 1] - row[j - 1]) ** 2 / (8 * curv))
         return s, u, w, F
 
-    ppd = points_per_decade
+    ppd = POINTS_PER_DECADE
     s, u, w, F = sups_on(ppd)
     drift = np.inf
     for _ in range(max_refinements):
@@ -374,15 +375,15 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
         ppd *= 2
         log.debug("moser refinement: %d points per decade, %d grid points, drift %.3e",
                   ppd, s.size, drift)
-        if drift <= refine_tol:
+        if drift <= REFINE_TOL:
             break
     else:
         raise GridRefinementFailed(
-            f"running sups did not stabilise within {refine_tol} after "
+            f"running sups did not stabilise within {REFINE_TOL} after "
             f"{max_refinements} refinements (last drift {drift:.3e})"
         )
     log.debug("moser final grid: %d points (%d per decade over %d decades), drift %.3e",
-              s.size, ppd, decades, drift)
+              s.size, ppd, DECADES, drift)
 
     def build_report(c_n_used):
         a_factor, d_factor, c1 = _trace_constants(c_n_used, nu, k0, t)
@@ -394,8 +395,8 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
             {"rho": rho, "lam": lam, "t": t},
             measured=wf[0],
             bound=base_bound,
-            margin=rel_margin * base_bound,
-            ok=wf[0] <= base_bound * (1 + rel_margin),
+            margin=REL_MARGIN * base_bound,
+            ok=wf[0] <= base_bound * (1 + REL_MARGIN),
         ))
         for i in range(k_max):
             k = int(ks[i])
@@ -406,8 +407,8 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
                 {"rho": rho, "lam": lam, "t": t, "k": k, "c_n": c_n_used},
                 measured=wf[i + 1],
                 bound=rhs,
-                margin=rel_margin * rhs,
-                ok=wf[i + 1] <= rhs * (1 + rel_margin),
+                margin=REL_MARGIN * rhs,
+                ok=wf[i + 1] <= rhs * (1 + REL_MARGIN),
             ))
         uniform = c1 * _exp(2 * k0 * t)
         worst_level = int(np.argmax(wf))
@@ -416,8 +417,8 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
             {"rho": rho, "lam": lam, "t": t, "k_max": k_max, "c_n": c_n_used, "c1": c1},
             measured=float(wf.max()),
             bound=uniform,
-            margin=rel_margin * uniform,
-            ok=bool(np.all(wf <= uniform * (1 + rel_margin))),
+            margin=REL_MARGIN * uniform,
+            ok=bool(np.all(wf <= uniform * (1 + REL_MARGIN))),
             witness={"level": worst_level + 1},
         ))
         return rep, a_factor, d_factor, c1
@@ -438,8 +439,7 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
 
 
 def sup_bound_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: Ball,
-                    lam: float, time_grid, c_n: float, rel_margin: float = 1e-8,
-                    auto_enlarge: bool = True) -> CheckReport:
+                    lam: float, time_grid, c_n: float) -> CheckReport:
     """Tilted 2->inf operator norm and kernel bound with tracked constants.
 
     The operator norm is exact in finite dimension: the extremiser of
@@ -479,7 +479,7 @@ def sup_bound_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
 
     worst_op, wit_op, worst_kernel, wit_kernel = run(c_n)
     c_n_used, enlarged = c_n, False
-    if max(worst_op, worst_kernel) > rel_margin and auto_enlarge:
+    if max(worst_op, worst_kernel) > REL_MARGIN:
         # enlarge over the evolved extremising rows at the worst time
         t_star = (wit_op or wit_kernel)["t"]
         dens = gen.density(t_star)
@@ -501,18 +501,17 @@ def sup_bound_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
     report = CheckReport()
     params = {"rho": rho, "lam": lam, "times": times, "c_n": c_n,
               "c_n_used": c_n_used, "enlarged": enlarged}
-    report.add(record("davies.sup_bound_operator", params, worst_op, 0.0, rel_margin,
-                      worst_op <= rel_margin, wit_op))
-    report.add(record("davies.sup_bound_kernel", params, worst_kernel, 0.0, rel_margin,
-                      worst_kernel <= rel_margin, wit_kernel))
+    report.add(record("davies.sup_bound_operator", params, worst_op, 0.0, REL_MARGIN,
+                      worst_op <= REL_MARGIN, wit_op))
+    report.add(record("davies.sup_bound_kernel", params, worst_kernel, 0.0, REL_MARGIN,
+                      worst_kernel <= REL_MARGIN, wit_kernel))
     return report
 
 
 # -- vanishing ----------------------------------------------------------------------
 
 
-def vanishing_check(kernel: JumpKernel, time_grid, dense_tol: float = 1e-13,
-                    dense_check: bool = True) -> CheckReport:
+def vanishing_check(kernel: JumpKernel, time_grid, dense_tol: float = 1e-13) -> CheckReport:
     """Exact vanishing of the truncated kernel across range-partition blocks.
 
     For every distance level rho and every t, entries q_t(x, y) with
@@ -537,13 +536,12 @@ def vanishing_check(kernel: JumpKernel, time_grid, dense_tol: float = 1e-13,
             worst_exact = max(worst_exact, float(np.abs(dens[cross]).max()))
         report.add(record("davies.vanishing", params, worst_exact, 0.0, 0.0,
                           worst_exact == 0.0))
-        if dense_check:
-            worst_dense = 0.0
-            for t in times:
-                dd = expm(t * gen.matrix) / space.masses[None, :]
-                worst_dense = max(worst_dense, float(np.abs(dd[cross]).max()))
-            report.add(record("davies.vanishing_dense", params, worst_dense,
-                              dense_tol, 0.0, worst_dense <= dense_tol))
+        worst_dense = 0.0
+        for t in times:
+            dd = expm(t * gen.matrix) / space.masses[None, :]
+            worst_dense = max(worst_dense, float(np.abs(dd[cross]).max()))
+        report.add(record("davies.vanishing_dense", params, worst_dense,
+                          dense_tol, 0.0, worst_dense <= dense_tol))
     return report
 
 
@@ -578,8 +576,7 @@ class OdeComparisonParams:
 
 
 def ode_comparison_check(params: OdeComparisonParams, t_max: float,
-                         n_eval: int = 128, margin: float = 1e-8,
-                         rtol: float = 1e-10, atol: float = 1e-14) -> CheckRecord:
+                         margin: float = 1e-8) -> CheckRecord:
     """Integrate the extremal decay ODE and compare with the closed bound.
 
     u' = -b t^{p-2} w(t)^{-theta} u^{1+theta} + K u is integrated with an
@@ -601,12 +598,12 @@ def ode_comparison_check(params: OdeComparisonParams, t_max: float,
     # the grading term is singular at 0 for p < 2; starting slightly later
     # only removes decay, which is the conservative direction for the bound
     t_start = 0.0 if p >= 2 else t_max * 1e-9
-    t_eval = np.exp(np.linspace(math.log(t_max * 1e-6), math.log(t_max), n_eval))
+    t_eval = np.exp(np.linspace(math.log(t_max * 1e-6), math.log(t_max), ODE_EVAL_POINTS))
     sol = solve_ivp(rhs, (t_start, t_max), [params.u0], method="RK45",
-                    rtol=rtol, atol=atol, t_eval=t_eval)
-    noise_floor = 10.0 * atol
+                    rtol=ODE_RTOL, atol=ODE_ATOL, t_eval=t_eval)
+    noise_floor = 10.0 * ODE_ATOL
     if not sol.success or not np.all(np.isfinite(sol.y)) \
-            or float(sol.y.min()) < -100.0 * atol:
+            or float(sol.y.min()) < -100.0 * ODE_ATOL:
         raise IntegratorFailure(f"integration failed: {sol.message}")
 
     log_const = (math.log(2) + a * math.log(p) - math.log(theta) - math.log(b)) / theta
@@ -731,8 +728,7 @@ def power_battery(kernel: JumpKernel, p_values=(1, 1.5, 2, 4, 8),
     return report
 
 
-def ode_sweep(n_samples: int = 200, seed: int = 0, t_max: float = 2.0,
-              margin: float = 1e-8) -> CheckReport:
+def ode_sweep(n_samples: int = 200, seed: int = 0, margin: float = 1e-8) -> CheckReport:
     """Seeded random sweep of the comparison inequality over
     (b, p, theta, K, a) in [0.1,10] x (1,4] x (0,3] x (0,5] x [1,3], with
     constant and affine weights."""
@@ -749,5 +745,5 @@ def ode_sweep(n_samples: int = 200, seed: int = 0, t_max: float = 2.0,
             w=weights[i % 2],
             u0=float(np.exp(rng.uniform(math.log(0.1), math.log(10.0)))),
         )
-        report.add(ode_comparison_check(params, t_max=t_max, margin=margin))
+        report.add(ode_comparison_check(params, t_max=ODE_SWEEP_T_MAX, margin=margin))
     return report

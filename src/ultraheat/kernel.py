@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     Asymmetric,
     ConfigError,
+    MalformedCsv,
     NegativeProfile,
     NegativeWeight,
     NonzeroDiagonal,
@@ -85,11 +86,11 @@ class JumpKernel:
     def tail_sup(self, r: float) -> float:
         return float(self.tail_vector(r).max())
 
-    def isotropy_profile(self, rtol: float = 1e-12) -> dict:
+    def isotropy_profile(self) -> dict:
         """Return {distance level: profile value} for w = g(d) mu(x) mu(y).
 
-        Raises NotIsotropic when the mass-scaled weights are not a function
-        of the distance level alone.
+        Raises NotIsotropic when the mass-scaled weights vary on a distance
+        level by more than 1e-12 relative.
         """
         D = self.space.distance_matrix()
         mu = self.mu
@@ -98,7 +99,7 @@ class JumpKernel:
         for level in self.space.distance_levels:
             vals = scaled[D == level]
             lo, hi = float(vals.min()), float(vals.max())
-            if hi - lo > rtol * max(abs(hi), 1e-300):
+            if hi - lo > 1e-12 * max(abs(hi), 1e-300):
                 raise NotIsotropic(
                     f"mass-scaled weights vary on level {level}: [{lo}, {hi}]"
                 )
@@ -154,8 +155,13 @@ def from_matrix(space: UltrametricSpace, weights) -> JumpKernel:
 
 
 def kernel_from_csv(space: UltrametricSpace, text_or_path) -> JumpKernel:
-    """Read a weight matrix CSV with a header row of point ids."""
+    """Read a weight matrix CSV whose header row names every point of the
+    space once, in any order."""
     ids, raw = read_id_matrix(text_or_path, "kernel")
+    missing, unknown = sorted(set(space.ids) - set(ids)), sorted(set(ids) - set(space.ids))
+    if missing or unknown:
+        raise MalformedCsv(f"kernel CSV header must name every point of the space; "
+                           f"missing {missing}, unknown {unknown}")
     perm = [space.index(i) for i in ids]
     w = np.zeros((len(space), len(space)))
     w[np.ix_(perm, perm)] = raw
@@ -199,17 +205,13 @@ def tj_witness(kernel: JumpKernel, beta: float, r0: float) -> dict:
 
 @dataclass
 class ExponentConfig:
-    """Dimension/scaling exponents and the tail-range parameter.
-
-    nu = beta / alpha is derived; c_tj stores the measured tail-jump
-    constant once computed.
-    """
+    """Dimension/scaling exponents and the tail-range parameter; nu = beta /
+    alpha is derived."""
 
     alpha: float
     beta: float
     r0: float
     nu: float = field(init=False)
-    c_tj: float | None = None
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:

@@ -83,6 +83,3 @@ class CheckReport:
         for r in self.records:
             out[r.status] = out.get(r.status, 0) + 1
         return out
-
-    def to_dicts(self) -> list[dict]:
-        return [r.to_dict() for r in self.records]

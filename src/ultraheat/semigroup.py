@@ -38,6 +38,7 @@ from .space import Ball, UltrametricSpace
 
 # Eigenvalues within this of zero are clamped to exactly zero.
 EIGENVALUE_CLAMP = 1e-12
+N_DUALITY_PAIRS = 8  # random function pairs of the form/generator duality check
 
 
 class SpectralGenerator:
@@ -283,8 +284,7 @@ def perturbed_apply(gen: SpectralGenerator, t: float, pert: Perturbation, f) -> 
 # -- self checks -----------------------------------------------------------------
 
 
-def semigroup_selfcheck(gen: SpectralGenerator, time_grid, seed: int = 0,
-                        n_random: int = 8) -> CheckReport:
+def semigroup_selfcheck(gen: SpectralGenerator, time_grid, seed: int = 0) -> CheckReport:
     """Symmetry, positivity, conservation, two-step consistency, and the
     form/generator duality, each at its stated tolerance."""
     report = CheckReport()
@@ -323,7 +323,7 @@ def semigroup_selfcheck(gen: SpectralGenerator, time_grid, seed: int = 0,
     rng = np.random.default_rng(seed)
     worst_dual = 0.0
     full_mu = gen.space.masses
-    for _ in range(n_random):
+    for _ in range(N_DUALITY_PAIRS):
         f = np.zeros(len(gen.space))
         g = np.zeros(len(gen.space))
         f[gen.omega] = rng.normal(size=gen.size)
@@ -332,7 +332,7 @@ def semigroup_selfcheck(gen: SpectralGenerator, time_grid, seed: int = 0,
         rhs, scale = energy_and_scale(gen.kernel, f, g, gen.rho)
         err = abs(lhs - rhs) / max(abs(rhs), scale, 1.0)
         worst_dual = max(worst_dual, err)
-    report.add(record("semigroup.duality", {"n_random": n_random, "seed": seed},
+    report.add(record("semigroup.duality", {"n_random": N_DUALITY_PAIRS, "seed": seed},
                       worst_dual, 1e-12, 0.0, worst_dual <= 1e-12))
     return report
 
@@ -404,9 +404,6 @@ class HierarchicalHeatKernel:
             node = node.parent
         return float(total)
 
-    def values(self, t: float, queries) -> np.ndarray:
-        return np.array([self.value(t, x, y) for x, y in queries])
-
     def diagonal(self, t: float) -> np.ndarray:
         """p_t(x, x) for all points, by one accumulation sweep over the tree.
 
@@ -440,7 +437,3 @@ class HierarchicalHeatKernel:
             vals.extend([lam] * (len(node.children) - 1))
         return np.sort(np.array(vals))
 
-
-def fast_isotropic_heat_kernel(space: UltrametricSpace, profile, t: float, queries) -> np.ndarray:
-    """Heat kernel values for an isotropic mass-scaled kernel at query pairs."""
-    return HierarchicalHeatKernel(space, profile).values(t, queries)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from ultraheat import bounds, cli
 from ultraheat.cli import (
     ALL_CHECKS,
     DEFAULT_OPTIONS,
@@ -18,8 +19,10 @@ from ultraheat.cli import (
     main,
 )
 from ultraheat.errors import ConfigError, UnknownGenerator
+from ultraheat.kernel import kernel_to_csv
+from ultraheat.space import build_tree, save_space
 
-from conftest import S2_SPEC, S4_SPEC
+from conftest import S2_SPEC, S4_SPEC, random_scenario
 
 
 def write_config(tmp_path, **overrides):
@@ -263,6 +266,36 @@ BAD_INPUTS = {
         lambda tmp: {"options": {"moser_lambd": 2.0}}, "unknown options keys ['moser_lambd']"),
     "non-numeric option list": (
         lambda tmp: {"options": {"derivative_p": ["x"]}}, "options.derivative_p must be a list"),
+    "kernel csv naming only some points": (
+        lambda tmp: {"kernel": {"file": _file(tmp / "k.csv", "a,c\n0,1\n1,0\n")}},
+        "missing ['b', 'd']"),
+    "iteration level above the limit": (
+        lambda tmp: {"options": {"moser_k_max": 20}}, "options.moser_k_max must be in [1, 12]"),
+    "iteration level zero": (
+        lambda tmp: {"options": {"moser_k_max": 0}}, "options.moser_k_max must be in [1, 12]"),
+    "power exponent below one": (
+        lambda tmp: {"options": {"power_p": [0.5]}}, "options.power_p must be at least 1"),
+    "derivative exponent below one": (
+        lambda tmp: {"options": {"derivative_p": [-1]}}, "options.derivative_p must be at least 1"),
+    "negative seed": (lambda tmp: {"seed": -1}, "seed must be at least 0"),
+    "output dir not a string": (lambda tmp: {"output_dir": 5}, "output_dir must be a string"),
+    "infinite exponent": (
+        lambda tmp: {"exponents": {"alpha": 1.0, "beta": math.inf}},
+        "exponents.beta must be finite"),
+    "nan exponent": (
+        lambda tmp: {"exponents": {"alpha": math.nan, "beta": 2.0}},
+        "exponents.alpha must be finite"),
+    "negative identity tolerance": (
+        lambda tmp: {"tolerances": {"identity": -1}}, "tolerances.identity must be at least 0"),
+    "nan time grid max": (
+        lambda tmp: {"time_grid": {"min": 1e-3, "max": math.nan, "points": 9}},
+        "time_grid.max must be finite"),
+    "empty option list": (lambda tmp: {"options": {"lambdas": []}}, "options.lambdas must not be empty"),
+    "negative function count": (
+        lambda tmp: {"options": {"n_power_functions": -3}},
+        "options.n_power_functions must be at least 1"),
+    "negative sample count": (
+        lambda tmp: {"options": {"ode_sweep": -1}}, "options.ode_sweep must be at least 1"),
 }
 
 
@@ -274,6 +307,76 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert phrase in err[0]
+
+
+def test_negative_seed_flag_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["run", "--config", str(path), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: --seed must be at least 0, got -1"]
+
+
+def test_each_condition_is_measured_once(tmp_path, monkeypatch):
+    calls = {"due": 0, "wue": 0, "nash": 0, "tj": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, name in (("due", "due_constant"), ("wue", "wue_constant"),
+                      ("nash", "nash_constant")):
+        monkeypatch.setattr(bounds, name, counted(key, getattr(bounds, name)))
+    for module in (cli, bounds):
+        monkeypatch.setattr(module, "tj_constant", counted("tj", module.tj_constant))
+    path = write_config(tmp_path, checks=list(ALL_CHECKS))
+    assert main(["run", "--config", str(path)]) == 0
+    # Nash is estimated at the scenario's rho and at R0, which differ on S4
+    assert calls == {"due": 1, "wue": 1, "nash": 2, "tj": 1}
+
+
+def _records_by_check(path):
+    out = {}
+    for rec in json.loads(path.read_text())["records"]:
+        out.setdefault(rec["params"]["check"], []).append(rec)
+    return out
+
+
+def test_check_order_does_not_change_results(tmp_path):
+    path = write_config(tmp_path)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--config", str(path), "--out", str(a),
+                 "--checks", "theorem1,due,wue,tail,nash"]) == 0
+    assert main(["run", "--config", str(path), "--out", str(b),
+                 "--checks", "due,wue,tail,nash,theorem1"]) == 0
+    assert _records_by_check(a / "report.json") == _records_by_check(b / "report.json")
+    assert (a / "certificate.json").read_bytes() == (b / "certificate.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2], ids=["s4", "random0", "random1", "random2"])
+def test_written_certificate_matches_library(tmp_path, seed):
+    if seed is None:
+        space, alpha, beta = build_tree(S4_SPEC), 1.0, 2.0
+        kernel_spec = {"isotropic": {"kind": "power", "exponent": 3.0, "scale": 1.0}}
+    else:
+        space, kernel = random_scenario(seed)
+        alpha, beta = 1.0, 1.5
+        kernel_spec = {"file": _file(tmp_path / "kernel.csv", kernel_to_csv(kernel))}
+    space_path = tmp_path / "space.json"
+    save_space(space, space_path)
+    path = write_config(tmp_path, space={"file": str(space_path)}, kernel=kernel_spec,
+                        exponents={"alpha": alpha, "beta": beta},
+                        checks=["nash", "due", "wue", "tail", "theorem1"])
+    main(["run", "--config", str(path)])
+    ctx = build_context(load_config(path))
+    cert = bounds.wue_certificate(ctx.kernel, alpha, beta, ctx.exponents.r0, seed=7)
+    # the run tags every record it reports with its check, and the
+    # certificate's records are among them
+    for rec in cert.checks:
+        rec.params = dict(rec.params, check="theorem1")
+    expected = json.dumps(cli._jsonable(cert.to_dict()), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "out" / "certificate.json").read_text() == expected
 
 
 def test_option_defaults_and_overrides(tmp_path):

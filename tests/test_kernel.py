@@ -75,6 +75,7 @@ class TestConstruction:
         "a,b,c,d\n0,1,1\n1,0,1,1\n1,1,0,1\n1,1,1,0\n",      # a short row
         "a,b,c,d\n0,1,1,1\n1,0,1,1\n1,1,0,x\n1,1,1,0\n",    # non-numeric cell
         "a,a,c,d\n0,1,1,1\n1,0,1,1\n1,1,0,1\n1,1,1,0\n",    # repeated id
+        "a,c\n0,1\n1,0\n",                                     # names only some points
     ])
     def test_csv_shape_and_cells_checked(self, s4, text):
         with pytest.raises(MalformedCsv):

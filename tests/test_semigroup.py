@@ -10,7 +10,6 @@ from ultraheat import (
     apply,
     energy,
     energy_trunc,
-    fast_isotropic_heat_kernel,
     generator,
     heat_kernel,
     isotropic_kernel,
@@ -234,8 +233,8 @@ class TestFastIsotropicPath:
     def test_function_entry_point(self, s4):
         k = isotropic_kernel(s4, power_profile(3.0), scaling="mass")
         dens = generator(k).density(0.3)
-        vals = fast_isotropic_heat_kernel(s4, power_profile(3.0), 0.3,
-                                          [("a", "b"), ("a", "c"), ("d", "d")])
+        fast = HierarchicalHeatKernel(s4, power_profile(3.0))
+        vals = [fast.value(0.3, x, y) for x, y in [("a", "b"), ("a", "c"), ("d", "d")]]
         assert vals == pytest.approx([dens[0, 1], dens[0, 2], dens[3, 3]], rel=1e-12)
 
     def test_not_isotropic_rejected(self, s4):
