@@ -27,16 +27,10 @@ from .form import (  # noqa: F401
     simple_function,
 )
 from .semigroup import (  # noqa: F401
-    HeatKernelTable,
     HierarchicalHeatKernel,
-    Perturbation,
     SpectralGenerator,
-    apply,
     generator,
-    heat_kernel,
-    perturbed_apply,
     semigroup_selfcheck,
-    truncated_heat_kernel,
 )
 from .davies import (  # noqa: F401
     IterationTrace,
@@ -47,6 +41,7 @@ from .davies import (  # noqa: F401
     perturbation_identity_check,
     power_inequality_check,
     sup_bound_check,
+    tilted_evolution,
     vanishing_check,
 )
 from .bounds import (  # noqa: F401

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ConditionFailure
 from .davies import nash_ratio_batch
 from .form import energy_batch
-from .kernel import ExponentConfig, JumpKernel, tj_constant, tj_witness
+from .kernel import ExponentConfig, JumpKernel, tj_constant
 from .reporting import CheckRecord, CheckReport, record, vacuous
 from .semigroup import generator
 from .space import Ball
@@ -64,13 +64,6 @@ class ConditionEstimate:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "constant": self.constant,
                 "witnesses": self.witnesses, "scan": self.scan}
-
-
-def tj_estimate(kernel: JumpKernel, beta: float, r0: float) -> ConditionEstimate:
-    """Minimal tail-jump constant with its critical-radius witness."""
-    c = tj_constant(kernel, beta, r0)
-    wit = tj_witness(kernel, beta, r0)
-    return ConditionEstimate("TJ", c, [wit], {"beta": beta, "R0": r0, "method": "level-scan"})
 
 
 # -- heat kernel scans ------------------------------------------------------------

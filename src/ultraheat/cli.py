@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -191,10 +191,13 @@ def _number(section: dict, key: str, default, where: str, kind=float):
     value = section.get(key, default)
     try:
         out = kind(value)
+        finite = math.isfinite(out)  # an int beyond float range overflows here
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}") from exc
-    if not math.isfinite(out):
+    if not finite:
         raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
+    if isinstance(value, float) and out != value:
+        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
     return out
 
 
@@ -593,9 +596,9 @@ def execute_checks(ctx: RunContext, checks) -> VerificationReport:
     merged = CheckReport()
     for name in checks:
         for rec in CHECK_REGISTRY[name](ctx).records:
-            rec.params = dict(rec.params)
-            rec.params["check"] = name
-            merged.add(rec)
+            # tag a copy: records can be shared with artifacts such as the
+            # certificate, which must read as the library wrote them
+            merged.add(replace(rec, params={**rec.params, "check": name}))
     counts = merged.counts()
     return VerificationReport(
         records=merged.records,

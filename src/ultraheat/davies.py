@@ -45,7 +45,7 @@ from .errors import (
 from .form import energy_and_scale, energy_batch
 from .kernel import ExponentConfig, JumpKernel
 from .reporting import CheckRecord, CheckReport, record, vacuous
-from .semigroup import generator
+from .semigroup import SpectralGenerator, generator
 from .space import Ball
 
 log = logging.getLogger(__name__)
@@ -97,29 +97,21 @@ def nash_ratio_batch(kernel: JumpKernel, rho, nu: float, k0: float, U) -> np.nda
     return out
 
 
-def _evolved_family_ratio(kernel, rho, nu, k0, F, k_list) -> float:
-    """Max Nash quotient over columns of F raised to the powers 2^k.
+def _evolved_family_ratio(kernel, rho, nu, k0, F, powers) -> float:
+    """Max Nash quotient over the columns of F raised to each of `powers`.
 
     Columns are normalised by their max before powering: the quotient is
-    scale-invariant and this keeps 2^k-th powers inside double range.
+    scale-invariant and this keeps large powers inside double range.  Zero
+    columns give 0.
     """
-    best = 0.0
-    colmax = F.max(axis=0)
-    ok = colmax > 0
-    if not ok.any():
-        return 0.0
-    G = F[:, ok] / colmax[ok]
-    for k in k_list:
-        V = G ** (2 ** k)
-        best = max(best, float(nash_ratio_batch(kernel, rho, nu, k0, V).max()))
-    return best
+    G = F / np.maximum(F.max(axis=0), 1e-300)
+    return max(float(nash_ratio_batch(kernel, rho, nu, k0, G ** power).max())
+               for power in powers)
 
 
-def _tilted_evolution(kernel: JumpKernel, rho, ball: Ball, lam: float, f):
-    """times -> e^{psi} e^{t L_rho} (e^{-psi} f) with psi = lam 1_B, one
-    column per time."""
-    psi = lam * ball.indicator()
-    gen = generator(kernel, rho=rho)
+def tilted_evolution(gen: SpectralGenerator, psi, f):
+    """times -> e^{psi} e^{tL} (e^{-psi} f) for the semigroup of `gen`, one
+    column per time: the Davies tilt of the heat semigroup."""
     tilt_in = np.exp(-psi) * f
     tilt_out = np.exp(psi)[:, None]
     return lambda times: tilt_out * gen.apply_grid(times, tilt_in)
@@ -226,7 +218,7 @@ def lp_derivative_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float,
     f = f / lp_norm(f, mu, 2)
     k0 = cfg.k0(rho)
     nu = cfg.nu
-    evolve = _tilted_evolution(kernel, rho, ball, lam, f)
+    evolve = tilted_evolution(generator(kernel, rho=rho), lam * ball.indicator(), f)
 
     def run(c_n_used):
         eps = np.finfo(float).eps
@@ -257,9 +249,7 @@ def lp_derivative_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float,
     enlarged = False
     if worst > 0:
         # the inequality consumes the Nash quotient exactly at u = f_t^p
-        G = np.abs(F_grid)
-        colmax = np.maximum(G.max(axis=0), 1e-300)
-        ratio = float(nash_ratio_batch(kernel, rho, nu, k0, (G / colmax) ** p).max())
+        ratio = _evolved_family_ratio(kernel, rho, nu, k0, np.abs(F_grid), [p])
         if ratio > c_n:
             c_n_used = ratio
             enlarged = True
@@ -339,7 +329,7 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
     mu = kernel.mu
     f = f / lp_norm(f, mu, 2)
     nu, k0 = cfg.nu, cfg.k0(rho)
-    evolve = _tilted_evolution(kernel, rho, ball, lam, f)
+    evolve = tilted_evolution(generator(kernel, rho=rho), lam * ball.indicator(), f)
 
     ks = np.arange(1, k_max + 2)
     exponents = (2.0 ** (ks - 1) - 1.0) / (2.0 ** ks * nu)
@@ -426,7 +416,8 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
     rep, a_factor, d_factor, c1 = build_report(c_n)
     c_n_used = c_n
     if not rep.passed and auto_enlarge:
-        ratio = _evolved_family_ratio(kernel, rho, nu, k0, np.abs(F), list(range(k_max + 1)))
+        ratio = _evolved_family_ratio(kernel, rho, nu, k0, np.abs(F),
+                                      [2 ** k for k in range(k_max + 1)])
         if ratio > c_n:
             c_n_used = ratio
             rep, a_factor, d_factor, c1 = build_report(c_n_used)
@@ -452,6 +443,7 @@ def sup_bound_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
     nu, k0 = cfg.nu, cfg.k0(rho)
     psi = lam * ball.indicator()
     ind = ball.indicator()
+    tilt = np.exp(psi[:, None] - psi[None, :])
     gen = generator(kernel, rho=rho)
     times = [float(t) for t in time_grid]
 
@@ -461,7 +453,6 @@ def sup_bound_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
         worst_kernel, wit_kernel = -np.inf, None
         for t in times:
             dens = gen.density(t)
-            tilt = np.exp(psi[:, None] - psi[None, :])
             rows = dens * tilt
             opnorm = float(np.sqrt((rows * rows * mu[None, :]).sum(axis=1).max()))
             bound_op = c1 * t ** (-1.0 / (2 * nu)) * _exp(2 * k0 * t)
@@ -482,9 +473,7 @@ def sup_bound_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
     if max(worst_op, worst_kernel) > REL_MARGIN:
         # enlarge over the evolved extremising rows at the worst time
         t_star = (wit_op or wit_kernel)["t"]
-        dens = gen.density(t_star)
-        tilt = np.exp(psi[:, None] - psi[None, :])
-        rows = dens * tilt
+        rows = gen.density(t_star) * tilt
         x_star = int(np.argmax((rows * rows * mu[None, :]).sum(axis=1)))
         f_star = np.abs(rows[x_star]) * np.exp(psi)
         norm = lp_norm(f_star, mu, 2)
@@ -492,8 +481,9 @@ def sup_bound_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
             f_star = f_star / norm
         s_grid = np.exp(np.linspace(math.log(t_star) - 3 * math.log(10),
                                     math.log(t_star), 97))
-        F = np.exp(psi)[:, None] * gen.apply_grid(s_grid, np.exp(-psi) * f_star)
-        ratio = _evolved_family_ratio(kernel, rho, nu, k0, np.abs(F), list(range(9)))
+        F = tilted_evolution(gen, psi, f_star)(s_grid)
+        ratio = _evolved_family_ratio(kernel, rho, nu, k0, np.abs(F),
+                                      [2 ** k for k in range(9)])
         if ratio > c_n:
             c_n_used, enlarged = ratio, True
             worst_op, wit_op, worst_kernel, wit_kernel = run(c_n_used)

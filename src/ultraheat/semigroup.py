@@ -19,13 +19,16 @@ Heat kernels are densities with respect to mu:
 p_t(x, y) = (e^{tL})_{xy} / mu(y), symmetric and conservative on the full
 space.
 
+Evaluation.  A `SpectralGenerator` is the one way into the semigroup: its
+`density`, `heat_matrix`, `apply` and `apply_grid` methods evaluate it, and
+the Davies tilt e^{psi} e^{tL} e^{-psi} is `davies.tilted_evolution`, built
+on `apply_grid`.
+
 Fast isotropic path.  For kernels w(x, y) = g(d(x, y)) mu(x) mu(y) the
 eigenfunctions are adapted to the ball tree (constant on sibling subtrees),
 so the kernel value p_t(x, y) is a sum along the ancestor path of the pair:
 O(n * depth) precompute and O(depth) per query, with no n x n matrix.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -102,10 +105,6 @@ class SpectralGenerator:
     def size(self) -> int:
         return self.omega.size
 
-    @property
-    def domain_ids(self) -> tuple:
-        return tuple(self.space.ids[i] for i in self.omega)
-
     def eigenvalues(self) -> np.ndarray:
         """All rate eigenvalues of -L in ascending order."""
         return np.sort(np.concatenate([lam for lam, _ in self._eigs]))
@@ -167,6 +166,8 @@ class SpectralGenerator:
         """e^{tL} f for every t in `times`; returns (n, len(times))."""
         v = np.asarray(f, dtype=float)
         ts = np.asarray(times, dtype=float)
+        if (ts < 0).any():
+            raise ValueError(f"times must be >= 0, got {ts.min()}")
         sub = v[self.omega]
         out = np.zeros((len(self.space), ts.size))
         out_sub = np.zeros((self.size, ts.size))
@@ -185,100 +186,6 @@ class SpectralGenerator:
 def generator(kernel: JumpKernel, rho: float | None = None, omega=None) -> SpectralGenerator:
     """Generator of the rho-truncated form, optionally killed outside omega."""
     return SpectralGenerator(kernel, rho=rho, omega=omega)
-
-
-@dataclass
-class HeatKernelEntry:
-    t: float
-    values: np.ndarray  # density matrix over the generator's domain
-    flavor: str
-    points: tuple
-
-
-@dataclass
-class HeatKernelTable:
-    """Heat kernel densities at a set of times, all of one flavor."""
-
-    times: tuple
-    flavor: str
-    entries: dict = field(default_factory=dict)
-    points: tuple = ()
-
-    @classmethod
-    def from_generator(cls, gen: SpectralGenerator, times) -> "HeatKernelTable":
-        flavor = _flavor(gen)
-        table = cls(times=tuple(sorted(float(t) for t in times)), flavor=flavor,
-                    points=gen.domain_ids)
-        for t in table.times:
-            table.entries[t] = gen.density(t)
-        return table
-
-    def at(self, t: float) -> np.ndarray:
-        return self.entries[float(t)]
-
-    def entry(self, t: float) -> HeatKernelEntry:
-        return HeatKernelEntry(float(t), self.entries[float(t)], self.flavor, self.points)
-
-    def to_csv(self) -> str:
-        lines = ["t,x,y,value"]
-        for t in self.times:
-            dens = self.entries[t]
-            for i, x in enumerate(self.points):
-                for j, y in enumerate(self.points):
-                    lines.append(f"{float(t)!r},{x},{y},{float(dens[i, j])!r}")
-        return "\n".join(lines) + "\n"
-
-
-def _flavor(gen: SpectralGenerator) -> str:
-    parts = []
-    if gen.rho is not None:
-        parts.append(f"truncated-{gen.rho}")
-    if not gen.is_whole:
-        parts.append("restricted")
-    return "+".join(parts) if parts else "full"
-
-
-def heat_kernel(gen: SpectralGenerator, t: float) -> HeatKernelEntry:
-    """Heat kernel density at one time."""
-    if t <= 0:
-        raise ValueError(f"time must be > 0, got {t}")
-    return HeatKernelEntry(float(t), gen.density(t), _flavor(gen), gen.domain_ids)
-
-
-def truncated_heat_kernel(kernel: JumpKernel, rho: float, t: float) -> HeatKernelEntry:
-    """Range-truncated heat kernel, exponentiated block by block."""
-    if rho <= 0:
-        raise ValueError(f"truncation range must be > 0, got {rho}")
-    return heat_kernel(generator(kernel, rho=rho), t)
-
-
-@dataclass(frozen=True)
-class Perturbation:
-    """Exponential tilt by psi = lam * 1_B for a ball B.
-
-    `rho` records the truncation range the tilt is used with; for an exact
-    tilt identity it must not exceed the ball radius.
-    """
-
-    ball: Ball
-    lam: float
-    rho: float | None = None
-
-    def psi(self) -> np.ndarray:
-        return self.lam * self.ball.indicator()
-
-
-def apply(gen: SpectralGenerator, t: float, f) -> np.ndarray:
-    """Semigroup action e^{tL} f."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    return gen.apply(t, f)
-
-
-def perturbed_apply(gen: SpectralGenerator, t: float, pert: Perturbation, f) -> np.ndarray:
-    """Tilted action e^{psi} e^{tL} (e^{-psi} f)."""
-    psi = pert.psi()
-    return np.exp(psi) * apply(gen, t, np.exp(-psi) * np.asarray(f, dtype=float))
 
 
 # -- self checks -----------------------------------------------------------------

@@ -21,6 +21,7 @@ package use the strict inequality d > r.
 import csv
 import io
 import json
+import os
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -425,8 +426,10 @@ def from_distance_matrix(matrix, masses=None, ids=None) -> UltrametricSpace:
 
 
 def read_csv_rows(text_or_path) -> list:
-    """Nonblank CSV rows of a file, or of CSV text (a string with a newline)."""
-    if isinstance(text_or_path, str) and "\n" not in text_or_path:
+    """Nonblank CSV rows of a file, or of CSV text: a string that holds a
+    newline, or a comma and names no existing file."""
+    if isinstance(text_or_path, str) and "\n" not in text_or_path and not (
+            "," in text_or_path and not os.path.isfile(text_or_path)):
         with open(text_or_path, "r", encoding="utf-8") as fh:
             text_or_path = fh.read()
     return [row for row in csv.reader(io.StringIO(text_or_path)) if row]

@@ -23,7 +23,6 @@ from ultraheat.bounds import (
     default_function_family,
     exit_probability_slope,
     log_time_grid,
-    tj_estimate,
 )
 from ultraheat.davies import nash_ratio_batch
 from ultraheat.kernel import tj_witness
@@ -260,10 +259,10 @@ class TestScalingCovariance:
         assert ratio == pytest.approx(c, rel=1e-9)
 
 
-def test_tj_estimate_witness(k4):
-    est = tj_estimate(k4, 1.0, 2.0)
-    assert est.constant == pytest.approx(1.25, rel=1e-14)
-    assert est.witnesses[0]["r_sup"] == 1.0
+def test_tj_witness_critical_radius(k4):
+    wit = tj_witness(k4, 1.0, 2.0)
+    assert wit["constant"] == pytest.approx(1.25, rel=1e-14)
+    assert wit["r_sup"] == 1.0
 
 
 @pytest.mark.parametrize("seed", range(6))

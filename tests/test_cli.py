@@ -170,7 +170,8 @@ class TestCurves:
             time_grid={"min": 1e-2, "max": 10.0, "points": 64, "scale": "log"},
         )
         assert main(["curves", "--config", str(cfg_path)]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "out" / "curves" / "p_full.csv")))
+        text = (tmp_path / "out" / "curves" / "p_full.csv").read_text()
+        rows = list(csv.DictReader(text.splitlines()))
         offdiag = [(float(r["t"]), float(r["value"])) for r in rows
                    if r["x"] == "0" and r["y"] == "1"]
         vals = [v for _, v in sorted(offdiag)]
@@ -182,7 +183,8 @@ class TestCurves:
     def test_truncated_cross_block_column_zero(self, tmp_path):
         cfg_path = write_config(tmp_path)
         assert main(["curves", "--config", str(cfg_path)]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "out" / "curves" / "q_truncated_0.csv")))
+        text = (tmp_path / "out" / "curves" / "q_truncated_0.csv").read_text()
+        rows = list(csv.DictReader(text.splitlines()))
         cross = [float(r["value"]) for r in rows
                  if (r["x"], r["y"]) in (("a", "c"), ("a", "d"), ("b", "c"))]
         assert cross and all(v == 0.0 for v in cross)
@@ -296,6 +298,16 @@ BAD_INPUTS = {
         "options.n_power_functions must be at least 1"),
     "negative sample count": (
         lambda tmp: {"options": {"ode_sweep": -1}}, "options.ode_sweep must be at least 1"),
+    "fractional iteration level": (
+        lambda tmp: {"options": {"moser_k_max": 2.7}},
+        "options.moser_k_max must be an integer, got 2.7"),
+    "fractional sample count": (
+        lambda tmp: {"options": {"ode_sweep": 3.9}}, "options.ode_sweep must be an integer"),
+    "fractional seed": (lambda tmp: {"seed": 1.5}, "config.seed must be an integer"),
+    "seed beyond float range": (lambda tmp: {"seed": 10 ** 400}, "config.seed must be a number"),
+    "fractional time grid points": (
+        lambda tmp: {"time_grid": {"min": 1e-3, "max": 1.0, "points": 9.8}},
+        "time_grid.points must be an integer"),
 }
 
 
@@ -371,12 +383,7 @@ def test_written_certificate_matches_library(tmp_path, seed):
     main(["run", "--config", str(path)])
     ctx = build_context(load_config(path))
     cert = bounds.wue_certificate(ctx.kernel, alpha, beta, ctx.exponents.r0, seed=7)
-    # the run tags every record it reports with its check, and the
-    # certificate's records are among them
-    for rec in cert.checks:
-        rec.params = dict(rec.params, check="theorem1")
-    expected = json.dumps(cli._jsonable(cert.to_dict()), indent=2, sort_keys=True) + "\n"
-    assert (tmp_path / "out" / "certificate.json").read_text() == expected
+    assert (tmp_path / "out" / "certificate.json").read_text() == cert.to_json() + "\n"
 
 
 def test_option_defaults_and_overrides(tmp_path):

@@ -140,6 +140,7 @@ def test_function_from_csv(s4, k4):
     text = "id,value\na,1.5\nc,-2.0\n"
     f = function_from_csv(k4, text)
     assert np.array_equal(f, [1.5, 0.0, -2.0, 0.0])
+    assert np.array_equal(function_from_csv(s4, "a,1"), [1.0, 0.0, 0.0, 0.0])
 
 
 def test_energy_scale_bounds_value(k4):

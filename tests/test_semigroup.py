@@ -2,24 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ultraheat import (
     HierarchicalHeatKernel,
-    Perturbation,
-    apply,
     energy,
     energy_trunc,
     generator,
-    heat_kernel,
     isotropic_kernel,
-    perturbed_apply,
     power_profile,
     semigroup_selfcheck,
-    truncated_heat_kernel,
+    tilted_evolution,
 )
 from ultraheat.errors import EmptyDomain, NotIsotropic
-from ultraheat.semigroup import HeatKernelTable
 from ultraheat.cli import generate_space
 
 from conftest import random_scenario
@@ -93,10 +90,9 @@ class TestGenerator:
 
 class TestHeatKernel:
     def test_two_point_closed_form(self, k2):
-        gen = generator(k2)
-        entry = heat_kernel(gen, 0.25)
-        assert entry.values[0, 1] == pytest.approx((1 - np.exp(-1)) / 2, abs=1e-15)
-        assert entry.values[0, 0] == pytest.approx((1 + np.exp(-1)) / 2, abs=1e-15)
+        dens = generator(k2).density(0.25)
+        assert dens[0, 1] == pytest.approx((1 - np.exp(-1)) / 2, abs=1e-15)
+        assert dens[0, 0] == pytest.approx((1 + np.exp(-1)) / 2, abs=1e-15)
 
     def test_long_time_limit(self, k4):
         dens = generator(k4).density(1e6)
@@ -112,19 +108,20 @@ class TestHeatKernel:
                 assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(b).max())
 
     def test_truncated_cross_block_bitwise_zero(self, k4):
+        gen = generator(k4, rho=1.0)
         for t in (1e-3, 0.5, 1e3):
-            entry = truncated_heat_kernel(k4, 1.0, t)
-            assert entry.values[0, 2] == 0.0
-            assert entry.values[0, 3] == 0.0
-            assert entry.values[1, 2] == 0.0
+            dens = gen.density(t)
+            assert dens[0, 2] == 0.0
+            assert dens[0, 3] == 0.0
+            assert dens[1, 2] == 0.0
 
     def test_truncated_block_closed_form(self, k4):
-        entry = truncated_heat_kernel(k4, 1.0, 0.5)
-        assert entry.values[0, 1] == pytest.approx((1 - np.exp(-2)) / 2, abs=1e-15)
+        dens = generator(k4, rho=1.0).density(0.5)
+        assert dens[0, 1] == pytest.approx((1 - np.exp(-2)) / 2, abs=1e-15)
 
     def test_truncation_beyond_diam_is_full(self, k4):
         full = generator(k4).density(0.7)
-        trunc = truncated_heat_kernel(k4, 2.0, 0.7).values
+        trunc = generator(k4, rho=2.0).density(0.7)
         assert np.allclose(full, trunc, atol=1e-14)
 
     def test_restricted_domination(self):
@@ -149,37 +146,65 @@ class TestHeatKernel:
                 assert np.all(po >= -1e-12)
                 assert np.all(po <= pf + 1e-12)
 
-    def test_table_csv(self, k4):
-        table = HeatKernelTable.from_generator(generator(k4, rho=1.0), [0.5])
-        lines = table.to_csv().splitlines()
-        assert lines[0] == "t,x,y,value"
-        cross = [l for l in lines[1:] if l.split(",")[1] == "a" and l.split(",")[2] == "c"]
-        assert all(float(l.split(",")[3]) == 0.0 for l in cross)
+    def test_negative_time_rejected(self, k4):
+        gen = generator(k4)
+        with pytest.raises(ValueError):
+            gen.apply(-1.0, np.ones(4))
+        with pytest.raises(ValueError):
+            gen.apply_grid([0.5, -1e-9], np.ones(4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=1e-4, max_value=1e3))
+def test_truncated_density_vanishes_across_blocks(seed, t):
+    _, kernel = random_scenario(seed, max_points=32)
+    D = kernel.space.distance_matrix()
+    for rho in kernel.space.distance_levels:
+        dens = generator(kernel, rho=rho).density(t)
+        assert np.all(dens[D > rho] == 0.0)
 
 
 class TestPerturbedSemigroup:
     def test_time_zero_identity(self, s4, k4):
         gen = generator(k4, rho=1.0)
-        pert = Perturbation(s4.ball("a", 1), 3.0, rho=1.0)
+        psi = 3.0 * s4.ball("a", 1).indicator()
         f = np.array([1.0, 0.0, 0.0, 0.0])
-        assert np.allclose(perturbed_apply(gen, 0.0, pert, f), f, atol=1e-14)
+        assert np.allclose(tilted_evolution(gen, psi, f)([0.0])[:, 0], f, atol=1e-14)
 
     def test_zero_tilt_matches_plain(self, s4, k4):
         gen = generator(k4, rho=1.0)
-        pert = Perturbation(s4.ball("a", 1), 0.0)
+        psi = np.zeros(4)
         f = np.array([1.0, 0.0, 0.0, 0.0])
-        assert np.allclose(perturbed_apply(gen, 0.7, pert, f),
-                           apply(gen, 0.7, f), atol=1e-14)
+        assert np.allclose(tilted_evolution(gen, psi, f)([0.7])[:, 0],
+                           gen.apply(0.7, f), atol=1e-14)
 
     def test_block_constant_tilt_cancels(self, s4, k4):
         # psi constant on each block of the rho-partition: the conjugation
         # cancels exactly and the tilted evolution equals the plain one
         gen = generator(k4, rho=1.0)
-        pert = Perturbation(s4.ball("a", 1), 3.0, rho=1.0)
+        psi = 3.0 * s4.ball("a", 1).indicator()
         f = np.array([1.0, 0.0, 0.0, 0.0])
-        got = perturbed_apply(gen, 0.9, pert, f)
+        got = tilted_evolution(gen, psi, f)([0.9])[:, 0]
         assert np.isfinite(got).all()
-        assert np.allclose(got, apply(gen, 0.9, f), atol=1e-13)
+        assert np.allclose(got, gen.apply(0.9, f), atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.data())
+def test_tilt_constant_on_blocks_cancels(seed, data):
+    # psi = lam 1_B with radius(B) >= rho is constant on every rho-block, so
+    # the conjugation by e^psi cancels on each block
+    space, kernel = random_scenario(seed, max_points=32)
+    rho = data.draw(st.sampled_from(space.distance_levels))
+    ball = data.draw(st.sampled_from([b for b in space.balls() if b.radius >= rho]))
+    lam = data.draw(st.floats(min_value=-5.0, max_value=5.0))
+    times = data.draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
+                               max_size=4))
+    f = np.random.default_rng(seed).uniform(0.0, 1.0, len(space))
+    gen = generator(kernel, rho=rho)
+    got = tilted_evolution(gen, lam * ball.indicator(), f)(times)
+    want = gen.apply_grid(times, f)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestSelfCheck:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ultraheat import build_tree, from_distance_matrix, validate_ultrametric
 from ultraheat.errors import (
     EmptySpace,
+    MalformedCsv,
     NonDecreasingRadii,
     NonPositiveMass,
     NotUltrametric,
@@ -140,6 +141,11 @@ class TestDistanceMatrixRoundTrip:
         space = from_distance_csv(text)
         assert space.ids == s4.ids
         assert np.array_equal(space.distance_matrix(), D)
+
+    def test_one_line_csv_text_is_text(self):
+        # a comma and no such file: CSV text, so the shape check names it
+        with pytest.raises(MalformedCsv):
+            from_distance_csv("a,b")
 
 
 class TestValidation:
