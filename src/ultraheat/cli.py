@@ -18,8 +18,10 @@ run one after another and their records are merged in selection order.
 import argparse
 import csv
 import json
+import logging
 import math
 import sys
+import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -73,6 +75,9 @@ DEFAULT_OPTIONS = {
     "ode_sweep": 25,                   # ode: random samples
     "p8_c_factor": 4.0,                # p8: factor of the truncation comparison
 }
+
+# named, not __name__: `python -m ultraheat.cli` runs this module as __main__
+log = logging.getLogger("ultraheat.cli")
 
 
 # -- configuration -----------------------------------------------------------------
@@ -595,7 +600,10 @@ class VerificationReport:
 def execute_checks(ctx: RunContext, checks) -> VerificationReport:
     merged = CheckReport()
     for name in checks:
-        for rec in CHECK_REGISTRY[name](ctx).records:
+        start = time.perf_counter()
+        records = CHECK_REGISTRY[name](ctx).records
+        log.info("check %s took %.3f s", name, time.perf_counter() - start)
+        for rec in records:
             # tag a copy: records can be shared with artifacts such as the
             # certificate, which must read as the library wrote them
             merged.add(replace(rec, params={**rec.params, "check": name}))
@@ -615,36 +623,39 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
     curves.mkdir(parents=True, exist_ok=True)
     space, kernel, cfg = ctx.space, ctx.kernel, ctx.exponents
     n = len(space)
-    pair_budget = n <= 24
+    if n <= 24:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    else:
+        pairs = [(0, j) for j in range(n)] + [(i, i) for i in range(n)]
+
+    def density_rows(wr, t, dens):
+        for i, j in pairs:
+            wr.writerow([repr(t), space.ids[i], space.ids[j], repr(float(dens[i, j]))])
 
     def emit(path, gen):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["t", "x", "y", "value"])
             for t in ctx.grid:
-                dens = gen.density(float(t))
-                if pair_budget:
-                    pairs = [(i, j) for i in range(n) for j in range(n)]
-                else:
-                    pairs = [(0, j) for j in range(n)] + [(i, i) for i in range(n)]
-                for i, j in pairs:
-                    wr.writerow([repr(float(t)), space.ids[i], space.ids[j],
-                                 repr(float(dens[i, j]))])
+                density_rows(wr, float(t), gen.density(float(t)))
 
-    gen = generator(kernel)
-    emit(curves / "p_full.csv", gen)
     for k, rho in enumerate(space.distance_levels):
         emit(curves / f"q_truncated_{k}.csv", generator(kernel, rho=rho))
 
-    with open(curves / "supremum.csv", "w", encoding="utf-8", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "max_density", "ondiag_quantity", "offdiag_quantity",
-                     "exit_quantity"])
-        capped = np.minimum(space.distance_matrix(), cfg.r0)
-        balls = [b for b in space.balls() if b.radius > 0]
+    # p_full.csv and supremum.csv share one full-space density per time
+    gen = generator(kernel)
+    capped = np.minimum(space.distance_matrix(), cfg.r0)
+    balls = [b for b in space.balls() if b.radius > 0]
+    with open(curves / "p_full.csv", "w", encoding="utf-8", newline="") as full_fh, \
+            open(curves / "supremum.csv", "w", encoding="utf-8", newline="") as sup_fh:
+        full_wr, sup_wr = csv.writer(full_fh), csv.writer(sup_fh)
+        full_wr.writerow(["t", "x", "y", "value"])
+        sup_wr.writerow(["t", "max_density", "ondiag_quantity", "offdiag_quantity",
+                         "exit_quantity"])
         for t in ctx.grid:
             t = float(t)
             dens = gen.density(t)
+            density_rows(full_wr, t, dens)
             heat = gen.heat_matrix(t)
             exit_q = 0.0
             for ball in balls:
@@ -653,8 +664,8 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
             ondiag, offdiag = (
                 float(bounds_mod.scaled_density(dens, t, cfg.alpha, cfg.beta, c).max())
                 for c in (0.0, capped))
-            wr.writerow([repr(t), repr(float(dens.max())), repr(ondiag), repr(offdiag),
-                         repr(exit_q)])
+            sup_wr.writerow([repr(t), repr(float(dens.max())), repr(ondiag),
+                             repr(offdiag), repr(exit_q)])
 
 
 def build_context(cfg: RunConfig) -> RunContext:

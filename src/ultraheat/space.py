@@ -343,8 +343,8 @@ def build_tree(spec: dict) -> UltrametricSpace:
         if "radius" not in obj:
             raise EmptySpace(f"node needs 'radius' or 'id': {obj!r}")
         radius = float(obj["radius"])
-        if radius <= 0:
-            raise NonDecreasingRadii(f"ball radius must be > 0, got {radius}")
+        if not 0 < radius < np.inf:
+            raise NonDecreasingRadii(f"ball radius must be finite and > 0, got {radius}")
         entries = obj.get("children", obj.get("leaves"))
         if not entries:
             raise EmptySpace("ball with no children")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ultraheat import (
+    build_tree,
     due_constant,
     energy_difference_check,
     from_matrix,
@@ -24,6 +25,7 @@ from ultraheat.bounds import (
     exit_probability_slope,
     log_time_grid,
 )
+from ultraheat.cli import generate_space
 from ultraheat.davies import nash_ratio_batch
 from ultraheat.kernel import tj_witness
 
@@ -276,3 +278,110 @@ def test_merged_scans_match_their_building_blocks(seed):
         U, _ = default_function_family(kernel, rho, seed=seed)
         est = nash_constant(kernel, rho, nu, k0, seed=seed)
         assert est.constant == nash_ratio_batch(kernel, rho, nu, k0, U).max()
+
+
+# -- pair-by-pair oracles -------------------------------------------------------------
+# The loops that `wue_certificate` and `tail_probability_check` used before
+# they were vectorised.  The array versions keep the loops' arithmetic, so
+# the worst values and witnesses must be equal, not merely close.
+
+
+def chaining_oracle(kernel, alpha, beta, r0, c_due, c_tail):
+    """Worst chaining gap and witness by a loop over admissible pairs, or
+    None when no pair is admissible at any time."""
+    space = kernel.space
+    gen = generator(kernel)
+    D = space.distance_matrix()
+    worst, witness, any_pair = -np.inf, None, False
+    for t in log_time_grid(r0 ** beta * 1e-4, r0 ** beta, 17):
+        pairs = np.argwhere(D >= t ** (1.0 / beta))
+        if pairs.size == 0:
+            continue
+        dens2 = gen.density(2 * t)
+        for i, j in pairs:
+            any_pair = True
+            r = D[i, j] / 2.0
+            bound = 2.0 * (c_due / t ** (alpha / beta)) * (c_tail * t / min(r, r0) ** beta)
+            gap = float(dens2[i, j]) - bound * (1 + 1e-12)
+            if gap > worst:
+                worst = gap
+                witness = {"t": float(t), "x": space.ids[i], "y": space.ids[j],
+                           "p2t": float(dens2[i, j]), "bound": bound}
+    return (worst, witness) if any_pair else None
+
+
+def monotone_oracle(kernel, time_grid):
+    """Worst monotonicity violation and witness over every (node, parent)
+    chain, two full matvecs per chain and time."""
+    space = kernel.space
+    gen = generator(kernel)
+    n = len(space)
+    chains = sorted({(nd.start, nd.stop, nd.parent.start, nd.parent.stop)
+                     for nd in space._nodes if nd.parent is not None})
+    worst, witness = -np.inf, None
+    for t in time_grid:
+        heat = gen.heat_matrix(float(t))
+        for a0, a1, b0, b1 in chains:
+            small = np.zeros(n)
+            small[a0:a1] = 1.0
+            big = np.zeros(n)
+            big[b0:b1] = 1.0
+            viol = -float((heat @ (1.0 - small) - heat @ (1.0 - big)).min())
+            if viol > worst:
+                worst = viol
+                witness = {"t": float(t), "inner": [a0, a1], "outer": [b0, b1]}
+    return worst, witness
+
+
+def _oracle_kernels():
+    cases = []
+    for seed in range(6):
+        space, kernel = random_scenario(seed)
+        cases += [(f"random{seed}-diam", kernel, space.diam),
+                  (f"random{seed}-level", kernel, space.distance_levels[1])]
+    # unit masses on a regular tree: many densities tie, so the witness
+    # rule (first pair in row-major order) decides
+    dyadic, _ = generate_space("dyadic", depth=4, q=2.0)
+    unit = isotropic_kernel(dyadic, power_profile(3.0), scaling="mass")
+    cases += [("dyadic16-diam", unit, dyadic.diam),
+              ("dyadic16-level", unit, dyadic.distance_levels[1])]
+    return cases
+
+
+ORACLE_CASES = _oracle_kernels()
+
+
+@pytest.mark.parametrize("name,kernel,r0", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_chaining_scan_equals_pair_loop(name, kernel, r0):
+    cert = wue_certificate(kernel, 1.0, 1.5, r0)
+    chaining = cert.checks[0]
+    assert chaining.name == "pipeline.chaining"
+    worst, witness = chaining_oracle(kernel, 1.0, 1.5, r0, cert.constants["C_DUE"],
+                                     cert.constants["C_tail"])
+    assert chaining.measured == worst
+    assert chaining.witness == witness
+
+
+@pytest.mark.parametrize("name,kernel,r0", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_monotone_chains_equal_per_chain_loop(name, kernel, r0):
+    grid = log_time_grid(1e-3, 1.0, 17)
+    c_tj = tj_constant(kernel, 1.5, r0)
+    # each time alone as well: on the unit-mass tree several chains tie for
+    # the worst violation at some times, where the first chain must win
+    for times in [grid] + [[t] for t in grid]:
+        mono = tail_probability_check(kernel, 1.5, c_tj, r0, times).records[1]
+        assert mono.name == "bounds.exit_probability_monotone"
+        worst, witness = monotone_oracle(kernel, times)
+        assert mono.measured == worst
+        assert mono.witness == witness
+
+
+def test_chaining_all_near_is_vacuous():
+    # a single point: its one pair sits on the diagonal, below every threshold
+    kernel = isotropic_kernel(build_tree({"id": "a", "mass": 2.0}), power_profile(3.0),
+                              scaling="mass")
+    assert chaining_oracle(kernel, 1.0, 1.5, 1.0, 1.0, 1.0) is None
+    chaining = wue_certificate(kernel, 1.0, 1.5, 1.0).checks[0]
+    assert chaining.name == "pipeline.chaining"
+    assert chaining.status == "vacuous"
+    assert chaining.measured is None and chaining.witness is None

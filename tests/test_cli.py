@@ -1,10 +1,17 @@
 """Runner, generators, curves, exit codes, and report determinism."""
 
+import copy
 import csv
 import json
+import logging
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultraheat import bounds, cli
 from ultraheat.cli import (
@@ -402,3 +409,80 @@ def test_threads_variable_is_ignored(tmp_path, monkeypatch):
     monkeypatch.setenv("ULTRAHEAT_THREADS", "4")
     with_var = execute_checks(build_context(cfg), cfg.checks).to_json()
     assert plain == with_var
+
+
+def test_each_check_logs_its_wall_time(tmp_path, caplog):
+    path = write_config(tmp_path, checks=["ultrametric", "form", "due"])
+    with caplog.at_level(logging.INFO, logger="ultraheat.cli"):
+        assert main(["run", "--config", str(path)]) == 0
+    timed = [r.getMessage() for r in caplog.records
+             if r.name == "ultraheat.cli" and r.levelno == logging.INFO]
+    assert [m.split()[1] for m in timed] == ["ultrametric", "form", "due"]
+    for m in timed:
+        assert re.fullmatch(r"check \w+ took \d+\.\d{3} s", m), m
+
+
+# -- config fuzzer ---------------------------------------------------------------------
+
+FUZZ_BASE = {
+    "space": {"inline": S4_SPEC},
+    "kernel": {"isotropic": {"kind": "power", "exponent": 3.0, "scale": 1.0},
+               "scaling": "none"},
+    "exponents": {"alpha": 1.0, "beta": 2.0, "R0": 2.0},
+    "time_grid": {"min": 1e-3, "max": 1.0, "points": 5, "scale": "log"},
+    "checks": ["ultrametric", "form", "due"],
+    "tolerances": {"identity": 1e-12},
+    "options": {"moser_k_max": 6, "lambdas": [-5, 0, 5]},
+    "seed": 7,
+}
+ODD_VALUES = [None, True, "x", "", [], {}, [1, 2], 0, -1, 3, 0.5, -2.5, 1.5,
+              math.nan, math.inf, -math.inf]
+
+
+def _paths(node, prefix=()):
+    """Every path into nested dicts and lists, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = copy.deepcopy(FUZZ_BASE)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(cfg))))
+        action = draw(st.sampled_from(["drop", "replace", "add"]))
+        value = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]] if path else cfg
+        if action == "add" and isinstance(target, dict):
+            target["unknown_key"] = value
+        elif action == "add" and isinstance(target, list):
+            target.append(value)
+        elif action == "drop" and path:
+            del parent[path[-1]]
+        elif path:
+            parent[path[-1]] = value
+        else:
+            cfg = value
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_configs())
+def test_any_config_keeps_the_exit_code_contract(cfg):
+    # 0 all passed, 1 a check failed, 2 a bad config; never an exception
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--checks", "ultrametric,form,due",
+                     "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)

@@ -36,6 +36,13 @@ class TestBuildTree:
                 {"id": "z", "mass": 1},
             ]})
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_nonfinite_radius_rejected(self, radius):
+        # a NaN label passes every comparison with its children, and an
+        # infinite one makes the distances inf - inf downstream
+        with pytest.raises(NonDecreasingRadii):
+            build_tree({"radius": radius, "children": [{"id": "x"}, {"id": "y"}]})
+
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(NonPositiveMass):
             build_tree({"radius": 1, "children": [{"id": "x", "mass": 0.0},
