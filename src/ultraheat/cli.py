@@ -76,6 +76,10 @@ DEFAULT_OPTIONS = {
     "p8_c_factor": 4.0,                # p8: factor of the truncation comparison
 }
 
+# longest time grid a config may ask for; the derivative check needs at least
+# davies.MIN_DERIVATIVE_GRID points
+MAX_GRID_POINTS = 4096
+
 # named, not __name__: `python -m ultraheat.cli` runs this module as __main__
 log = logging.getLogger("ultraheat.cli")
 
@@ -116,9 +120,8 @@ class RunConfig:
             raise ConfigError("time grid min must be > 0")
         if gmax < gmin:
             raise ConfigError("time grid max must be >= min")
-        points = _number(grid, "points", 17, "time_grid", int)
-        if points < 2:
-            raise ConfigError("time grid needs at least 2 points")
+        points = _in_range("time_grid.points", _number(grid, "points", 17, "time_grid", int),
+                           2, MAX_GRID_POINTS)
         scale = grid.get("scale", "log")
         if scale not in ("log", "linear"):
             raise ConfigError(f"unknown time grid scale {scale!r}")

@@ -10,6 +10,12 @@ which matches the double integral over the product space minus the
 diagonal; indicator energies then satisfy E(1_B) = 2 j(B, B^c) with no
 extra factor.  The rho-truncation keeps the pairs with d(x, y) <= rho
 (closed ball convention, as everywhere in the package).
+
+The energy stays defined over ordered pairs, but `energy_and_scale` computes
+it as twice the sum over the unordered pairs x < y with w(x, y) > 0, read
+from the kernel's cached pair list (`JumpKernel.kept_pairs`).  That list is
+sorted by distance, so E_rho is a sum over a prefix of it.  `energy_batch`
+uses the dense quadratic operator instead.
 """
 
 from dataclasses import dataclass
@@ -29,12 +35,6 @@ def _as_vector(kernel: JumpKernel, f) -> np.ndarray:
     return v
 
 
-def _pair_mask(kernel: JumpKernel, rho) -> np.ndarray | None:
-    if rho is None:
-        return None
-    return kernel.space.distance_matrix() <= rho
-
-
 def energy_and_scale(kernel: JumpKernel, f, g, rho=None) -> tuple[float, float]:
     """Energy value together with its absolute-term sum.
 
@@ -44,12 +44,11 @@ def energy_and_scale(kernel: JumpKernel, f, g, rho=None) -> tuple[float, float]:
     """
     fv = _as_vector(kernel, f)
     gv = _as_vector(kernel, g)
-    df = fv[:, None] - fv[None, :]
-    dg = gv[:, None] - gv[None, :]
-    terms = df * dg * kernel.w
-    mask = _pair_mask(kernel, rho)
-    if mask is not None:
-        terms = np.where(mask, terms, 0.0)
+    i, j, w2 = kernel.kept_pairs(rho)
+    # the indices are in range by construction; "clip" skips the bounds check
+    df = fv.take(i, mode="clip") - fv.take(j, mode="clip")
+    dg = gv.take(i, mode="clip") - gv.take(j, mode="clip")
+    terms = df * dg * w2
     return float(terms.sum()), float(np.abs(terms).sum())
 
 
@@ -67,7 +66,8 @@ def energy_trunc(kernel: JumpKernel, f, g, rho: float) -> float:
 
 def quadratic_operator(kernel: JumpKernel, rho=None) -> np.ndarray:
     """Symmetric matrix Q with f^T Q g = E_rho(f, g); used for fast batches."""
-    w = kernel.w if rho is None else np.where(_pair_mask(kernel, rho), kernel.w, 0.0)
+    w = kernel.w if rho is None else \
+        np.where(kernel.space.distance_matrix() <= rho, kernel.w, 0.0)
     q = -2.0 * w
     np.fill_diagonal(q, 2.0 * w.sum(axis=1))
     return q

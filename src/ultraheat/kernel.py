@@ -61,6 +61,7 @@ class JumpKernel:
         self.space = space
         self.w = w
         self.w.setflags(write=False)
+        self._pairs = None
 
     @property
     def n(self) -> int:
@@ -69,6 +70,28 @@ class JumpKernel:
     @property
     def mu(self) -> np.ndarray:
         return self.space.masses
+
+    def kept_pairs(self, rho=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pairs i < j with w(i, j) > 0 and d(i, j) <= rho as read-only arrays
+        (i, j, 2 w(i, j)); rho=None keeps every pair.
+
+        The list is built once per kernel and sorted stably by distance, so
+        every truncation level selects a prefix of it.
+        """
+        if self._pairs is None:
+            i, j = np.nonzero(np.triu(self.w > 0, 1))
+            d = self.space.distance_matrix()[i, j]
+            order = np.argsort(d, kind="stable")
+            i, j = i[order], j[order]
+            levels = np.array(self.space.distance_levels)
+            ends = np.concatenate(([0], np.searchsorted(d[order], levels, side="right")))
+            arrays = (levels, ends, i.astype(np.int32), j.astype(np.int32), 2.0 * self.w[i, j])
+            for a in arrays:
+                a.setflags(write=False)
+            self._pairs = arrays
+        levels, ends, i, j, w2 = self._pairs
+        stop = len(i) if rho is None else ends[np.count_nonzero(levels <= rho)]
+        return i[:stop], j[:stop], w2[:stop]
 
     def tail_vector(self, r: float) -> np.ndarray:
         """J(x, B(x, r)^c) for every point x."""

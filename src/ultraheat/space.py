@@ -325,15 +325,17 @@ def build_tree(spec: dict) -> UltrametricSpace:
     """Build a space from a nested ball description.
 
     `spec` is a dict {"radius": R, "children": [...]} whose children are
-    either further ball dicts or leaf dicts {"id": s, "mass": m}; the key
-    "leaves" is accepted as a synonym for an all-leaf children list.  A bare
-    leaf dict describes a singleton space.
+    either further ball dicts or leaf dicts {"id": s, "mass": m} with s a
+    non-empty string; the key "leaves" is accepted as a synonym for an
+    all-leaf children list.  A bare leaf dict describes a singleton space.
     """
     ids: list = []
     masses: list = []
 
     def parse(obj):
         if "id" in obj:
+            if not isinstance(obj["id"], str) or not obj["id"]:
+                raise SpaceError(f"leaf id must be a non-empty string, got {obj['id']!r}")
             node = _Node(0.0)
             node.start = len(ids)
             node.stop = node.start + 1

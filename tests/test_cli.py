@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultraheat import bounds, cli
+from ultraheat import bounds, cli, davies
 from ultraheat.cli import (
     ALL_CHECKS,
     DEFAULT_OPTIONS,
@@ -315,6 +315,15 @@ BAD_INPUTS = {
     "fractional time grid points": (
         lambda tmp: {"time_grid": {"min": 1e-3, "max": 1.0, "points": 9.8}},
         "time_grid.points must be an integer"),
+    "time grid points above the limit": (
+        lambda tmp: {"time_grid": {"min": 1e-3, "max": 1.0, "points": 10 ** 9}},
+        f"time_grid.points must be in [2, {cli.MAX_GRID_POINTS}]"),
+    **{f"leaf id {label}": (
+        lambda tmp, leaf_id=leaf_id: {"space": {"inline": {"radius": 1, "children": [
+            {"id": "a"}, {"id": leaf_id}]}}},
+        "space: leaf id must be a non-empty string")
+       for label, leaf_id in (("null", None), ("list", [1, 2]), ("true", True),
+                              ("object", {}), ("number", 3), ("empty", ""))},
 }
 
 
@@ -326,6 +335,10 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert phrase in err[0]
+
+
+def test_grid_limit_admits_the_derivative_grid():
+    assert cli.MAX_GRID_POINTS >= davies.MIN_DERIVATIVE_GRID
 
 
 def test_negative_seed_flag_exits_two(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ultraheat import energy, energy_trunc, indicator_energy_check, simple_function
 from ultraheat.errors import DimensionMismatch, OverlappingBalls
 from ultraheat.form import energy_and_scale, function_from_csv
+from ultraheat.kernel import JumpKernel
 
 from conftest import random_scenario
 
@@ -25,6 +26,83 @@ def brute_energy(kernel, f, g, rho=None):
                 continue
             total += (f[x] - f[y]) * (g[x] - g[y]) * kernel.w[x, y]
     return total
+
+
+def dense_energy_and_scale(kernel, f, g, rho=None):
+    """Oracle: the masked sum over the full n x n array of ordered-pair terms."""
+    terms = (f[:, None] - f[None, :]) * (g[:, None] - g[None, :]) * kernel.w
+    if rho is not None:
+        terms = np.where(kernel.space.distance_matrix() <= rho, terms, 0.0)
+    return float(terms.sum()), float(np.abs(terms).sum())
+
+
+ORACLE_RTOL = 1e-13  # of the oracle's scale: the pair sums differ only in order
+
+
+def _assert_matches_oracle(kernel, f, g, rho):
+    val, scale = energy_and_scale(kernel, f, g, rho)
+    ref_val, ref_scale = dense_energy_and_scale(kernel, f, g, rho)
+    assert abs(val - ref_val) <= ORACLE_RTOL * ref_scale
+    assert abs(scale - ref_scale) <= ORACLE_RTOL * ref_scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+def test_pair_list_energy_matches_dense_oracle(seed, same):
+    _, kernel = random_scenario(seed % 20, max_points=32)
+    rng = np.random.default_rng(seed)
+    n = len(kernel.space)
+    f = rng.normal(scale=float(rng.uniform(0.1, 10.0)), size=n)
+    g = f if same else rng.normal(size=n)
+    for rho in (None,) + kernel.space.distance_levels:
+        _assert_matches_oracle(kernel, f, g, rho)
+
+
+def test_pair_list_energy_independent_of_call_order():
+    for seed in range(4):
+        space, kernel = random_scenario(seed, max_points=32)
+        rng = np.random.default_rng(seed)
+        f, g = rng.normal(size=len(space)), rng.normal(size=len(space))
+        rhos = (None,) + space.distance_levels
+        ascending = [energy_and_scale(kernel, f, g, rho) for rho in rhos]
+        other = JumpKernel(space, kernel.w.copy())
+        descending = [energy_and_scale(other, f, g, rho) for rho in reversed(rhos)][::-1]
+        fresh = [energy_and_scale(JumpKernel(space, kernel.w.copy()), f, g, rho)
+                 for rho in rhos]
+        assert ascending == descending == fresh
+
+
+def test_kept_pairs_are_read_only_prefixes_of_one_list():
+    space, kernel = random_scenario(1, max_points=32)
+    full = kernel.kept_pairs()
+    assert [a.dtype for a in full[:2]] == [np.int32, np.int32]
+    for a in full:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    for rho in space.distance_levels:
+        kept = kernel.kept_pairs(rho)
+        D = space.distance_matrix()
+        assert np.all(D[kept[0], kept[1]] <= rho)
+        assert len(kept[0]) == np.count_nonzero(np.triu(D <= rho, 1) & (kernel.w > 0))
+        for part, whole in zip(kept, full):
+            assert np.shares_memory(part, whole) or len(part) == 0
+            assert np.array_equal(part, whole[:len(part)])
+    assert len(kernel.kept_pairs(0.0)[0]) == 0
+
+
+def test_zero_weights_give_oracle_values():
+    space, kernel = random_scenario(3, max_points=32)
+    rng = np.random.default_rng(5)
+    n = len(space)
+    w = np.array(kernel.w)
+    drop = np.triu(rng.uniform(size=(n, n)) < 0.4, 1)
+    w[drop | drop.T] = 0.0
+    sparse = JumpKernel(space, w)
+    assert len(sparse.kept_pairs()[0]) == np.count_nonzero(np.triu(w > 0, 1))
+    f, g = rng.normal(size=n), rng.normal(size=n)
+    for rho in (None,) + space.distance_levels:
+        _assert_matches_oracle(sparse, f, g, rho)
 
 
 class TestEnergy:
