@@ -31,23 +31,26 @@ Verified implications:
 """
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditionFailure
+from .errors import ConditionFailure, NotIsotropic
 from .davies import nash_ratio_batch
 from .form import energy_batch
 from .kernel import ExponentConfig, JumpKernel, tj_constant
 from .reporting import CheckRecord, CheckReport, record, vacuous
-from .semigroup import generator
+from .semigroup import HierarchicalHeatKernel, PairClasses, generator
 from .space import Ball
 
 
 SCAN_TOL, SCAN_MAX_ROUNDS = 1e-9, 40  # time scan: gain that ends refinement, most rounds
 N_RANDOM_FUNCTIONS = 64  # random functions of each kind in the default Nash family
 CHAIN_POINTS = 17  # time points of the certificate's chaining scan
+
+log = logging.getLogger(__name__)
 
 
 def log_time_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
@@ -103,22 +106,38 @@ def scaled_density(dens: np.ndarray, t: float, alpha: float, beta: float,
     return t ** (alpha / beta) * dens * (1.0 + capped / t ** (1.0 / beta)) ** beta
 
 
+def heat_pair_classes(kernel: JumpKernel, scan: str) -> PairClasses:
+    """The pair classes of the full-space heat kernel that serve one scan:
+    one per point and per tree node from `HierarchicalHeatKernel` when the
+    kernel is isotropic, else one per ordered pair from the dense generator.
+    Logs which engine served `scan`."""
+    try:
+        classes = HierarchicalHeatKernel.from_kernel(kernel).pair_classes()
+    except NotIsotropic as exc:
+        log.info("%s scan: dense densities (not isotropic: %s)", scan, exc)
+        return generator(kernel).pair_classes()
+    log.info("%s scan: hierarchical heat profile, %d pair classes", scan, classes.dist.size)
+    return classes
+
+
 def _density_scan(kind: str, kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                  capped, points: int) -> ConditionEstimate:
-    """Minimal C with `scaled_density` <= C over the time range."""
-    gen = generator(kernel)
+                  off_diagonal: bool, points: int) -> ConditionEstimate:
+    """Minimal C with `scaled_density` <= C over the time range, the distance
+    capped at R0 when `off_diagonal`; the witness is the first pair of the
+    first maximising class."""
+    classes = heat_pair_classes(kernel, kind)
+    capped = np.minimum(classes.dist, r0) if off_diagonal else 0.0
 
-    def matrix_at(t):
-        return scaled_density(gen.density(t), t, alpha, beta, capped)
+    def scaled_at(t):
+        return scaled_density(classes.values(t), t, alpha, beta, capped)
 
-    best, best_t = _refine_scan(lambda t: float(matrix_at(t).max()),
+    best, best_t = _refine_scan(lambda t: float(scaled_at(t).max()),
                                 log_time_grid(r0 ** beta * 1e-4, r0 ** beta, points))
-    m = matrix_at(best_t)
-    i, j = map(int, np.unravel_index(np.argmax(m), m.shape))
+    c = int(np.argmax(scaled_at(best_t)))
     ids = kernel.space.ids
     return ConditionEstimate(
         kind, best,
-        [{"t": best_t, "x": ids[i], "y": ids[j]}],
+        [{"t": best_t, "x": ids[classes.rows[c]], "y": ids[classes.cols[c]]}],
         {"alpha": alpha, "beta": beta, "R0": r0, "points": points},
     )
 
@@ -132,15 +151,14 @@ def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
     endpoint; the grid is then refined around the maximiser until the
     constant is stable to 1e-9.
     """
-    return _density_scan("DUE", kernel, alpha, beta, r0, 0.0, points)
+    return _density_scan("DUE", kernel, alpha, beta, r0, False, points)
 
 
 def wue_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
                  points: int = 129) -> ConditionEstimate:
     """Minimal C for the off-diagonal estimate with factor
     (1 + (d ^ R0) / t^(1/beta))^(-beta)."""
-    capped = np.minimum(kernel.space.distance_matrix(), r0)
-    return _density_scan("wUE", kernel, alpha, beta, r0, capped, points)
+    return _density_scan("wUE", kernel, alpha, beta, r0, True, points)
 
 
 # -- Nash constant -----------------------------------------------------------------
@@ -407,9 +425,10 @@ def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
 
     The chaining bound depends on a pair only through d(x0, y0), which takes
     finitely many values on an ultrametric space: the bound is computed once
-    per distance level at or above t^(1/b), and the scan over the pairs is
-    one array pass per time whose witness is the first worst pair in
-    row-major order, as a pair-by-pair loop with a strict > would pick.
+    per distance level at or above t^(1/b), and the scan is one array pass
+    over the pair classes (`heat_pair_classes`) per time whose witness is the
+    first worst pair in row-major order, as a pair-by-pair loop with a
+    strict > would pick.
 
     `estimates` is (C_TJ, DUE, wUE, Nash at rho = R0), each as measured for
     these arguments; without it the four are measured here.
@@ -428,34 +447,34 @@ def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
     if not all(np.isfinite([c_tj, due.constant, wue.constant, nash.constant])):
         raise ConditionFailure("non-finite measured constant", step="measure")
 
-    gen = generator(kernel)
-    D = space.distance_matrix()
-    levels, level_of = np.unique(D, return_inverse=True)
-    level_of = level_of.reshape(D.shape)
+    classes = heat_pair_classes(kernel, "chaining")
+    levels, level_of = np.unique(classes.dist, return_inverse=True)
     grid = log_time_grid(r0 ** beta * 1e-4, r0 ** beta, CHAIN_POINTS)
     worst = -np.inf
     witness = None
     any_pair = False
     for t in grid:
         thresh = t ** (1.0 / beta)
-        far = D >= thresh
+        far = classes.dist >= thresh
         if not far.any():
             continue
         any_pair = True
-        dens2 = gen.density(2 * t)
+        p2t = classes.values(2 * t)
         level_bound = np.zeros(len(levels))
         for k in np.flatnonzero(levels >= thresh):
             r = levels[k] / 2.0
             level_bound[k] = 2.0 * (due.constant / t ** (alpha / beta)) \
                 * (c_tail * t / min(r, r0) ** beta)
         bound = level_bound[level_of]
-        gap = np.where(far, dens2 - bound * (1 + 1e-12), -np.inf)
-        # the first row-major maximiser, as a strict > over the pairs in order
-        i, j = np.unravel_index(np.argmax(gap), gap.shape)
-        if gap[i, j] > worst:
-            worst = gap[i, j]
-            witness = {"t": float(t), "x": space.ids[i], "y": space.ids[j],
-                       "p2t": float(dens2[i, j]), "bound": bound[i, j]}
+        gap = np.where(far, p2t - bound * (1 + 1e-12), -np.inf)
+        # the first maximising class, whose first pair is the first
+        # row-major maximiser, as a strict > over the pairs in order
+        c = int(np.argmax(gap))
+        if gap[c] > worst:
+            worst = gap[c]
+            witness = {"t": float(t), "x": space.ids[classes.rows[c]],
+                       "y": space.ids[classes.cols[c]], "p2t": float(p2t[c]),
+                       "bound": bound[c]}
     if any_pair:
         checks.append(record("pipeline.chaining", {"points": len(grid)},
                              worst, 0.0, 0.0, worst <= 0.0, witness))

@@ -36,11 +36,15 @@ from .space import UltrametricSpace, read_id_matrix
 class JumpKernel:
     """Symmetric nonnegative weight matrix over point pairs, zero diagonal.
 
-    Immutable after construction; concurrent reads are safe.
+    Immutable after construction; concurrent reads are safe.  The weights
+    are copied unless they are already a read-only array that owns its
+    data, so the caller's array stays writable and cannot change the kernel.
     """
 
     def __init__(self, space: UltrametricSpace, weights):
         w = np.asarray(weights, dtype=float)
+        if w.base is not None or (w is weights and w.flags.writeable):
+            w = w.copy()
         n = len(space)
         if w.shape != (n, n):
             raise NegativeWeight(f"weight matrix shape {w.shape} does not match {n} points")
@@ -169,6 +173,7 @@ def isotropic_kernel(space: UltrametricSpace, profile, scaling: str = "none") ->
         w[D == level] = g
     if scaling == "mass":
         w = w * np.outer(space.masses, space.masses)
+    w.setflags(write=False)  # handed over: the kernel keeps it without a copy
     return JumpKernel(space, w)
 
 

@@ -25,12 +25,21 @@ the Davies tilt e^{psi} e^{tL} e^{-psi} is `davies.tilted_evolution`, built
 on `apply_grid`.
 
 Fast isotropic path.  For kernels w(x, y) = g(d(x, y)) mu(x) mu(y) the
-eigenfunctions are adapted to the ball tree (constant on sibling subtrees),
-so the kernel value p_t(x, y) is a sum along the ancestor path of the pair:
-O(n * depth) precompute and O(depth) per query, with no n x n matrix.
+Haar basis of the ball tree diagonalises the semigroup, so p_t(x, x) depends
+only on x and p_t(x, y), x != y, only on the lowest common ancestor of x and
+y.  `HierarchicalHeatKernel` evaluates that profile from per-node arrays in
+O(nodes) per time, with no n x n matrix.  It serves the DUE, wUE and
+chaining scans of `bounds` through `PairClasses`; the switch is automatic
+(`bounds.heat_pair_classes`: hierarchical when `from_kernel` succeeds, dense
+on `NotIsotropic`), and the dense `SpectralGenerator` stays the fallback
+and the oracle.  All other checks evaluate the dense generator.
 """
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, EmptyDomain
@@ -42,6 +51,23 @@ from .space import Ball, UltrametricSpace
 # Eigenvalues within this of zero are clamped to exactly zero.
 EIGENVALUE_CLAMP = 1e-12
 N_DUALITY_PAIRS = 8  # random function pairs of the form/generator duality check
+
+
+@dataclass(frozen=True)
+class PairClasses:
+    """The ordered pairs of points, grouped into classes on which a heat
+    kernel takes one value.
+
+    Class c has distance `dist[c]` and row-major-first pair
+    `(rows[c], cols[c])`; the classes are sorted by that pair, so the first
+    maximising class holds the row-major-first maximising pair.
+    `values(t)` is p_t on every class.
+    """
+
+    dist: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: Callable[[float], np.ndarray]
 
 
 class SpectralGenerator:
@@ -153,6 +179,15 @@ class SpectralGenerator:
             out[np.ix_(block, block)] = core / scale
         return out
 
+    def pair_classes(self) -> PairClasses:
+        """Every ordered pair of the domain as its own class, in row-major
+        order, with the values of `density(t)`."""
+        m = self.size
+        rows, cols = np.divmod(np.arange(m * m), m)
+        dist = self.space.distance_matrix()[np.ix_(self.omega, self.omega)].ravel()
+        return PairClasses(dist, self.omega[rows], self.omega[cols],
+                           lambda t: self.density(t).ravel())
+
     def apply(self, t: float, f) -> np.ndarray:
         """e^{tL} f; full-length input, full-length output (zero off-domain)."""
         v = np.asarray(f, dtype=float)
@@ -248,17 +283,26 @@ def semigroup_selfcheck(gen: SpectralGenerator, time_grid, seed: int = 0) -> Che
 
 
 class HierarchicalHeatKernel:
-    """Heat kernel evaluator for isotropic mass-scaled kernels.
+    """Heat kernel of an isotropic mass-scaled kernel, one value per tree node.
 
     For w(x, y) = g(d(x, y)) mu(x) mu(y), functions that are supported on a
-    ball, constant on each of its children, and mean-zero are eigenfunctions;
-    the eigenvalue of ball N is
+    ball, constant on each of its children, and mean-zero are eigenfunctions
+    (the Haar basis of the ball tree); the eigenvalue of ball N is
 
         lambda_N = 2 [ g(r_N) mu(N) + sum_{A above N} g(r_A) (mu(A) - mu(A_child)) ]
 
-    with A_child the child of A on the path to N.  The kernel at a pair is
-    then a sum over the ancestors of their lowest common ancestor, giving
-    O(depth) per query after an O(n) sweep; no n x n matrix is formed.
+    with A_child the child of A on the path to N.  So p_t(x, x) depends only
+    on the leaf x, and p_t(x, y) for x != y only on their lowest common
+    ancestor N:
+
+        p_t(x, x) = 1/mu(X) + S_t(x),
+        p_t(x, y) = 1/mu(X) + S_t(N) - e^{-lambda_N t} / mu(N),
+
+    where S_t(M) sums e^{-lambda_A t} (1/mu(A_child) - 1/mu(A)) over the
+    strict ancestors A of M.  The nodes are kept as arrays in preorder and
+    S_t is one sparse matvec over the root-to-node paths, so `diagonal` and
+    `offdiagonal` cost O(nodes * depth) flops per time, with no Python loop
+    over nodes and no n x n matrix.
     """
 
     def __init__(self, space: UltrametricSpace, profile):
@@ -270,10 +314,45 @@ class HierarchicalHeatKernel:
                 levels = dict(profile)
                 profile = lambda r: levels[r]  # noqa: E731
         self.space = space
-        self.profile = profile
-        self._lam = {}      # node -> eigenvalue
-        self._prefix = {}   # node -> accumulated ancestor rate
-        self._walk(space.root, 0.0)
+        nodes = space._nodes  # preorder, root first
+        size = len(nodes)
+        pos = {id(nd): k for k, nd in enumerate(nodes)}
+        self.parent = np.array([-1] + [pos[id(nd.parent)] for nd in nodes[1:]], dtype=int)
+        self.radius = np.array([nd.radius for nd in nodes])
+        self.volume = np.array([nd.volume for nd in nodes])
+        self.branching = np.array([len(nd.children) for nd in nodes], dtype=int)
+        self._start = np.array([nd.start for nd in nodes], dtype=int)
+        self._stop = np.array([nd.stop for nd in nodes], dtype=int)
+        # nodes whose pairs meet there; a single-child chain node has none,
+        # its projector is zero and its radius need not be a profile level
+        self._branch = np.flatnonzero(self.branching >= 2)
+        self._leaf = np.flatnonzero(self.branching == 0)  # in point order
+
+        # row k marks the non-root nodes on the path from the root to k, k
+        # included; with its columns sorted (preorder), one matvec sums every
+        # root-to-node path from the root down
+        rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+        node = np.arange(size)
+        while (node > 0).any():
+            rows.append(np.flatnonzero(node > 0))
+            cols.append(node[node > 0])
+            node = np.where(node > 0, self.parent[node], 0)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        self._paths = csr_array((np.ones(rows.size), (rows, cols)), shape=(size, size))
+        self._paths.sort_indices()
+
+        g = np.zeros(size)
+        radii, level_of = np.unique(self.radius[self._branch], return_inverse=True)
+        g[self._branch] = np.array([float(profile(float(r))) for r in radii])[level_of]
+        up = self.parent[1:]
+        gain = np.zeros(size)  # rate a node inherits from its parent's ball
+        gain[1:] = g[up] * (self.volume[up] - self.volume[1:])
+        self.eigenvalue = 2.0 * (g * self.volume + self._paths @ gain)
+        # the dense generator's convention, so that both engines agree
+        self.eigenvalue[np.abs(self.eigenvalue) < EIGENVALUE_CLAMP] = 0.0
+        self._inv_volume = 1.0 / self.volume
+        self._step = np.zeros(size)
+        self._step[1:] = self._inv_volume[1:] - self._inv_volume[up]
 
     @classmethod
     def from_kernel(cls, kernel: JumpKernel) -> "HierarchicalHeatKernel":
@@ -281,66 +360,54 @@ class HierarchicalHeatKernel:
         levels = kernel.isotropy_profile()
         return cls(kernel.space, dict(levels))
 
-    def _walk(self, node, acc: float) -> None:
-        if node.is_leaf:
-            return
-        if len(node.children) == 1:
-            # single-child chain node: its projector is zero (the child
-            # covers it), so no profile value is needed and nothing is
-            # contributed to descendants either
-            self._lam[node] = 2.0 * acc
-            self._walk(node.children[0], acc)
-            return
-        g = float(self.profile(node.radius))
-        self._lam[node] = 2.0 * (g * node.volume + acc)
-        for child in node.children:
-            self._walk(child, acc + g * (node.volume - child.volume))
-
-    def value(self, t: float, x, y) -> float:
-        """p_t(x, y) via the ancestor path of the pair."""
-        space = self.space
-        ix, iy = space.index(x), space.index(y)
-        below = space.lca(ix, iy)
-        total = 1.0 / space.total_mass
-        if ix != iy:
-            total += np.exp(-self._lam[below] * t) * (-1.0 / below.volume)
-        node = below.parent
-        while node is not None:
-            total += np.exp(-self._lam[node] * t) * (1.0 / below.volume - 1.0 / node.volume)
-            below = node
-            node = node.parent
-        return float(total)
+    def _profile(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(S_t, e^{-lambda t}) at every node."""
+        decay = np.exp(-self.eigenvalue * t)
+        return self._paths @ (decay[self.parent] * self._step), decay
 
     def diagonal(self, t: float) -> np.ndarray:
-        """p_t(x, x) for all points, by one accumulation sweep over the tree.
+        """p_t(x, x) for every point x, in point order."""
+        acc, _ = self._profile(t)
+        return 1.0 / self.space.total_mass + acc[self._leaf]
 
-        Each ancestor N of x contributes e^{-lambda_N t} (1/mu(C) - 1/mu(N))
-        with C the child of N on the path to x.
-        """
-        out = np.full(len(self.space), 1.0 / self.space.total_mass)
+    def offdiagonal(self, t: float) -> np.ndarray:
+        """p_t at every node with at least two children, in preorder: the
+        value of every pair whose lowest common ancestor is that node."""
+        acc, decay = self._profile(t)
+        b = self._branch
+        return 1.0 / self.space.total_mass + acc[b] - decay[b] * self._inv_volume[b]
 
-        def sweep(node, acc):
-            if node.is_leaf:
-                out[node.start] += acc
-                return
-            lam_term = np.exp(-self._lam[node] * t)
-            for child in node.children:
-                sweep(child, acc + lam_term * (1.0 / child.volume - 1.0 / node.volume))
+    def value(self, t: float, x, y) -> float:
+        """p_t(x, y), looked up in `diagonal` or `offdiagonal`."""
+        i, j = sorted((self.space.index(x), self.space.index(y)))
+        if i == j:
+            return float(self.diagonal(t)[i])
+        # the ancestors of both points form a chain; the last in preorder is
+        # the lowest
+        b = self._branch
+        k = np.flatnonzero((self._start[b] <= i) & (self._stop[b] > j))[-1]
+        return float(self.offdiagonal(t)[k])
 
-        sweep(self.space.root, 0.0)
-        return out
+    def pair_classes(self) -> PairClasses:
+        """One class per point (distance 0) and one per node with at least
+        two children (distance r_N).  A node's row-major-first pair joins
+        the first leaf of its first child to the first leaf of its second
+        child, which starts where the first child (next in preorder) stops."""
+        n, b = len(self.space), self._branch
+        rows = np.concatenate((np.arange(n), self._start[b]))
+        cols = np.concatenate((np.arange(n), self._stop[b + 1]))
+        dist = np.concatenate((np.zeros(n), self.radius[b]))
+        order = np.lexsort((cols, rows))
+        return PairClasses(dist[order], rows[order], cols[order],
+                           lambda t: np.concatenate((self.diagonal(t),
+                                                     self.offdiagonal(t)))[order])
 
     def trace(self, t: float) -> float:
         """sum_x p_t(x, x) mu(x) = sum_k e^{-lambda_k t}, via multiplicities."""
-        total = 1.0
-        for node, lam in self._lam.items():
-            total += (len(node.children) - 1) * np.exp(-lam * t)
-        return float(total)
+        mult = np.maximum(self.branching - 1, 0)
+        return 1.0 + float((mult * np.exp(-self.eigenvalue * t)).sum())
 
     def eigenvalues(self) -> np.ndarray:
         """All rate eigenvalues with multiplicity, ascending."""
-        vals = [0.0]
-        for node, lam in self._lam.items():
-            vals.extend([lam] * (len(node.children) - 1))
-        return np.sort(np.array(vals))
-
+        mult = np.maximum(self.branching - 1, 0)
+        return np.sort(np.concatenate(([0.0], np.repeat(self.eigenvalue, mult))))

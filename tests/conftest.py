@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ultraheat import build_tree, isotropic_kernel, power_profile
 from ultraheat.cli import generate_space
@@ -78,3 +79,44 @@ def tilt_scenario(seed: int, max_points: int = 24):
     lam = float(rng.uniform(0.0, 4.0))
     f = np.abs(rng.normal(size=len(space))) + 0.01
     return kernel, cfg, ball, rho, lam, f
+
+
+def lca_index(space):
+    """n x n: the position of lca(i, j) among the nodes with at least two
+    children in preorder (the order of `offdiagonal`), -1 on the diagonal;
+    found by the tree walk of `space.lca`."""
+    branch = {id(nd): k for k, nd in enumerate(
+        [nd for nd in space._nodes if len(nd.children) >= 2])}
+    n = len(space)
+    return np.array([[branch[id(space.lca(i, j))] if i != j else -1 for j in range(n)]
+                     for i in range(n)])
+
+
+@st.composite
+def ball_trees(draw, max_points: int = 64, max_levels: int = 6):
+    """(space, exponent, scale) for an isotropic power profile on a random
+    ball tree: 2 to `max_points` points on 1 to `max_levels` radius levels,
+    single-child chain nodes allowed, unit or drawn masses."""
+    levels = draw(st.integers(1, max_levels))
+    q = draw(st.floats(1.5, 4.0))
+    masses = None if draw(st.booleans()) else np.random.default_rng(draw(st.integers(0, 2**32)))
+    ids = []
+
+    def leaf():
+        ids.append(f"p{len(ids)}")
+        return {"id": ids[-1], "mass": 1.0 if masses is None else masses.uniform(0.1, 10.0)}
+
+    def ball(level):
+        # entered with room for at least two more points, so the first child
+        # always fits and a full tree stops adding children
+        children = []
+        for _ in range(draw(st.integers(2 if level == levels else 1, 4))):
+            room = max_points - len(ids)
+            if children and room <= 0:
+                break
+            sub = level > 1 and room >= 2 and draw(st.booleans())
+            children.append(ball(level - 1) if sub else leaf())
+        return {"radius": q ** level, "children": children}
+
+    space = build_tree(ball(levels))
+    return space, draw(st.floats(0.5, 4.0)), draw(st.floats(0.1, 10.0))

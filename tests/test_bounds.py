@@ -1,11 +1,15 @@
 """Condition constants, comparison bounds, and the certificate pipeline."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultraheat import (
+    HierarchicalHeatKernel,
     build_tree,
     due_constant,
     energy_difference_check,
@@ -21,15 +25,18 @@ from ultraheat import (
     wue_constant,
 )
 from ultraheat.bounds import (
+    ConditionEstimate,
     default_function_family,
     exit_probability_slope,
     log_time_grid,
+    scaled_density,
 )
 from ultraheat.cli import generate_space
 from ultraheat.davies import nash_ratio_batch
+from ultraheat.errors import NotIsotropic
 from ultraheat.kernel import tj_witness
 
-from conftest import random_scenario
+from conftest import ball_trees, lca_index, random_scenario
 
 DUE_S2 = (1 + math.exp(-4)) / 2      # t (1 + e^{-4t})/2 maximised at t = 1
 WUE_S2 = 1 - math.exp(-4)            # (t+1)(1 - e^{-4t})/2 maximised at t = 1
@@ -286,18 +293,36 @@ def test_merged_scans_match_their_building_blocks(seed):
 # the worst values and witnesses must be equal, not merely close.
 
 
+def scan_density(kernel):
+    """p_t as an n x n matrix from the engine that serves the certificate's
+    scans: the hierarchical profile, spread over the pairs by their lowest
+    common ancestor, when the kernel is isotropic, else the dense generator."""
+    try:
+        fast = HierarchicalHeatKernel.from_kernel(kernel)
+    except NotIsotropic:
+        return generator(kernel).density
+    lca = lca_index(kernel.space)
+
+    def density(t):
+        out = fast.offdiagonal(t)[lca]
+        np.fill_diagonal(out, fast.diagonal(t))
+        return out
+
+    return density
+
+
 def chaining_oracle(kernel, alpha, beta, r0, c_due, c_tail):
     """Worst chaining gap and witness by a loop over admissible pairs, or
     None when no pair is admissible at any time."""
     space = kernel.space
-    gen = generator(kernel)
+    density = scan_density(kernel)
     D = space.distance_matrix()
     worst, witness, any_pair = -np.inf, None, False
     for t in log_time_grid(r0 ** beta * 1e-4, r0 ** beta, 17):
         pairs = np.argwhere(D >= t ** (1.0 / beta))
         if pairs.size == 0:
             continue
-        dens2 = gen.density(2 * t)
+        dens2 = density(2 * t)
         for i, j in pairs:
             any_pair = True
             r = D[i, j] / 2.0
@@ -385,3 +410,87 @@ def test_chaining_all_near_is_vacuous():
     assert chaining.name == "pipeline.chaining"
     assert chaining.status == "vacuous"
     assert chaining.measured is None and chaining.witness is None
+
+
+# -- the two engines behind the scans ---------------------------------------------------
+
+
+def dense_engine():
+    """Serve the scans from the dense generator, as for a non-isotropic kernel."""
+    return mock.patch.object(HierarchicalHeatKernel, "from_kernel",
+                             side_effect=NotIsotropic("dense engine forced"))
+
+
+def _chaining(kernel, alpha, beta, r0, due, wue):
+    c_tj = tj_constant(kernel, beta, r0)
+    nash = ConditionEstimate("Nash", 1.0)  # the chaining scan does not read it
+    return wue_certificate(kernel, alpha, beta, r0, estimates=(c_tj, due, wue, nash)).checks[0]
+
+
+@settings(max_examples=15, deadline=None)
+@given(ball_trees(max_points=48), st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.data())
+def test_scans_agree_across_engines(case, alpha, beta, data):
+    # DUE and wUE agree to 1e-10 relative, the chaining worst to 1e-10 of
+    # max(|worst|, max p_2t), the scale of the rounding of p_2t; the witnesses
+    # sit at equal distance unless the dense values at the two witnesses tie
+    # within that tolerance, where rounding picks either.  The dense
+    # eigenvalues carry absolute errors of about eps * lambda_max, which reach
+    # p_t as eps * lambda_max * t, so the profile's scale sets the largest
+    # jump rate (lambda_max within a factor 2) times R0^beta to `reach`, over
+    # which the dense oracle holds 1e-10.  (At a reach of 3e7 the dense wUE
+    # scan values were 2e-10 off a 60-digit reference, which the hierarchical
+    # ones matched to 2e-16.)
+    space, exponent, _ = case
+    r0 = data.draw(st.sampled_from(space.distance_levels))
+    reach = data.draw(st.floats(1e-2, 1e4))
+    unit = generator(isotropic_kernel(space, power_profile(exponent), scaling="mass"))
+    scale = reach / (-np.diagonal(unit.matrix).min() * r0 ** beta)
+    kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+    D = space.distance_matrix()
+    density = generator(kernel).density
+
+    def pair(wit):
+        return space.index(wit["x"]), space.index(wit["y"])
+
+    def dense_value(est, wit):
+        (i, j), t = pair(wit), wit["t"]
+        capped = min(D[i, j], r0) if est.kind == "wUE" else 0.0
+        return scaled_density(density(t)[i, j], t, alpha, beta, capped)
+
+    with dense_engine():
+        dense = [scan(kernel, alpha, beta, r0, points=17) for scan in (due_constant, wue_constant)]
+        dense_chain = _chaining(kernel, alpha, beta, r0, *dense)
+    for b in dense:
+        a = (due_constant if b.kind == "DUE" else wue_constant)(kernel, alpha, beta, r0,
+                                                                points=17)
+        assert abs(a.constant - b.constant) <= 1e-10 * b.constant
+        wit = a.witnesses[0]
+        # the constant is the scaled density at its own witness
+        assert abs(dense_value(b, wit) - a.constant) <= 1e-10 * b.constant
+        assert D[pair(wit)] == D[pair(b.witnesses[0])] or \
+            dense_value(b, wit) >= b.constant * (1 - 1e-10)
+    chain = _chaining(kernel, alpha, beta, r0, *dense)
+    assert chain.status == dense_chain.status
+    if chain.status != "vacuous":
+        tol = 1e-10 * max(abs(dense_chain.measured),
+                          density(2 * dense_chain.witness["t"]).max())
+        assert abs(chain.measured - dense_chain.measured) <= tol
+        wit = chain.witness
+        assert D[pair(wit)] == D[pair(dense_chain.witness)] or \
+            density(2 * wit["t"])[pair(wit)] - wit["bound"] * (1 + 1e-12) \
+            >= dense_chain.measured - tol
+
+
+def test_scans_log_the_engine(caplog, k4):
+    caplog.set_level("INFO", logger="ultraheat.bounds")
+    wue_certificate(k4, 1.0, 2.0, 2.0)
+    raw = np.array(k4.w)
+    raw[0, 2] = raw[2, 0] = 0.3
+    due_constant(from_matrix(k4.space, raw), 1.0, 2.0, 2.0)
+    lines = [r.getMessage() for r in caplog.records if r.name == "ultraheat.bounds"]
+    assert [line.split(":")[0] for line in lines] == [
+        "DUE scan", "wUE scan", "chaining scan", "DUE scan"]
+    # four points and three nodes with two children
+    assert all(line.endswith(": hierarchical heat profile, 7 pair classes")
+               for line in lines[:3])
+    assert lines[3].startswith("DUE scan: dense densities (not isotropic: ")

@@ -168,6 +168,19 @@ def test_isotropy_profile_detection(s4, k4):
         from_matrix(s4, w).isotropy_profile()
 
 
+def test_kernel_leaves_the_callers_array_writable(s4, k4):
+    w = k4.w.copy()
+    for weights in (w, w[:, :]):
+        kernel = from_matrix(s4, weights)
+        assert not kernel.w.flags.writeable
+        assert weights.flags.writeable
+    w[0, 1] = w[1, 0] = 2.0
+    assert kernel.w[0, 1] == k4.w[0, 1]
+    # a frozen array that owns its data is kept as it is, not copied
+    w.setflags(write=False)
+    assert from_matrix(s4, w).w is w
+
+
 def test_exponent_config():
     cfg = ExponentConfig(2.0, 1.0, 4.0)
     assert cfg.nu == 0.5

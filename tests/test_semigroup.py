@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -19,7 +19,7 @@ from ultraheat import (
 from ultraheat.errors import EmptyDomain, NotIsotropic
 from ultraheat.cli import generate_space
 
-from conftest import random_scenario
+from conftest import ball_trees, lca_index, random_scenario
 
 
 class TestGenerator:
@@ -307,3 +307,67 @@ class TestFastIsotropicPath:
                     dens[i, j], rel=1e-12, abs=1e-13)
         assert np.allclose(np.sort(fast.eigenvalues()),
                            generator(k).eigenvalues(), atol=1e-12)
+
+
+    def test_clamps_tiny_eigenvalues_like_dense(self):
+        # lambda = 2 g(4096) mu(X) = 6.5e-14 lies below EIGENVALUE_CLAMP, so
+        # both engines keep p_t at its t = 0 value
+        from ultraheat import build_tree
+        space = build_tree({"radius": 4096.0, "children": [{"id": "a", "mass": 6.4},
+                                                           {"id": "b", "mass": 2.8}]})
+        k = isotropic_kernel(space, power_profile(4.0), scaling="mass")
+        fast = HierarchicalHeatKernel.from_kernel(k)
+        assert fast.eigenvalues().tolist() == generator(k).eigenvalues().tolist() == [0.0, 0.0]
+        assert fast.diagonal(4096.0).tolist() == [1 / 6.4, 1 / 2.8]
+        assert fast.offdiagonal(4096.0).tolist() == [0.0]
+
+
+# -- the hierarchical engine against the dense oracle --------------------------------
+
+ENGINE_TIMES = np.geomspace(1e-4, 1e4, 9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ball_trees(), st.floats(0.1, 10.0))
+def test_hierarchical_profile_matches_dense(case, c):
+    space, exponent, scale = case
+    kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+    fast = HierarchicalHeatKernel.from_kernel(kernel)
+    faster = HierarchicalHeatKernel(space, power_profile(exponent, c * scale))
+    # p_t(c w) = p_{ct}(w) holds unless c moves an eigenvalue across the
+    # clamp to zero below EIGENVALUE_CLAMP, a convention of both engines
+    assume(np.array_equal(fast.eigenvalue == 0, faster.eigenvalue == 0))
+    gen = generator(kernel)
+    lca = lca_index(space)
+    off = lca >= 0
+    for t in ENGINE_TIMES:
+        dens = gen.density(t)
+        tol = 1e-10 * dens.max()
+        diag, pairs = fast.diagonal(t), fast.offdiagonal(t)
+        assert np.abs(diag - np.diagonal(dens)).max() <= tol
+        assert np.abs(pairs[lca[off]] - dens[off]).max(initial=0.0) <= tol
+        # p_t(c w) = p_{ct}(w)
+        assert np.abs(faster.diagonal(t / c) - diag).max() <= tol
+        assert np.abs(faster.offdiagonal(t / c) - pairs).max(initial=0.0) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(ball_trees())
+def test_pair_classes_hold_their_first_pairs(case):
+    # classes sorted by first pair; each first pair is the row-major-first
+    # pair of its class, whose value is that of its point or node
+    space, exponent, scale = case
+    fast = HierarchicalHeatKernel(space, power_profile(exponent, scale))
+    classes = fast.pair_classes()
+    n = len(space)
+    key = classes.rows * n + classes.cols
+    assert np.all(np.diff(key) > 0)
+    lca = lca_index(space)
+    node = lca[classes.rows, classes.cols]
+    firsts = [np.argwhere(lca == k)[0].tolist() for k in node[node >= 0]]
+    assert firsts == np.column_stack((classes.rows, classes.cols))[node >= 0].tolist()
+    assert classes.rows[node < 0].tolist() == classes.cols[node < 0].tolist() == list(range(n))
+    assert np.array_equal(classes.dist, space.distance_matrix()[classes.rows, classes.cols])
+    values = classes.values(0.7)
+    assert np.array_equal(values[node >= 0], fast.offdiagonal(0.7)[node[node >= 0]])
+    assert np.array_equal(values[node < 0], fast.diagonal(0.7))
