@@ -294,17 +294,6 @@ def truncation_comparison_check(kernel: JumpKernel, rho: float, omega, f,
     return report
 
 
-def exit_probability_slope(kernel: JumpKernel, ball: Ball, x) -> float:
-    """First-order rate of P_t 1_{B^c}(x) at t -> 0, Richardson-extrapolated."""
-    t = 1e-5
-    gen = generator(kernel)
-    comp = 1.0 - ball.indicator()
-    i = kernel.space.index(x)
-    s1 = float(gen.apply(t, comp)[i]) / t
-    s2 = float(gen.apply(t / 2, comp)[i]) / (t / 2)
-    return 2 * s2 - s1
-
-
 def exit_probability(heat: np.ndarray, ball: Ball) -> float:
     """sup_{x in B} P_t 1_{B^c}(x) from the heat matrix e^{tL} at time t."""
     return float((heat[ball.start:ball.stop, :] @ (1.0 - ball.indicator())).max())

@@ -80,6 +80,10 @@ DEFAULT_OPTIONS = {
 # davies.MIN_DERIVATIVE_GRID points
 MAX_GRID_POINTS = 4096
 
+# most points a generator may draw; a tree under this cap branches at most
+# log2 of it times, which bounds the depth
+MAX_GENERATED_POINTS = 4096
+
 # named, not __name__: `python -m ultraheat.cli` runs this module as __main__
 log = logging.getLogger("ultraheat.cli")
 
@@ -247,7 +251,7 @@ def build_space(section: dict, seed: int = 0) -> UltrametricSpace:
 def build_kernel(space: UltrametricSpace, section: dict) -> JumpKernel:
     try:
         if "file" in section:
-            return kernel_from_csv(space, section["file"])
+            return kernel_from_csv(space, str(section["file"]))
         if "matrix" in section:
             return JumpKernel(space, np.asarray(section["matrix"], dtype=float))
         if "isotropic" in section:
@@ -287,6 +291,19 @@ def generate_space(kind: str, depth: int = 3, branching: int = 3, q: float = 2.0
     """Build a named family member; returns (space, kernel spec dict)."""
     if extra:
         raise ConfigError(f"unknown generator parameters: {sorted(extra)}")
+    if kind not in ("dyadic", "bary", "random"):
+        raise UnknownGenerator(f"unknown generator kind {kind!r}")
+    given = {"depth": depth, "branching": branching, "max_points": max_points, "seed": seed}
+    depth, branching, max_points, seed = (
+        _in_range(f"generator.{key}", _number(given, key, None, "generator", int), low, high)
+        for key, low, high in (("depth", 0, MAX_GENERATED_POINTS.bit_length() - 1),
+                               ("branching", 2, MAX_GENERATED_POINTS),
+                               ("max_points", 1, MAX_GENERATED_POINTS),
+                               ("seed", 0, math.inf)))
+    b = 2 if kind == "dyadic" else branching
+    if kind != "random" and b ** depth > MAX_GENERATED_POINTS:
+        raise ConfigError(f"generator would draw {b} ** {depth} points; "
+                          f"at most {MAX_GENERATED_POINTS} are allowed")
     rng = np.random.default_rng(seed)
 
     def draw_masses(count):
@@ -298,13 +315,13 @@ def generate_space(kind: str, depth: int = 3, branching: int = 3, q: float = 2.0
             return np.exp(rng.uniform(math.log(0.25), math.log(4.0), count))
         raise UnknownGenerator(f"unknown mass law {mass_law!r}")
 
-    if kind in ("dyadic", "bary"):
-        b = 2 if kind == "dyadic" else branching
-        spec = _regular_tree(b, depth, q, draw_masses(b ** depth))
-    elif kind == "random":
-        spec = _random_tree(rng, depth, q, mass_law, max_points, draw_masses)
-    else:
-        raise UnknownGenerator(f"unknown generator kind {kind!r}")
+    try:
+        if kind == "random":
+            spec = _random_tree(rng, depth, q, mass_law, max_points, draw_masses)
+        else:
+            spec = _regular_tree(b, depth, q, draw_masses(b ** depth))
+    except OverflowError as exc:
+        raise ConfigError(f"generator radius q ** {depth} overflows for q={q}") from exc
     space = build_tree(spec)
     kernel_spec = {"isotropic": {"kind": "power", "exponent": 3.0, "scale": 1.0},
                    "scaling": "mass"}

@@ -22,9 +22,11 @@ Claims verified here, each as an explicit finite-dimensional computation:
   * ODE comparison: solutions of u' <= -b t^{p-2} w^{-theta} u^{1+theta} + K u
     stay below (2 p^a / (theta b))^{1/theta} t^{-(p-1)/theta} e^{K p^-a t} w(t).
 
-The Nash constant is family-relative; when a check that consumes it fails,
-the family is first enlarged with the very functions the check evolved and
-the constant recomputed, before failure is declared.
+The Nash constant is family-relative.  The three checks that consume it
+(the Lp derivative inequality, the iteration and the sup bounds) go through
+one helper, `_with_nash_enlargement`: when a check fails at C_N, the family
+is enlarged with the very functions the check evolved, C_N is recomputed
+over it, and the check runs once more before failure is declared.
 """
 
 import logging
@@ -54,6 +56,7 @@ MIN_DERIVATIVE_GRID = 8  # shortest grid for the derivative check's error model
 K_MAX_LIMIT = 12  # highest iteration level: 2^k powers of the iterates stay finite
 POINTS_PER_DECADE, DECADES = 64, 3  # first iteration grid, over (t 10^-DECADES, t]
 REFINE_TOL = 1e-9  # drift of the running sups that ends grid refinement
+MAX_REFINEMENTS = 6  # grid doublings before the iteration gives up
 REL_MARGIN = 1e-8  # relative margin of the iteration and sup-bound verdicts
 ODE_EVAL_POINTS, ODE_RTOL, ODE_ATOL = 128, 1e-10, 1e-14  # ODE comparison integration
 ODE_SWEEP_T_MAX = 2.0  # time horizon of the random ODE sweep
@@ -97,16 +100,26 @@ def nash_ratio_batch(kernel: JumpKernel, rho, nu: float, k0: float, U) -> np.nda
     return out
 
 
-def _evolved_family_ratio(kernel, rho, nu, k0, F, powers) -> float:
-    """Max Nash quotient over the columns of F raised to each of `powers`.
+def _with_nash_enlargement(run, c_n, failed, family, powers, kernel, rho, nu, k0):
+    """(result, c_n_used, enlarged) of the check `run` at the Nash constant c_n.
 
-    Columns are normalised by their max before powering: the quotient is
-    scale-invariant and this keeps large powers inside double range.  Zero
-    columns give 0.
+    Only when `failed(result)` holds is the evolved family built, as the
+    columns of `family(result)`.  Its Nash quotient is the max over the
+    absolute columns raised to each of `powers`; when that exceeds c_n, the
+    check runs once more at it.  Columns are normalised by their max before
+    powering: the quotient is scale-invariant and this keeps large powers
+    inside double range.  Zero columns give 0.
     """
+    result = run(c_n)
+    if not failed(result):
+        return result, c_n, False
+    F = np.abs(family(result))
     G = F / np.maximum(F.max(axis=0), 1e-300)
-    return max(float(nash_ratio_batch(kernel, rho, nu, k0, G ** power).max())
-               for power in powers)
+    ratio = max(float(nash_ratio_batch(kernel, rho, nu, k0, G ** power).max())
+                for power in powers)
+    if ratio <= c_n:
+        return result, c_n, False
+    return run(ratio), ratio, True
 
 
 def tilted_evolution(gen: SpectralGenerator, psi, f):
@@ -203,7 +216,7 @@ def lp_derivative_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float,
     step h = 1e-4 t plus Richardson extrapolation from h/2; the documented
     error margin |d_h - d_{h/2}| + roundoff enters the assertion.  Fails
     are retried once with the Nash constant enlarged over the evolved
-    family f_t^p.
+    family f_t^p (`_with_nash_enlargement`).
     """
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
@@ -244,16 +257,9 @@ def lp_derivative_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float,
                            "fd_margin": float(fd_margin)}
         return worst, witness, F_grid
 
-    worst, witness, F_grid = run(c_n)
-    c_n_used = c_n
-    enlarged = False
-    if worst > 0:
-        # the inequality consumes the Nash quotient exactly at u = f_t^p
-        ratio = _evolved_family_ratio(kernel, rho, nu, k0, np.abs(F_grid), [p])
-        if ratio > c_n:
-            c_n_used = ratio
-            enlarged = True
-            worst, witness, _ = run(c_n_used)
+    # the inequality consumes the Nash quotient exactly at u = f_t^p
+    (worst, witness, _), c_n_used, enlarged = _with_nash_enlargement(
+        run, c_n, lambda r: r[0] > 0, lambda r: r[2], [p], kernel, rho, nu, k0)
     report = CheckReport()
     report.add(record(
         "davies.lp_derivative",
@@ -289,9 +295,6 @@ class IterationTrace:
     d_factor: float
     c1: float
 
-    def w_final(self) -> np.ndarray:
-        return self.w[:, -1]
-
 
 def _exp(x: float) -> float:
     """exp that saturates at inf instead of raising (huge rate * time
@@ -309,9 +312,8 @@ def _trace_constants(c_n: float, nu: float, k0: float, t: float):
 
 
 def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: Ball,
-                    lam: float, f, t: float, k_max: int, c_n: float,
-                    max_refinements: int = 6,
-                    auto_enlarge: bool = True) -> tuple[IterationTrace, CheckReport]:
+                    lam: float, f, t: float, k_max: int,
+                    c_n: float) -> tuple[IterationTrace, CheckReport]:
     """Weighted-sup iteration of the tilted evolution up to level 2^(k_max+1).
 
     The running sups are taken over a log grid on (t * 10^-DECADES, t],
@@ -358,7 +360,7 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
     ppd = POINTS_PER_DECADE
     s, u, w, F = sups_on(ppd)
     drift = np.inf
-    for _ in range(max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         s2, u2, w2, F2 = sups_on(ppd * 2)
         drift = float(np.max(np.abs(w2[:, -1] - w[:, -1]) / np.maximum(w2[:, -1], 1e-300)))
         s, u, w, F = s2, u2, w2, F2
@@ -370,7 +372,7 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
     else:
         raise GridRefinementFailed(
             f"running sups did not stabilise within {REFINE_TOL} after "
-            f"{max_refinements} refinements (last drift {drift:.3e})"
+            f"{MAX_REFINEMENTS} refinements (last drift {drift:.3e})"
         )
     log.debug("moser final grid: %d points (%d per decade over %d decades), drift %.3e",
               s.size, ppd, DECADES, drift)
@@ -413,14 +415,9 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
         ))
         return rep, a_factor, d_factor, c1
 
-    rep, a_factor, d_factor, c1 = build_report(c_n)
-    c_n_used = c_n
-    if not rep.passed and auto_enlarge:
-        ratio = _evolved_family_ratio(kernel, rho, nu, k0, np.abs(F),
-                                      [2 ** k for k in range(k_max + 1)])
-        if ratio > c_n:
-            c_n_used = ratio
-            rep, a_factor, d_factor, c1 = build_report(c_n_used)
+    (rep, a_factor, d_factor, c1), c_n_used, _ = _with_nash_enlargement(
+        build_report, c_n, lambda r: not r[0].passed, lambda r: F,
+        [2 ** k for k in range(k_max + 1)], kernel, rho, nu, k0)
     trace = IterationTrace(nu=nu, k0=k0, times=s, u=u, w=w, c_nash=c_n_used,
                            a_factor=a_factor, d_factor=d_factor, c1=c1)
     return trace, rep
@@ -468,10 +465,10 @@ def sup_bound_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
                 worst_kernel, wit_kernel = gap_k, {"t": t}
         return worst_op, wit_op, worst_kernel, wit_kernel
 
-    worst_op, wit_op, worst_kernel, wit_kernel = run(c_n)
-    c_n_used, enlarged = c_n, False
-    if max(worst_op, worst_kernel) > REL_MARGIN:
-        # enlarge over the evolved extremising rows at the worst time
+    def evolved_extremiser(result):
+        """The extremising row at the worst time, evolved over the three
+        decades before it."""
+        _, wit_op, _, wit_kernel = result
         t_star = (wit_op or wit_kernel)["t"]
         rows = gen.density(t_star) * tilt
         x_star = int(np.argmax((rows * rows * mu[None, :]).sum(axis=1)))
@@ -481,12 +478,11 @@ def sup_bound_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
             f_star = f_star / norm
         s_grid = np.exp(np.linspace(math.log(t_star) - 3 * math.log(10),
                                     math.log(t_star), 97))
-        F = tilted_evolution(gen, psi, f_star)(s_grid)
-        ratio = _evolved_family_ratio(kernel, rho, nu, k0, np.abs(F),
-                                      [2 ** k for k in range(9)])
-        if ratio > c_n:
-            c_n_used, enlarged = ratio, True
-            worst_op, wit_op, worst_kernel, wit_kernel = run(c_n_used)
+        return tilted_evolution(gen, psi, f_star)(s_grid)
+
+    (worst_op, wit_op, worst_kernel, wit_kernel), c_n_used, enlarged = _with_nash_enlargement(
+        run, c_n, lambda r: max(r[0], r[2]) > REL_MARGIN, evolved_extremiser,
+        [2 ** k for k in range(9)], kernel, rho, nu, k0)
 
     report = CheckReport()
     params = {"rho": rho, "lam": lam, "times": times, "c_n": c_n,

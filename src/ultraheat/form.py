@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, OverlappingBalls
 from .kernel import JumpKernel
 from .reporting import CheckRecord, record
-from .space import Ball, read_csv_rows
+from .space import Ball
 
 
 def _as_vector(kernel: JumpKernel, f) -> np.ndarray:
@@ -128,14 +128,3 @@ class SimpleFunction:
 def simple_function(coefficients, balls) -> SimpleFunction:
     """Validated simple function f = sum_i c_i 1_{B_i} on disjoint balls."""
     return SimpleFunction(tuple(float(c) for c in coefficients), tuple(balls))
-
-
-def function_from_csv(kernel_or_space, text_or_path) -> np.ndarray:
-    """Read a function vector from CSV rows `id,value` keyed by point id."""
-    space = getattr(kernel_or_space, "space", kernel_or_space)
-    out = np.zeros(len(space))
-    for row in read_csv_rows(text_or_path):
-        if row[0].strip().lower() == "id":
-            continue
-        out[space.index(row[0].strip())] = float(row[1])
-    return out

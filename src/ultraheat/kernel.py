@@ -15,8 +15,6 @@ jumps exactly at the distance levels, so the supremum over continuous r is
 computed exactly by scanning consecutive levels (no grid error).
 """
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,10 +180,10 @@ def from_matrix(space: UltrametricSpace, weights) -> JumpKernel:
     return JumpKernel(space, weights)
 
 
-def kernel_from_csv(space: UltrametricSpace, text_or_path) -> JumpKernel:
-    """Read a weight matrix CSV whose header row names every point of the
-    space once, in any order."""
-    ids, raw = read_id_matrix(text_or_path, "kernel")
+def kernel_from_csv(space: UltrametricSpace, path) -> JumpKernel:
+    """Read a weight matrix CSV file whose header row names every point of
+    the space once, in any order."""
+    ids, raw = read_id_matrix(path, "kernel")
     missing, unknown = sorted(set(space.ids) - set(ids)), sorted(set(ids) - set(space.ids))
     if missing or unknown:
         raise MalformedCsv(f"kernel CSV header must name every point of the space; "
@@ -254,12 +252,3 @@ class ExponentConfig:
 
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "beta": self.beta, "R0": self.r0, "nu": self.nu}
-
-
-def kernel_to_csv(kernel: JumpKernel) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(kernel.space.ids)
-    for row in kernel.w:
-        writer.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()

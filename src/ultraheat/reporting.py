@@ -22,10 +22,6 @@ class CheckRecord:
     status: str
     witness: dict | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status != FAIL
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

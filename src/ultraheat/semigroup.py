@@ -147,15 +147,6 @@ class SpectralGenerator:
         out.sort(key=lambda p: p[0])
         return out
 
-    def eigen_residual(self) -> float:
-        """Max residual |A v - lambda v| over all blocks (diagnostic)."""
-        worst = 0.0
-        for block, (lam, vec) in zip(self.blocks, self._eigs):
-            a = -(self._sqrt_mu[block][:, None] * self.matrix[np.ix_(block, block)]
-                  / self._sqrt_mu[block][None, :])
-            worst = max(worst, float(np.abs(a @ vec - vec * lam).max()))
-        return worst
-
     # -- evaluation ------------------------------------------------------------
 
     def _cores(self, t: float):
@@ -306,13 +297,6 @@ class HierarchicalHeatKernel:
     """
 
     def __init__(self, space: UltrametricSpace, profile):
-        if isinstance(profile, dict):
-            if "kind" in profile:
-                from .kernel import profile_from_config
-                profile = profile_from_config(profile)
-            else:
-                levels = dict(profile)
-                profile = lambda r: levels[r]  # noqa: E731
         self.space = space
         nodes = space._nodes  # preorder, root first
         size = len(nodes)
@@ -357,8 +341,7 @@ class HierarchicalHeatKernel:
     @classmethod
     def from_kernel(cls, kernel: JumpKernel) -> "HierarchicalHeatKernel":
         """Build from an explicit kernel; raises NotIsotropic otherwise."""
-        levels = kernel.isotropy_profile()
-        return cls(kernel.space, dict(levels))
+        return cls(kernel.space, kernel.isotropy_profile().__getitem__)
 
     def _profile(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(S_t, e^{-lambda t}) at every node."""

@@ -19,9 +19,7 @@ package use the strict inequality d > r.
 """
 
 import csv
-import io
 import json
-import os
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -104,12 +102,6 @@ class Ball:
         out = np.zeros(len(self.space))
         out[self.node.start:self.node.stop] = 1.0
         return out
-
-    def contains_index(self, i: int) -> bool:
-        return self.node.start <= i < self.node.stop
-
-    def __contains__(self, point_id) -> bool:
-        return self.contains_index(self.space.index(point_id))
 
     def __len__(self) -> int:
         return self.node.stop - self.node.start
@@ -253,12 +245,6 @@ class UltrametricSpace:
         vals = {n.radius for n in self._nodes if len(n.children) >= 2}
         return tuple(sorted(vals))
 
-    @property
-    def radii(self) -> tuple:
-        """Sorted distinct radius labels of all internal nodes."""
-        vals = {n.radius for n in self._nodes if not n.is_leaf}
-        return tuple(sorted(vals))
-
     # -- balls ----------------------------------------------------------------
 
     def ball(self, x, r: float) -> Ball:
@@ -285,9 +271,6 @@ class UltrametricSpace:
 
         select(self.root)
         return cells
-
-    def volume(self, x, r: float) -> float:
-        return self.ball(x, r).volume
 
     def balls(self, include_points: bool = False) -> list:
         """All tree-node balls in depth-first order.
@@ -427,20 +410,12 @@ def from_distance_matrix(matrix, masses=None, ids=None) -> UltrametricSpace:
     return UltrametricSpace(clusters[0], [ids[i] for i in order], masses[order])
 
 
-def read_csv_rows(text_or_path) -> list:
-    """Nonblank CSV rows of a file, or of CSV text: a string that holds a
-    newline, or a comma and names no existing file."""
-    if isinstance(text_or_path, str) and "\n" not in text_or_path and not (
-            "," in text_or_path and not os.path.isfile(text_or_path)):
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            text_or_path = fh.read()
-    return [row for row in csv.reader(io.StringIO(text_or_path)) if row]
-
-
-def read_id_matrix(text_or_path, what: str) -> tuple[list, np.ndarray]:
-    """(ids, matrix) from a CSV whose header row lists point ids and whose
-    data rows hold one number per id, one row per id."""
-    rows = read_csv_rows(text_or_path)
+def read_id_matrix(path, what: str) -> tuple[list, np.ndarray]:
+    """(ids, matrix) from a CSV file whose header row lists point ids and
+    whose data rows hold one number per id, one row per id; blank rows are
+    skipped."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
     ids = [c.strip() for c in rows[0]] if rows else []
     if not ids or len(rows) != len(ids) + 1 or any(len(r) != len(ids) for r in rows[1:]):
         raise MalformedCsv(
@@ -455,12 +430,11 @@ def read_id_matrix(text_or_path, what: str) -> tuple[list, np.ndarray]:
         raise MalformedCsv(f"{what} CSV has a non-numeric cell: {exc}") from exc
 
 
-def from_distance_csv(text_or_path, masses=None) -> UltrametricSpace:
-    """Read a distance matrix CSV (header row of ids) into a space."""
-    ids, D = read_id_matrix(text_or_path, "distance")
-    if masses is not None and isinstance(masses, dict):
-        masses = [masses[i] for i in ids]
-    return from_distance_matrix(D, masses=masses, ids=ids)
+def from_distance_csv(path) -> UltrametricSpace:
+    """Read a distance matrix CSV file (header row of ids) into a space with
+    unit masses."""
+    ids, D = read_id_matrix(path, "distance")
+    return from_distance_matrix(D, ids=ids)
 
 
 def load_space(path) -> UltrametricSpace:

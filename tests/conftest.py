@@ -1,8 +1,11 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ultraheat import build_tree, isotropic_kernel, power_profile
+from ultraheat import build_tree, generator, isotropic_kernel, power_profile
 from ultraheat.cli import generate_space
 from ultraheat.kernel import ExponentConfig, from_matrix
 
@@ -79,6 +82,28 @@ def tilt_scenario(seed: int, max_points: int = 24):
     lam = float(rng.uniform(0.0, 4.0))
     f = np.abs(rng.normal(size=len(space))) + 0.01
     return kernel, cfg, ball, rho, lam, f
+
+
+def kernel_to_csv(kernel) -> str:
+    """The weight matrix as CSV text that `kernel_from_csv` reads back: a
+    header of point ids, then one row of exact float reprs per point."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(kernel.space.ids)
+    for row in kernel.w:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue()
+
+
+def exit_probability_slope(kernel, ball, x) -> float:
+    """First-order rate of P_t 1_{B^c}(x) at t -> 0, Richardson-extrapolated."""
+    t = 1e-5
+    gen = generator(kernel)
+    comp = 1.0 - ball.indicator()
+    i = kernel.space.index(x)
+    s1 = float(gen.apply(t, comp)[i]) / t
+    s2 = float(gen.apply(t / 2, comp)[i]) / (t / 2)
+    return 2 * s2 - s1
 
 
 def lca_index(space):

@@ -30,7 +30,6 @@ from ultraheat import (
     wue_certificate,
     wue_constant,
 )
-from ultraheat.bounds import exit_probability_slope
 from ultraheat.davies import (
     lp_derivative_check,
     ode_sweep,
@@ -40,7 +39,13 @@ from ultraheat.davies import (
 from ultraheat.kernel import ExponentConfig
 from ultraheat.cli import generate_space
 
-from conftest import S2_SPEC, S4_SPEC, random_scenario, tilt_scenario
+from conftest import (
+    S2_SPEC,
+    S4_SPEC,
+    exit_probability_slope,
+    random_scenario,
+    tilt_scenario,
+)
 
 
 def canonical_scenarios():

@@ -27,7 +27,6 @@ from ultraheat import (
 from ultraheat.bounds import (
     ConditionEstimate,
     default_function_family,
-    exit_probability_slope,
     log_time_grid,
     scaled_density,
 )
@@ -36,7 +35,7 @@ from ultraheat.davies import nash_ratio_batch
 from ultraheat.errors import NotIsotropic
 from ultraheat.kernel import tj_witness
 
-from conftest import ball_trees, lca_index, random_scenario
+from conftest import ball_trees, exit_probability_slope, lca_index, random_scenario
 
 DUE_S2 = (1 + math.exp(-4)) / 2      # t (1 + e^{-4t})/2 maximised at t = 1
 WUE_S2 = 1 - math.exp(-4)            # (t+1)(1 - e^{-4t})/2 maximised at t = 1

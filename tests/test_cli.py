@@ -26,10 +26,12 @@ from ultraheat.cli import (
     main,
 )
 from ultraheat.errors import ConfigError, UnknownGenerator
-from ultraheat.kernel import kernel_to_csv
 from ultraheat.space import build_tree, save_space
 
-from conftest import S2_SPEC, S4_SPEC, random_scenario
+from conftest import S2_SPEC, S4_SPEC, kernel_to_csv, random_scenario
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, **overrides):
@@ -122,7 +124,7 @@ class TestGenerate:
     def test_dyadic_depth3(self):
         space, _ = generate_space("dyadic", depth=3, q=2.0)
         assert len(space) == 8
-        assert space.radii == (1.0, 2.0, 4.0)
+        assert space.distance_levels == (1.0, 2.0, 4.0)
 
     def test_bary(self):
         space, _ = generate_space("bary", branching=3, depth=2)
@@ -267,6 +269,25 @@ BAD_INPUTS = {
         "space: could not convert"),
     "non-numeric generator depth": (
         lambda tmp: {"space": {"generator": {"kind": "dyadic", "depth": "x"}}}, "space: "),
+    "generator depth beyond the point cap": (
+        lambda tmp: {"space": {"generator": {"kind": "dyadic", "depth": 45}}},
+        "space: generator.depth must be in [0, 12], got 45"),
+    "negative generator depth": (
+        lambda tmp: {"space": {"generator": {"kind": "dyadic", "depth": -1}}},
+        "space: generator.depth must be in [0, 12], got -1"),
+    "fractional generator depth": (
+        lambda tmp: {"space": {"generator": {"kind": "dyadic", "depth": 2.5}}},
+        "space: generator.depth must be an integer, got 2.5"),
+    "branching tree beyond the point cap": (
+        lambda tmp: {"space": {"generator": {"kind": "bary", "branching": 3, "depth": 8}}},
+        f"space: generator would draw 3 ** 8 points; at most {cli.MAX_GENERATED_POINTS}"),
+    "random tree beyond the point cap": (
+        lambda tmp: {"space": {"generator": {"kind": "random", "max_points": 5000}}},
+        f"space: generator.max_points must be in [1, {cli.MAX_GENERATED_POINTS}]"),
+    "kernel file a number": (
+        lambda tmp: {"kernel": {"file": 5}}, "kernel: [Errno 2] No such file"),
+    "kernel file true": (
+        lambda tmp: {"kernel": {"file": True}}, "kernel: [Errno 2] No such file"),
     "non-numeric kernel matrix entry": (
         lambda tmp: {"kernel": {"matrix": [[0, "x"], [1, 0]]}}, "kernel: could not convert"),
     "unknown tolerance key": (
@@ -335,6 +356,18 @@ def test_bad_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert phrase in err[0]
+
+
+def test_generate_negative_depth_exits_two(tmp_path, capsys):
+    assert main(["generate", "--kind", "dyadic", "--depth", "-1",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: generator.depth must be in [0, 12], got -1"]
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_shipped_config_runs(tmp_path, config):
+    assert main(["run", "--config", str(CONFIGS / config), "--out", str(tmp_path)]) == 0
 
 
 def test_grid_limit_admits_the_derivative_grid():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ultraheat import energy, energy_trunc, indicator_energy_check, simple_function
 from ultraheat.errors import DimensionMismatch, OverlappingBalls
-from ultraheat.form import energy_and_scale, function_from_csv
+from ultraheat.form import energy_and_scale
 from ultraheat.kernel import JumpKernel
 
 from conftest import random_scenario
@@ -212,13 +212,6 @@ class TestSimpleFunction:
     def test_zero_function(self, s4):
         f = simple_function([0.0], [s4.ball("a", 1)])
         assert np.array_equal(f.values(), [0.0, 0.0, 0.0, 0.0])
-
-
-def test_function_from_csv(s4, k4):
-    text = "id,value\na,1.5\nc,-2.0\n"
-    f = function_from_csv(k4, text)
-    assert np.array_equal(f, [1.5, 0.0, -2.0, 0.0])
-    assert np.array_equal(function_from_csv(s4, "a,1"), [1.0, 0.0, 0.0, 0.0])
 
 
 def test_energy_scale_bounds_value(k4):

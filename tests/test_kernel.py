@@ -12,9 +12,9 @@ from ultraheat.errors import (
     NonzeroDiagonal,
     NotIsotropic,
 )
-from ultraheat.kernel import ExponentConfig, kernel_from_csv, kernel_to_csv
+from ultraheat.kernel import ExponentConfig, kernel_from_csv
 
-from conftest import random_scenario
+from conftest import kernel_to_csv, random_scenario
 
 
 class TestConstruction:
@@ -64,9 +64,10 @@ class TestConstruction:
         with pytest.raises(NegativeWeight):
             from_matrix(s4, w)
 
-    def test_csv_round_trip(self, k4):
-        text = kernel_to_csv(k4)
-        k = kernel_from_csv(k4.space, text)
+    def test_csv_round_trip(self, k4, tmp_path):
+        path = tmp_path / "kernel.csv"
+        path.write_text(kernel_to_csv(k4))
+        k = kernel_from_csv(k4.space, str(path))
         assert np.array_equal(k.w, k4.w)
 
     @pytest.mark.parametrize("text", [
@@ -77,9 +78,11 @@ class TestConstruction:
         "a,a,c,d\n0,1,1,1\n1,0,1,1\n1,1,0,1\n1,1,1,0\n",    # repeated id
         "a,c\n0,1\n1,0\n",                                     # names only some points
     ])
-    def test_csv_shape_and_cells_checked(self, s4, text):
+    def test_csv_shape_and_cells_checked(self, s4, text, tmp_path):
+        path = tmp_path / "kernel.csv"
+        path.write_text(text)
         with pytest.raises(MalformedCsv):
-            kernel_from_csv(s4, text)
+            kernel_from_csv(s4, str(path))
 
 
 class TestTail:
