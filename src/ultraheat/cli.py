@@ -57,24 +57,17 @@ ALL_CHECKS = (
     "energy_diff", "p8", "tail", "theorem1",
 )
 
-DEFAULT_TOLERANCES = {
-    "identity": 1e-12,
-}
-
-# Sequence defaults stay tuples of the literal types shown: their entries go
-# into record params as given (derivative_p 1 and 2 are ints).
-DEFAULT_OPTIONS = {
-    "lambdas": (-50, -5, 0, 5, 50),    # perturbation: tilt strengths
-    "n_random_pairs": 5,               # perturbation: function pairs per case
-    "power_p": (1, 1.5, 2, 4, 8),      # power: exponents p
-    "n_power_functions": 25,           # power: functions per exponent
-    "derivative_p": (1, 2),            # lp_derivative: exponents p
-    "derivative_lambdas": (0.0, 2.0),  # lp_derivative: tilt strengths
-    "moser_lambda": 2.0,               # moser and supbound: tilt strength
-    "moser_k_max": 6,                  # moser: last level 2^(k_max + 1)
-    "ode_sweep": 25,                   # ode: random samples
-    "p8_c_factor": 4.0,                # p8: factor of the truncation comparison
-}
+# The values the checks run at: the identity tolerance, and each setting that
+# differs from the library default.  Sequences keep their literal types, as
+# their entries go into record params as given (DERIVATIVE_P holds ints).
+IDENTITY_RTOL = 1e-12            # form, perturbation, power, energy_diff, p8, tail
+N_RANDOM_PAIRS = 5               # perturbation: function pairs per case
+N_POWER_FUNCTIONS = 25           # power: functions per exponent
+DERIVATIVE_P = (1, 2)            # lp_derivative: exponents p
+DERIVATIVE_LAMBDAS = (0.0, 2.0)  # lp_derivative: tilt strengths
+TILT = 2.0                       # moser and supbound: tilt strength
+MOSER_K_MAX = 6                  # moser: last level 2^(k_max + 1)
+ODE_SAMPLES = 25                 # ode: random samples
 
 # longest time grid a config may ask for; the derivative check needs at least
 # davies.MIN_DERIVATIVE_GRID points
@@ -103,21 +96,20 @@ class RunConfig:
     grid_points: int = 17
     grid_scale: str = "log"
     checks: tuple = ALL_CHECKS
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     output_dir: str = "."
     seed: int = 0
-    options: dict = field(default_factory=lambda: dict(DEFAULT_OPTIONS))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        if "space" not in raw:
-            raise ConfigError("config needs a 'space' section")
-        if "kernel" not in raw:
-            raise ConfigError("config needs a 'kernel' section")
-        exps = _section(raw, "exponents")
-        grid = _section(raw, "time_grid")
+        _keys(raw, "config", ("space", "kernel", "exponents", "time_grid", "checks",
+                              "output_dir", "seed"))
+        for key in ("space", "kernel"):
+            if key not in raw:
+                raise ConfigError(f"config needs a '{key}' section")
+        exps = _section(raw, "exponents", ("alpha", "beta", "R0"))
+        grid = _section(raw, "time_grid", ("min", "max", "points", "scale"))
         gmin = _number(grid, "min", 1e-3, "time_grid")
         gmax = _number(grid, "max", 1.0, "time_grid")
         if gmin <= 0:
@@ -132,13 +124,6 @@ class RunConfig:
         # an empty list is tolerated here so that `curves` can run without
         # checks; `run` itself insists on a nonempty selection
         checks = _check_names(raw.get("checks", ALL_CHECKS))
-        options = _keyed(raw, "options", DEFAULT_OPTIONS)
-        for name in ("n_random_pairs", "n_power_functions", "ode_sweep", "power_p",
-                     "derivative_p"):
-            _in_range(f"options.{name}", options[name], 1)
-        _in_range("options.moser_k_max", options["moser_k_max"], 1, davies.K_MAX_LIMIT)
-        tolerances = _keyed(raw, "tolerances", DEFAULT_TOLERANCES)
-        _in_range("tolerances.identity", tolerances["identity"], 0)
         output_dir = raw.get("output_dir", ".")
         if not isinstance(output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
@@ -153,10 +138,8 @@ class RunConfig:
             grid_points=points,
             grid_scale=scale,
             checks=checks,
-            tolerances=tolerances,
             output_dir=output_dir,
             seed=_in_range("seed", _number(raw, "seed", 0, "config", int), 0),
-            options=options,
         )
 
 
@@ -169,34 +152,29 @@ def _check_names(names) -> tuple:
     return tuple(names)
 
 
-def _section(raw: dict, key: str) -> dict:
+def _section(raw: dict, key: str, known=None) -> dict:
     value = raw.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be an object, got {value!r}")
+    if known is not None:
+        _keys(value, key, known)
     return value
 
 
-def _keyed(raw: dict, key: str, defaults: dict) -> dict:
-    """The `key` section over its defaults.  Unknown keys are rejected, and
-    each value must be a finite number, or a nonempty list of finite numbers
-    where the default is a tuple."""
-    section = _section(raw, key)
-    unknown = sorted(set(section) - set(defaults))
+def _keys(section: dict, where: str, known) -> None:
+    unknown = sorted(set(section) - set(known))
     if unknown:
-        raise ConfigError(f"unknown {key} keys {unknown}; known: {', '.join(defaults)}")
-    out = dict(defaults)
-    for name, value in section.items():
-        if not isinstance(defaults[name], tuple):
-            out[name] = _number(section, name, None, key, type(defaults[name]))
-        elif isinstance(value, (list, tuple)) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                for v in value):
-            if not value:
-                raise ConfigError(f"{key}.{name} must not be empty")
-            out[name] = tuple(value)
-        else:
-            raise ConfigError(f"{key}.{name} must be a list of finite numbers, got {value!r}")
-    return out
+        raise ConfigError(f"unknown config keys {unknown} in {where}; known: {', '.join(known)}")
+
+
+def _source(section: dict, where: str, sources: tuple, extra: tuple = ()) -> str:
+    """The one key of `sources` in `section`; any other key not in `extra` is an error."""
+    given = [key for key in sources if key in section]
+    if len(given) != 1:
+        raise ConfigError(f"{where} section needs exactly one of {', '.join(sources)}, "
+                          f"got {given}")
+    _keys(section, where, (given[0],) + extra)
+    return given[0]
 
 
 def _number(section: dict, key: str, default, where: str, kind=float):
@@ -214,8 +192,8 @@ def _number(section: dict, key: str, default, where: str, kind=float):
 
 
 def _in_range(where: str, value, low, high=math.inf):
-    """`value`, or each entry of a tuple `value`, checked to lie in [low, high]."""
-    if not all(low <= v <= high for v in (value if isinstance(value, tuple) else (value,))):
+    """`value`, checked to lie in [low, high]."""
+    if not low <= value <= high:
         bound = f"at least {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ConfigError(f"{where} must be {bound}, got {value!r}")
     return value
@@ -231,35 +209,34 @@ def load_config(path) -> RunConfig:
 
 
 def build_space(section: dict, seed: int = 0) -> UltrametricSpace:
+    source = _source(section, "space", ("file", "inline", "generator"))
     # a section or file that does not parse is a config error
     try:
-        if "file" in section:
+        if source == "file":
             path = str(section["file"])
             return from_distance_csv(path) if path.endswith(".csv") else load_space(path)
-        if "inline" in section:
+        if source == "inline":
             return build_tree(section["inline"])
-        if "generator" in section:
-            gen = dict(section["generator"])
-            kind = gen.pop("kind", None)
-            gen.setdefault("seed", seed)
-            return generate_space(kind, **gen)[0]
+        gen = dict(section["generator"])
+        kind = gen.pop("kind", None)
+        gen.setdefault("seed", seed)
+        return generate_space(kind, **gen)[0]
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"space: {exc}") from exc
-    raise ConfigError("space section needs 'file', 'inline', or 'generator'")
 
 
 def build_kernel(space: UltrametricSpace, section: dict) -> JumpKernel:
+    source = _source(section, "kernel", ("file", "matrix", "isotropic"),
+                     ("scaling",) if "isotropic" in section else ())
     try:
-        if "file" in section:
+        if source == "file":
             return kernel_from_csv(space, str(section["file"]))
-        if "matrix" in section:
+        if source == "matrix":
             return JumpKernel(space, np.asarray(section["matrix"], dtype=float))
-        if "isotropic" in section:
-            return isotropic_kernel(space, section["isotropic"],
-                                    scaling=section.get("scaling", "none"))
+        return isotropic_kernel(space, _section(section, "isotropic"),
+                                scaling=section.get("scaling", "none"))
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"kernel: {exc}") from exc
-    raise ConfigError("kernel section needs 'file', 'matrix', or 'isotropic'")
 
 
 def time_grid_of(cfg: RunConfig) -> np.ndarray:
@@ -360,8 +337,6 @@ class RunContext:
     exponents: ExponentConfig
     grid: np.ndarray
     seed: int
-    tolerances: dict
-    options: dict
     artifacts: dict = field(default_factory=dict)
     _nash: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -403,7 +378,7 @@ def _check_ultrametric(ctx):
 
 def _check_form(ctx):
     report = CheckReport()
-    rtol = ctx.tolerances["identity"]
+    rtol = IDENTITY_RTOL
     for ball in ctx.space.balls(include_points=True):
         report.add(indicator_energy_check(ctx.kernel, ball, rtol=rtol))
     rng = np.random.default_rng(ctx.seed)
@@ -439,25 +414,13 @@ def _check_vanishing(ctx):
 
 
 def _check_perturbation(ctx):
-    opts = ctx.options
-    return davies.perturbation_battery(
-        ctx.kernel,
-        lambdas=opts["lambdas"],
-        n_pairs=opts["n_random_pairs"],
-        seed=ctx.seed,
-        rtol=ctx.tolerances["identity"],
-    )
+    return davies.perturbation_battery(ctx.kernel, n_pairs=N_RANDOM_PAIRS, seed=ctx.seed,
+                                       rtol=IDENTITY_RTOL)
 
 
 def _check_power(ctx):
-    opts = ctx.options
-    return davies.power_battery(
-        ctx.kernel,
-        p_values=opts["power_p"],
-        n_functions=opts["n_power_functions"],
-        seed=ctx.seed,
-        rtol=ctx.tolerances["identity"],
-    )
+    return davies.power_battery(ctx.kernel, n_functions=N_POWER_FUNCTIONS, seed=ctx.seed,
+                                rtol=IDENTITY_RTOL)
 
 
 def _check_lp_derivative(ctx):
@@ -468,8 +431,8 @@ def _check_lp_derivative(ctx):
         bounds_mod.log_time_grid(ctx.grid[0], ctx.grid[-1], davies.MIN_DERIVATIVE_GRID)
     rng = np.random.default_rng(ctx.seed)
     f = rng.uniform(0.1, 1.0, len(ctx.space))
-    for p in ctx.options["derivative_p"]:
-        for lam in ctx.options["derivative_lambdas"]:
+    for p in DERIVATIVE_P:
+        for lam in DERIVATIVE_LAMBDAS:
             report.extend(davies.lp_derivative_check(
                 ctx.kernel, ctx.exponents, rho, ball, lam, f, p, grid, c_n))
     return report
@@ -480,22 +443,21 @@ def _check_moser(ctx):
     f = np.zeros(len(ctx.space))
     f[ball.start] = 1.0
     _, report = davies.moser_iteration(
-        ctx.kernel, ctx.exponents, rho, ball, ctx.options["moser_lambda"], f,
-        t=float(ctx.grid[-1]), k_max=ctx.options["moser_k_max"], c_n=ctx.nash(rho).constant)
+        ctx.kernel, ctx.exponents, rho, ball, TILT, f,
+        t=float(ctx.grid[-1]), k_max=MOSER_K_MAX, c_n=ctx.nash(rho).constant)
     return report
 
 
 def _check_supbound(ctx):
     ball, rho = ctx.scenario
     c_n = ctx.nash(rho).constant
-    lam = ctx.options["moser_lambda"]
     times = ctx.grid[:: max(1, len(ctx.grid) // 8)]
-    return davies.sup_bound_check(ctx.kernel, ctx.exponents, rho, ball, lam,
+    return davies.sup_bound_check(ctx.kernel, ctx.exponents, rho, ball, TILT,
                                   times, c_n)
 
 
 def _check_ode(ctx):
-    return davies.ode_sweep(n_samples=ctx.options["ode_sweep"], seed=ctx.seed)
+    return davies.ode_sweep(n_samples=ODE_SAMPLES, seed=ctx.seed)
 
 
 def _estimate_report(est) -> CheckReport:
@@ -522,7 +484,7 @@ def _check_energy_diff(ctx):
     report = CheckReport()
     for rho in ctx.space.distance_levels:
         report.extend(bounds_mod.energy_difference_check(
-            ctx.kernel, rho, seed=ctx.seed, rtol=ctx.tolerances["identity"]))
+            ctx.kernel, rho, seed=ctx.seed, rtol=IDENTITY_RTOL))
     return report
 
 
@@ -536,16 +498,14 @@ def _check_p8(ctx):
     for rho in ctx.space.distance_levels:
         for f in fs:
             report.extend(bounds_mod.truncation_comparison_check(
-                ctx.kernel, rho, None, f, ctx.grid,
-                c_factor=ctx.options["p8_c_factor"],
-                rtol=ctx.tolerances["identity"]))
+                ctx.kernel, rho, None, f, ctx.grid, rtol=IDENTITY_RTOL))
     return report
 
 
 def _check_tail(ctx):
     return bounds_mod.tail_probability_check(
         ctx.kernel, ctx.exponents.beta, ctx.c_tj, ctx.exponents.r0, ctx.grid,
-        rtol=ctx.tolerances["identity"])
+        rtol=IDENTITY_RTOL)
 
 
 def _check_theorem1(ctx):
@@ -704,8 +664,6 @@ def build_context(cfg: RunConfig) -> RunContext:
         exponents=exponents,
         grid=time_grid_of(cfg),
         seed=cfg.seed,
-        tolerances=cfg.tolerances,
-        options=cfg.options,
     )
 
 
@@ -778,16 +736,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command in ("run", "curves"):
-            cfg = load_config(args.config)
-            if args.out is not None:
-                cfg.output_dir = args.out
-        if args.command == "run":
-            if args.seed is not None:
-                cfg.seed = _in_range("--seed", args.seed, 0)
-            if args.checks is not None:
-                cfg.checks = _check_names([c.strip() for c in args.checks.split(",") if c.strip()])
-            return run(cfg)
         if args.command == "generate":
             space_path, kernel_path = generate_files(
                 args.kind, args.out, depth=args.depth, branching=args.branching,
@@ -796,12 +744,24 @@ def main(argv=None) -> int:
             print(space_path)
             print(kernel_path)
             return 0
-        if args.command == "curves":
-            return curves_only(cfg)
+        cfg = load_config(args.config)
+        if args.out is not None:
+            cfg.output_dir = args.out
+        if args.command == "run":
+            if args.seed is not None:
+                cfg.seed = _in_range("--seed", args.seed, 0)
+            if args.checks is not None:
+                cfg.checks = _check_names([c.strip() for c in args.checks.split(",") if c.strip()])
+        try:
+            return run(cfg) if args.command == "run" else curves_only(cfg)
+        except ArithmeticError as exc:
+            # extreme exponents take the tracked constants out of float range
+            r0 = "diam" if cfg.r0 is None else cfg.r0
+            raise ConfigError(f"exponents alpha={cfg.alpha}, beta={cfg.beta}, R0={r0} "
+                              f"leave the float range: {exc}") from exc
     except UltraheatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -144,6 +144,10 @@ def power_profile(exponent: float, scale: float = 1.0):
 
 def profile_from_config(cfg: dict):
     """Profile callable from {"kind": "power", "exponent": s, "scale": c}."""
+    unknown = sorted(set(cfg) - {"kind", "exponent", "scale"})
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown} in isotropic; "
+                          f"known: kind, exponent, scale")
     if cfg.get("kind") != "power":
         raise ConfigError(f"unknown profile kind {cfg.get('kind')!r}")
     try:

@@ -304,6 +304,10 @@ class UltrametricSpace:
 # -- builders -------------------------------------------------------------------
 
 
+_LEAF_KEYS = frozenset(("id", "mass"))
+_NODE_KEYS = frozenset(("radius", "children", "leaves"))
+
+
 def build_tree(spec: dict) -> UltrametricSpace:
     """Build a space from a nested ball description.
 
@@ -311,11 +315,18 @@ def build_tree(spec: dict) -> UltrametricSpace:
     either further ball dicts or leaf dicts {"id": s, "mass": m} with s a
     non-empty string; the key "leaves" is accepted as a synonym for an
     all-leaf children list.  A bare leaf dict describes a singleton space.
+    Any other key, or a node with both "children" and "leaves", is an error.
     """
     ids: list = []
     masses: list = []
 
     def parse(obj):
+        if not isinstance(obj, dict):
+            raise SpaceError(f"tree entry must be an object, got {obj!r}")
+        known = _LEAF_KEYS if "id" in obj else _NODE_KEYS
+        if not obj.keys() <= known or _NODE_KEYS <= obj.keys():
+            raise SpaceError(f"tree entry keys {sorted(obj)} must be id and mass, or radius "
+                             f"and one of children, leaves")
         if "id" in obj:
             if not isinstance(obj["id"], str) or not obj["id"]:
                 raise SpaceError(f"leaf id must be a non-empty string, got {obj['id']!r}")

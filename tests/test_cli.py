@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from ultraheat import bounds, cli, davies
 from ultraheat.cli import (
     ALL_CHECKS,
-    DEFAULT_OPTIONS,
     RunConfig,
     build_context,
     execute_checks,
@@ -111,10 +110,10 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["environment"]["seed"] == 11
 
-    def test_failed_check_exits_one(self, tmp_path):
+    def test_failed_check_exits_one(self, tmp_path, monkeypatch):
         # an unattainable identity tolerance forces honest failures
-        path = write_config(tmp_path, checks=["perturbation"],
-                            tolerances={"identity": 1e-30})
+        monkeypatch.setattr(cli, "IDENTITY_RTOL", 1e-30)
+        path = write_config(tmp_path, checks=["perturbation"])
         assert main(["run", "--config", str(path)]) == 1
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["summary"]["fail"] > 0
@@ -260,8 +259,6 @@ BAD_INPUTS = {
         "kernel CSV needs"),
     "exponents not an object": (lambda tmp: {"exponents": 5}, "exponents must be an object"),
     "time grid not an object": (lambda tmp: {"time_grid": [1]}, "time_grid must be an object"),
-    "non-numeric tolerance": (
-        lambda tmp: {"tolerances": {"identity": "x"}}, "tolerances.identity must be a number"),
     "missing space file": (
         lambda tmp: {"space": {"file": str(tmp / "missing.json")}}, "No such file"),
     "non-numeric radius": (
@@ -290,23 +287,56 @@ BAD_INPUTS = {
         lambda tmp: {"kernel": {"file": True}}, "kernel: [Errno 2] No such file"),
     "non-numeric kernel matrix entry": (
         lambda tmp: {"kernel": {"matrix": [[0, "x"], [1, 0]]}}, "kernel: could not convert"),
-    "unknown tolerance key": (
-        lambda tmp: {"tolerances": {"spectrall": 1e-10}}, "unknown tolerances keys ['spectrall']"),
-    "unknown option key": (
-        lambda tmp: {"options": {"moser_lambd": 2.0}}, "unknown options keys ['moser_lambd']"),
-    "non-numeric option list": (
-        lambda tmp: {"options": {"derivative_p": ["x"]}}, "options.derivative_p must be a list"),
+    # a knob of the deleted `options` and `tolerances` sections, under a key
+    # or at a value those sections refused; the section is now an unknown key
+    **{label: (lambda tmp, section=section, knob=knob: {section: knob},
+               f"unknown config keys ['{section}'] in config")
+       for label, section, knob in (
+           ("unknown tolerance key", "tolerances", {"spectrall": 1e-10}),
+           ("unknown option key", "options", {"moser_lambd": 2.0}),
+           ("non-numeric tolerance", "tolerances", {"identity": "x"}),
+           ("negative identity tolerance", "tolerances", {"identity": -1}),
+           ("non-numeric option list", "options", {"derivative_p": ["x"]}),
+           ("iteration level above the limit", "options", {"moser_k_max": 20}),
+           ("iteration level zero", "options", {"moser_k_max": 0}),
+           ("fractional iteration level", "options", {"moser_k_max": 2.7}),
+           ("power exponent below one", "options", {"power_p": [0.5]}),
+           ("derivative exponent below one", "options", {"derivative_p": [-1]}),
+           ("empty option list", "options", {"lambdas": []}),
+           ("negative function count", "options", {"n_power_functions": -3}),
+           ("negative sample count", "options", {"ode_sweep": -1}),
+           ("fractional sample count", "options", {"ode_sweep": 3.9}))},
+    "scaling of a matrix kernel": (
+        lambda tmp: {"kernel": {"matrix": [[0, 1], [1, 0]], "scaling": "mass"}},
+        "unknown config keys ['scaling'] in kernel"),
+    "isotropic not an object": (
+        lambda tmp: {"kernel": {"isotropic": 2.0}}, "kernel: isotropic must be an object"),
+    "space with two sources": (
+        lambda tmp: {"space": {"inline": S4_SPEC, "generator": {"kind": "dyadic"}}},
+        "space section needs exactly one of file, inline, generator, got ['inline', 'generator']"),
+    "space with no source": (
+        lambda tmp: {"space": {}}, "space section needs exactly one of"),
+    "kernel with two sources": (
+        lambda tmp: {"kernel": {"matrix": [[0, 1], [1, 0]], "isotropic": {"kind": "power"}}},
+        "kernel section needs exactly one of file, matrix, isotropic, "
+        "got ['matrix', 'isotropic']"),
+    "misspelt leaf mass": (
+        lambda tmp: {"space": {"inline": {"radius": 1, "children": [
+            {"id": "a", "mas": 5.0}, {"id": "b"}]}}},
+        "space: tree entry keys ['id', 'mas'] must be"),
+    "misspelt node children": (
+        lambda tmp: {"space": {"inline": {"radius": 1, "chidlren": [{"id": "a"}]}}},
+        "space: tree entry keys ['chidlren', 'radius'] must be"),
+    "node with children and leaves": (
+        lambda tmp: {"space": {"inline": {"radius": 1, "children": [{"id": "a"}],
+                                          "leaves": [{"id": "b"}]}}},
+        "space: tree entry keys ['children', 'leaves', 'radius'] must be"),
+    "tree entry not an object": (
+        lambda tmp: {"space": {"inline": {"radius": 1, "children": ["a", "b"]}}},
+        "space: tree entry must be an object, got 'a'"),
     "kernel csv naming only some points": (
         lambda tmp: {"kernel": {"file": _file(tmp / "k.csv", "a,c\n0,1\n1,0\n")}},
         "missing ['b', 'd']"),
-    "iteration level above the limit": (
-        lambda tmp: {"options": {"moser_k_max": 20}}, "options.moser_k_max must be in [1, 12]"),
-    "iteration level zero": (
-        lambda tmp: {"options": {"moser_k_max": 0}}, "options.moser_k_max must be in [1, 12]"),
-    "power exponent below one": (
-        lambda tmp: {"options": {"power_p": [0.5]}}, "options.power_p must be at least 1"),
-    "derivative exponent below one": (
-        lambda tmp: {"options": {"derivative_p": [-1]}}, "options.derivative_p must be at least 1"),
     "negative seed": (lambda tmp: {"seed": -1}, "seed must be at least 0"),
     "output dir not a string": (lambda tmp: {"output_dir": 5}, "output_dir must be a string"),
     "infinite exponent": (
@@ -315,22 +345,9 @@ BAD_INPUTS = {
     "nan exponent": (
         lambda tmp: {"exponents": {"alpha": math.nan, "beta": 2.0}},
         "exponents.alpha must be finite"),
-    "negative identity tolerance": (
-        lambda tmp: {"tolerances": {"identity": -1}}, "tolerances.identity must be at least 0"),
     "nan time grid max": (
         lambda tmp: {"time_grid": {"min": 1e-3, "max": math.nan, "points": 9}},
         "time_grid.max must be finite"),
-    "empty option list": (lambda tmp: {"options": {"lambdas": []}}, "options.lambdas must not be empty"),
-    "negative function count": (
-        lambda tmp: {"options": {"n_power_functions": -3}},
-        "options.n_power_functions must be at least 1"),
-    "negative sample count": (
-        lambda tmp: {"options": {"ode_sweep": -1}}, "options.ode_sweep must be at least 1"),
-    "fractional iteration level": (
-        lambda tmp: {"options": {"moser_k_max": 2.7}},
-        "options.moser_k_max must be an integer, got 2.7"),
-    "fractional sample count": (
-        lambda tmp: {"options": {"ode_sweep": 3.9}}, "options.ode_sweep must be an integer"),
     "fractional seed": (lambda tmp: {"seed": 1.5}, "config.seed must be an integer"),
     "seed beyond float range": (lambda tmp: {"seed": 10 ** 400}, "config.seed must be a number"),
     "fractional time grid points": (
@@ -363,6 +380,21 @@ def test_generate_negative_depth_exits_two(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: generator.depth must be in [0, 12], got -1"]
+
+
+@pytest.mark.parametrize("alpha, beta, r0, check", [
+    (1.0, 0.001, 2.0, "moser"), (500.0, 1.0, 2.0, "supbound"), (1.0, 2000.0, 1.0, "tail"),
+    (1.0, 0.001, 2.0, "ultrametric")])
+def test_exponents_beyond_float_range_exit_two(tmp_path, capsys, alpha, beta, r0, check):
+    # the first three overflow a tracked constant; in the last, writing the
+    # curves divides by a power of t that underflows to zero
+    path = write_config(tmp_path, exponents={"alpha": alpha, "beta": beta, "R0": r0},
+                        checks=[check])
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: exponents alpha={alpha}, beta={beta}, R0={r0} "
+                             f"leave the float range: ")
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
@@ -440,12 +472,17 @@ def test_written_certificate_matches_library(tmp_path, seed):
 
 
 def test_option_defaults_and_overrides(tmp_path):
-    cfg = load_config(write_config(tmp_path))
-    assert cfg.options == DEFAULT_OPTIONS
-    assert all(type(p) is int for p in cfg.options["derivative_p"])
-    cfg = load_config(write_config(tmp_path, options={"derivative_p": [3], "moser_k_max": 4}))
-    assert cfg.options["derivative_p"] == (3,) and cfg.options["moser_k_max"] == 4
-    assert cfg.options["lambdas"] == DEFAULT_OPTIONS["lambdas"]
+    # the checks run at the module constants, whose literal types reach the
+    # record params (p = 1 stays an int); a config cannot override them
+    path = write_config(tmp_path, checks=["lp_derivative"])
+    assert main(["run", "--config", str(path)]) == 0
+    params = [r["params"] for r in
+              json.loads((tmp_path / "out" / "report.json").read_text())["records"]]
+    assert [(p["p"], p["lam"]) for p in params] == [
+        (p, lam) for p in cli.DERIVATIVE_P for lam in cli.DERIVATIVE_LAMBDAS]
+    assert [type(p["p"]) for p in params] == [int] * len(params)
+    path = write_config(tmp_path, checks=["lp_derivative"], options={"derivative_p": [3]})
+    assert main(["run", "--config", str(path)]) == 2
 
 
 def test_threads_variable_is_ignored(tmp_path, monkeypatch):
@@ -477,8 +514,6 @@ FUZZ_BASE = {
     "exponents": {"alpha": 1.0, "beta": 2.0, "R0": 2.0},
     "time_grid": {"min": 1e-3, "max": 1.0, "points": 5, "scale": "log"},
     "checks": ["ultrametric", "form", "due"],
-    "tolerances": {"identity": 1e-12},
-    "options": {"moser_k_max": 6, "lambdas": [-5, 0, 5]},
     "seed": 7,
 }
 ODD_VALUES = [None, True, "x", "", [], {}, [1, 2], 0, -1, 3, 0.5, -2.5, 1.5,
@@ -496,6 +531,32 @@ def _paths(node, prefix=()):
         return
     for key, child in items:
         yield from _paths(child, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+# every object of a config: the top level, each section, each node and leaf of
+# the inline tree, and the generator section of a generated space
+OBJECT_PATHS = [(FUZZ_BASE, path) for path in _paths(FUZZ_BASE)
+                if isinstance(_at(FUZZ_BASE, path), dict)]
+OBJECT_PATHS.append(({**FUZZ_BASE, "space": {"generator": {"kind": "dyadic", "depth": 2}}},
+                     ("space", "generator")))
+
+
+@pytest.mark.parametrize("base, path", OBJECT_PATHS,
+                         ids=[".".join(map(str, path)) or "config" for _, path in OBJECT_PATHS])
+def test_unknown_key_in_any_object_exits_two(tmp_path, capsys, base, path):
+    cfg = copy.deepcopy(base)
+    _at(cfg, path)["unknown_key"] = 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'unknown_key'" in err[0]
 
 
 @st.composite
