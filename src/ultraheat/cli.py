@@ -668,13 +668,15 @@ def build_context(cfg: RunConfig) -> RunContext:
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute the configured checks; write report, certificate, curves."""
+    """Execute the configured checks; write curves, report, certificate."""
     if not cfg.checks:
         raise ConfigError("checks must be nonempty")
     ctx = build_context(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = execute_checks(ctx, cfg.checks)
+    # curves first: a run whose curves fail leaves no report behind
+    write_curves(ctx, out_dir)
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
         fh.write("\n")
@@ -683,7 +685,6 @@ def run(cfg: RunConfig) -> int:
             fh.write(json.dumps(_jsonable(ctx.artifacts["certificate"].to_dict()),
                                 indent=2, sort_keys=True))
             fh.write("\n")
-    write_curves(ctx, out_dir)
     failed = any(r.status == FAIL for r in report.records)
     return 1 if failed else 0
 

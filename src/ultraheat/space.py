@@ -22,7 +22,8 @@ import csv
 import json
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
+from scipy.cluster.hierarchy import cophenet, linkage
+from scipy.spatial.distance import squareform
 
 from .errors import (
     EmptySpace,
@@ -353,51 +354,30 @@ def build_tree(spec: dict) -> UltrametricSpace:
 def from_distance_matrix(matrix, masses=None, ids=None) -> UltrametricSpace:
     """Build the ball tree of an ultrametric distance matrix.
 
-    Merges points at increasing distance thresholds (single linkage), so
-    the round trip `space.distance_matrix()` reproduces the input exactly.
-    A matrix is ultrametric exactly when it equals the distance matrix of
-    its own single-linkage tree; when it does not, raises NotUltrametric
-    with the triple of largest strong-triangle excess.
+    Makes one ball per single-linkage merge height (`ultrametric_merges`),
+    so the round trip `space.distance_matrix()` reproduces the input
+    exactly; a matrix that is not ultrametric raises NotUltrametric with
+    the triple of largest strong-triangle excess.
     """
     D = np.asarray(matrix, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise SpaceError(f"distance matrix must be square, got shape {D.shape}")
+    if D.ndim != 2 or not 0 < D.shape[0] == D.shape[1]:
+        raise SpaceError(f"distance matrix must be square and nonempty, got shape {D.shape}")
     n = D.shape[0]
     if ids is None:
         ids = [str(i) for i in range(n)]
     ids = [str(i) for i in ids]
     if masses is None:
         masses = np.ones(n)
-    masses = np.asarray(masses, dtype=float)
     if not np.array_equal(D, D.T):
         raise SpaceError("distance matrix must be symmetric")
     if np.any(np.diagonal(D) != 0.0):
         raise SpaceError("distance matrix must have zero diagonal")
     off = ~np.eye(n, dtype=bool)
-    if n > 1 and (np.any(D[off] <= 0.0) or not np.all(np.isfinite(D[off]))):
+    if np.any(D[off] <= 0.0) or not np.all(np.isfinite(D[off])):
         raise SpaceError("off-diagonal distances must be positive and finite")
-
-    # clusters keyed by their smallest original index, kept in that order;
-    # leaves carry their original index until the renumbering below.  T is
-    # the distance matrix of the single-linkage tree, which equals D exactly
-    # when D is an ultrametric.
-    clusters = {}
-    for i in range(n):
-        clusters[i] = leaf = _Node(0.0)
-        leaf.start = leaf.stop = i
-    T = np.zeros_like(D)
-    for theta in np.unique(D[off]) if n > 1 else []:
-        _, labels = connected_components(D <= theta, directed=False)
-        T[(labels[:, None] == labels[None, :]) & (T == 0.0) & off] = theta
-        groups: dict[int, list] = {}
-        for first in clusters:
-            groups.setdefault(labels[first], []).append(first)
-        clusters = {
-            members[0]: clusters[members[0]] if len(members) == 1
-            else _Node(float(theta), [clusters[m] for m in members])
-            for members in groups.values()
-        }
-    if not np.array_equal(T, D):
+    # a single point has no merges; linkage needs two rows
+    merges = ultrametric_merges(D) if n > 1 else ()
+    if merges is None:
         _, (x, z, y) = strong_triangle_excess(D)
         raise NotUltrametric(
             f"d({ids[x]},{ids[y]})={D[x, y]} > "
@@ -405,20 +385,33 @@ def from_distance_matrix(matrix, masses=None, ids=None) -> UltrametricSpace:
             witness=(ids[x], ids[z], ids[y]),
         )
 
-    # canonical depth-first leaf order
-    order: list[int] = []
+    # one ball per merge height: a merge at the height of a cluster it joins
+    # extends that cluster.  Clusters are (smallest point index, height,
+    # children); children go in order of their smallest point index.
+    clusters = [(i, 0.0, None) for i in range(n)]
+    for a, b, height, _ in merges:
+        x, y = clusters[int(a)], clusters[int(b)]
+        kids = (x[2] if x[1] == height else [x]) + (y[2] if y[1] == height else [y])
+        clusters.append((min(x[0], y[0]), height, kids))
 
-    def renumber(node):
-        if node.is_leaf:
-            order.append(node.start)
-            node.start = len(order) - 1
-            node.stop = node.start + 1
-            return
-        for child in node.children:
-            renumber(child)
+    def spec(first, height, kids):
+        if kids is None:
+            return {"id": ids[first], "mass": masses[first]}
+        return {"radius": height, "children": [spec(*kid) for kid in sorted(kids)]}
 
-    renumber(clusters[0])
-    return UltrametricSpace(clusters[0], [ids[i] for i in order], masses[order])
+    return build_tree(spec(*clusters[-1]))
+
+
+def ultrametric_merges(D) -> np.ndarray | None:
+    """Single-linkage merges of D when D is ultrametric, else None.
+
+    D must be symmetric, finite and nonnegative with a zero diagonal and at
+    least two rows.  It is ultrametric exactly when it equals its subdominant
+    ultrametric, the cophenetic matrix of single linkage (Gower & Ross 1969);
+    every merge height is an entry of D, so the comparison is exact.
+    """
+    merges = linkage(squareform(D, checks=False), "single")
+    return merges if np.array_equal(squareform(cophenet(merges)), D) else None
 
 
 def read_id_matrix(path, what: str) -> tuple[list, np.ndarray]:
@@ -484,20 +477,26 @@ def strong_triangle_excess(D) -> tuple[float, tuple | None]:
 
 
 def validate_ultrametric(space: UltrametricSpace, distance_matrix=None) -> CheckReport:
-    """Exhaustively check the strong triangle inequality and ball dichotomy.
+    """Check the strong triangle inequality and the ball dichotomy.
 
-    An explicit `distance_matrix` may be supplied to audit external data
-    against this space's structure (used by negative-control tests).
+    `ultrametric_merges` decides the first on every matrix it may take; the
+    exhaustive `strong_triangle_excess` only names a witness, or decides a
+    matrix outside that test.  An explicit `distance_matrix` audits external
+    data against this space's structure (used by negative-control tests).
     """
     report = CheckReport()
     D = space.distance_matrix() if distance_matrix is None else np.asarray(distance_matrix)
-    n = len(space)
-    worst, triple = strong_triangle_excess(D)
+    decidable = (D.ndim == 2 and 2 <= len(D) == D.shape[1] and np.all(np.isfinite(D))
+                 and np.all(D >= 0) and np.array_equal(D, D.T) and not np.any(np.diagonal(D)))
+    if decidable and ultrametric_merges(D) is not None:
+        worst, triple = 0.0, None
+    else:
+        worst, triple = strong_triangle_excess(D)
     witness = None if triple is None else {
         "triple": tuple(space.ids[i] for i in triple), "excess": worst}
     report.add(record(
         "ultrametric.strong_triangle",
-        {"n": n},
+        {"n": len(space)},
         measured=worst,
         bound=0.0,
         margin=0.0,
@@ -505,17 +504,17 @@ def validate_ultrametric(space: UltrametricSpace, distance_matrix=None) -> Check
         witness=witness,
     ))
 
-    # dichotomy: every pair of node balls is nested or disjoint
+    # dichotomy: every pair of node balls is nested or disjoint; the witness
+    # is the first crossing pair in node order.  Comparing each node with all
+    # nodes finds it (a crossing with an earlier node stops the scan there)
+    # and gives numpy's small-buffer cache one length to hold, not one per node.
     spans = [(nd.start, nd.stop) for nd in space._nodes]
+    b0, b1 = np.array(spans).T
     bad_pair = None
-    for i, (a0, a1) in enumerate(spans):
-        for b0, b1 in spans[i + 1:]:
-            disjoint = a1 <= b0 or b1 <= a0
-            nested = (a0 <= b0 and b1 <= a1) or (b0 <= a0 and a1 <= b1)
-            if not (disjoint or nested):
-                bad_pair = {"spans": [(a0, a1), (b0, b1)]}
-                break
-        if bad_pair:
+    for a0, a1 in spans:
+        crossing = ~((a1 <= b0) | (b1 <= a0) | (a0 <= b0) & (b1 <= a1) | (b0 <= a0) & (a1 <= b1))
+        if crossing.any():
+            bad_pair = {"spans": [(a0, a1), spans[int(np.argmax(crossing))]]}
             break
     report.add(record(
         "ultrametric.ball_dichotomy",

@@ -251,6 +251,9 @@ BAD_INPUTS = {
     "distance csv short of rows": (
         lambda tmp: {"space": {"file": _file(tmp / "d.csv", "a,b,c\n0,1,2\n1,0,2\n")}},
         "distance CSV needs"),
+    "distance csv with an empty id": (
+        lambda tmp: {"space": {"file": _file(tmp / "d.csv", "a,,c\n0,1,2\n1,0,2\n2,2,0\n")}},
+        "space: leaf id must be a non-empty string, got ''"),
     "distance csv non-numeric cell": (
         lambda tmp: {"space": {"file": _file(tmp / "d.csv", "a,b,c\n0,1,2\n1,0,x\n2,2,0\n")}},
         "non-numeric cell"),
@@ -395,6 +398,15 @@ def test_exponents_beyond_float_range_exit_two(tmp_path, capsys, alpha, beta, r0
     assert len(err) == 1
     assert err[0].startswith(f"error: exponents alpha={alpha}, beta={beta}, R0={r0} "
                              f"leave the float range: ")
+
+
+def test_run_whose_curves_fail_writes_no_report(tmp_path, capsys):
+    # beta = 0.001 passes the ultrametric check, then fails in write_curves
+    path = write_config(tmp_path, exponents={"alpha": 1.0, "beta": 0.001, "R0": 2.0})
+    assert main(["run", "--config", str(path), "--checks", "ultrametric"]) == 2
+    assert capsys.readouterr().err.startswith("error: exponents")
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out" / "certificate.json").exists()
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))

@@ -1,5 +1,8 @@
 """Ball-tree construction, distances, balls, and validation."""
 
+import copy
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +14,12 @@ from ultraheat.errors import (
     NonDecreasingRadii,
     NonPositiveMass,
     NotUltrametric,
+    SpaceError,
     UnknownPoint,
 )
-from ultraheat.space import from_distance_csv
+from ultraheat.space import from_distance_csv, strong_triangle_excess, ultrametric_merges
 
-from conftest import random_scenario
+from conftest import S4_SPEC, random_scenario
 
 
 class TestBuildTree:
@@ -127,6 +131,10 @@ class TestDistanceMatrixRoundTrip:
             from_distance_matrix(D, ids=["a", "b", "c"])
         assert err.value.witness == ("a", "b", "c")
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(SpaceError, match="square and nonempty"):
+            from_distance_matrix(np.zeros((0, 0)))
+
     def test_singleton_matrix(self):
         space = from_distance_matrix(np.array([[0.0]]), ids=["z"])
         assert len(space) == 1
@@ -164,6 +172,16 @@ class TestValidation:
         report = validate_ultrametric(s4, distance_matrix=bad)
         failures = report.failures()
         assert failures and failures[0].witness["triple"]
+
+    def test_crossing_balls_name_the_first_pair(self, s4):
+        # nodes in depth-first order: root, {a,b}, a, b, {c,d}, c, d; stretching
+        # {a,b} to [0, 3) makes it cross {c,d} = [2, 4)
+        space = copy.deepcopy(s4)
+        D = space.distance_matrix()
+        space._nodes[1].stop = 3
+        dichotomy = validate_ultrametric(space, distance_matrix=D).records[1]
+        assert dichotomy.status == "fail"
+        assert dichotomy.witness == {"spans": [(0, 3), (2, 4)]}
 
     def test_strong_triangle_exhaustive_random(self):
         for seed in range(8):
@@ -219,6 +237,85 @@ def test_from_distance_matrix_round_trips_or_names_a_violation(case):
         perm = [space.index(p) for p in ids]
         assert np.array_equal(space.distance_matrix()[np.ix_(perm, perm)], D)
         assert audit.status == "pass"
+
+
+def _first_crossing(spans):
+    """The double loop of the ball-dichotomy scan, kept as its reference."""
+    for i, (a0, a1) in enumerate(spans):
+        for b0, b1 in spans[i + 1:]:
+            if not (a1 <= b0 or b1 <= a0 or a0 <= b0 and b1 <= a1 or b0 <= a0 and a1 <= b1):
+                return {"spans": [(a0, a1), (b0, b1)]}
+    return None
+
+
+# node spans edited at random, empty and reversed ones included
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=39), st.lists(st.tuples(
+    st.integers(min_value=0, max_value=10_000), st.booleans(),
+    st.integers(min_value=-1, max_value=26)), max_size=3))
+def test_dichotomy_scan_matches_the_double_loop(seed, edits):
+    space, _ = random_scenario(seed)
+    D = space.distance_matrix()
+    for k, stop, value in edits:
+        setattr(space._nodes[k % len(space._nodes)], "stop" if stop else "start", value)
+    spans = [(nd.start, nd.stop) for nd in space._nodes]
+    dichotomy = validate_ultrametric(space, distance_matrix=D).records[1]
+    assert dichotomy.witness == _first_crossing(spans)
+
+
+# the round trip above reaches `ultrametric_merges` from both sides; this
+# checks it against the independent exhaustive scan, zero distances included
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
+             min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+def test_merge_test_agrees_with_the_exhaustive_scan(case):
+    n, upper = case
+    D = np.zeros((n, n))
+    D[np.triu_indices(n, 1)] = upper
+    D = D + D.T
+    assert (ultrametric_merges(D) is not None) == (strong_triangle_excess(D)[0] == 0)
+
+
+def _s4_with(i, j, value, symmetric=True):
+    D = build_tree(S4_SPEC).distance_matrix().copy()
+    D[i, j] = value
+    if symmetric:
+        D[j, i] = value
+    return D
+
+
+# matrices the merge test may not take: it reads only the upper triangle,
+# scipy's cophenet raises on negative heights and linkage on non-finite input
+@pytest.mark.parametrize("D", [
+    pytest.param(_s4_with(2, 0, 5.0, symmetric=False), id="asymmetric"),
+    pytest.param(_s4_with(0, 1, -1.0), id="negative"),
+    pytest.param(_s4_with(0, 1, np.nan), id="nan"),
+    # the scan itself warns on inf - inf
+    pytest.param(_s4_with(0, 2, np.inf), id="inf", marks=pytest.mark.filterwarnings(
+        "ignore:invalid value encountered in subtract:RuntimeWarning")),
+])
+def test_undecidable_matrix_gets_the_exhaustive_scan(s4, D):
+    worst, triple = strong_triangle_excess(D)
+    rec = validate_ultrametric(s4, distance_matrix=D).records[0]
+    assert rec.measured == worst
+    assert rec.status == ("pass" if worst <= 0.0 else "fail")
+    assert rec.witness == (None if triple is None else {
+        "triple": tuple(s4.ids[i] for i in triple), "excess": worst})
+
+
+def test_rejecting_a_large_matrix_is_fast():
+    # distinct entries in [1, 2], so no triple obeys the strong triangle
+    # inequality; one clustering per distinct distance took about 40 s
+    n = 200
+    D = np.zeros((n, n))
+    D[np.triu_indices(n, 1)] = np.random.default_rng(0).permutation(
+        np.linspace(1.0, 2.0, n * (n - 1) // 2))
+    start = time.perf_counter()
+    with pytest.raises(NotUltrametric):
+        from_distance_matrix(D + D.T)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_ball_monotone_in_radius(s4):
