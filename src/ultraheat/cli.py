@@ -496,9 +496,8 @@ def _check_p8(ctx):
     fs = [np.ones(len(ctx.space)), 1.0 - cells[0].indicator(),
           rng.uniform(0.0, 1.0, len(ctx.space))]
     for rho in ctx.space.distance_levels:
-        for f in fs:
-            report.extend(bounds_mod.truncation_comparison_check(
-                ctx.kernel, rho, None, f, ctx.grid, rtol=IDENTITY_RTOL))
+        report.extend(bounds_mod.truncation_comparison_check(
+            ctx.kernel, rho, None, fs, ctx.grid, rtol=IDENTITY_RTOL))
     return report
 
 
@@ -636,11 +635,10 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
             t = float(t)
             dens = gen.density(t)
             density_rows(full_wr, t, dens)
-            heat = gen.heat_matrix(t)
-            exit_q = 0.0
-            for ball in balls:
-                e = bounds_mod.exit_probability(heat, ball)
-                exit_q = max(exit_q, e * min(ball.radius, cfg.r0) ** cfg.beta / t)
+            # the exit matrix is dropped at once: only each span's sup is read
+            row, sup = bounds_mod.exit_probabilities(space, dens)[:2]
+            exit_q = max([0.0] + [float(sup[row[b.start, b.stop]])
+                                  * min(b.radius, cfg.r0) ** cfg.beta / t for b in balls])
             ondiag, offdiag = (
                 float(bounds_mod.scaled_density(dens, t, cfg.alpha, cfg.beta, c).max())
                 for c in (0.0, capped))

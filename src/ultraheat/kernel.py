@@ -96,17 +96,9 @@ class JumpKernel:
         return i[:stop], j[:stop], w2[:stop]
 
     def tail_vector(self, r: float) -> np.ndarray:
-        """J(x, B(x, r)^c) for every point x."""
+        """J(x, B(x, r)^c) = sum_{d(x,y) > r} w(x, y) / mu(x) for every point x."""
         D = self.space.distance_matrix()
         return np.where(D > r, self.w, 0.0).sum(axis=1) / self.mu
-
-    def tail(self, x, r: float) -> float:
-        """J(x, B(x, r)^c) = sum_{d(x,y) > r} w(x, y) / mu(x)."""
-        if r < 0:
-            raise ValueError(f"tail radius must be >= 0, got {r}")
-        i = self.space.index(x)
-        D = self.space.distance_matrix()
-        return float(self.w[i, D[i] > r].sum() / self.mu[i])
 
     def tail_sup(self, r: float) -> float:
         return float(self.tail_vector(r).max())

@@ -20,9 +20,10 @@ p_t(x, y) = (e^{tL})_{xy} / mu(y), symmetric and conservative on the full
 space.
 
 Evaluation.  A `SpectralGenerator` is the one way into the semigroup: its
-`density`, `heat_matrix`, `apply` and `apply_grid` methods evaluate it, and
-the Davies tilt e^{psi} e^{tL} e^{-psi} is `davies.tilted_evolution`, built
-on `apply_grid`.
+`density` is the one matrix evaluation (`heat_matrix`, e^{tL}, is
+`density(t) * mu`), its `apply` and `apply_grid` evolve functions, and the
+Davies tilt e^{psi} e^{tL} e^{-psi} is `davies.tilted_evolution`, built on
+`apply_grid`.
 
 Fast isotropic path.  For kernels w(x, y) = g(d(x, y)) mu(x) mu(y) the
 Haar basis of the ball tree diagonalises the semigroup, so p_t(x, x) depends
@@ -149,26 +150,19 @@ class SpectralGenerator:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _cores(self, t: float):
-        """(block, e^{-t A} in the symmetrised basis) for every component."""
+    def density(self, t: float) -> np.ndarray:
+        """Heat kernel p_t(x, y) = (e^{tL})_{xy} / mu(y) over the domain;
+        exact zeros across components."""
+        out = np.zeros((self.size, self.size))
         for block, (lam, vec) in zip(self.blocks, self._eigs):
-            yield block, (vec * np.exp(-lam * t)) @ vec.T
+            core = (vec * np.exp(-lam * t)) @ vec.T  # e^{-t A} in the symmetrised basis
+            core /= np.outer(self._sqrt_mu[block], self._sqrt_mu[block])
+            out[np.ix_(block, block)] = core
+        return out
 
     def heat_matrix(self, t: float) -> np.ndarray:
-        """e^{tL} over the domain; exact zeros across components."""
-        out = np.zeros((self.size, self.size))
-        for block, core in self._cores(t):
-            scale = np.outer(1.0 / self._sqrt_mu[block], self._sqrt_mu[block])
-            out[np.ix_(block, block)] = core * scale
-        return out
-
-    def density(self, t: float) -> np.ndarray:
-        """Heat kernel p_t(x, y) = (e^{tL})_{xy} / mu(y) over the domain."""
-        out = np.zeros((self.size, self.size))
-        for block, core in self._cores(t):
-            scale = np.outer(self._sqrt_mu[block], self._sqrt_mu[block])
-            out[np.ix_(block, block)] = core / scale
-        return out
+        """e^{tL} = density(t) * mu over the domain."""
+        return self.density(t) * self._mu
 
     def pair_classes(self) -> PairClasses:
         """Every ordered pair of the domain as its own class, in row-major

@@ -368,6 +368,9 @@ def from_distance_matrix(matrix, masses=None, ids=None) -> UltrametricSpace:
     ids = [str(i) for i in ids]
     if masses is None:
         masses = np.ones(n)
+    if len(masses) != n or len(ids) != n:
+        raise SpaceError(f"need one id and one mass per row of the {n}-row distance matrix, "
+                         f"got {len(ids)} ids and {len(masses)} masses")
     if not np.array_equal(D, D.T):
         raise SpaceError("distance matrix must be symmetric")
     if np.any(np.diagonal(D) != 0.0):
@@ -459,12 +462,16 @@ def save_space(space: UltrametricSpace, path) -> None:
 def strong_triangle_excess(D) -> tuple[float, tuple | None]:
     """Largest excess d(x, y) - max(d(x, z), d(z, y)) over distinct x, z, y,
     floored at 0, with the index triple (x, z, y) attaining it (None when
-    no triple has a positive excess).  Exhaustive: one midpoint z at a time.
+    no triple has a positive excess).  An undefined (NaN) excess counts as
+    infinite.  Exhaustive: one midpoint z at a time.
     """
     D = np.asarray(D, dtype=float)
     worst, triple = 0.0, None
     for z in range(D.shape[0]):
-        excess = D - np.maximum.outer(D[:, z], D[z, :])
+        far = np.maximum.outer(D[:, z], D[z, :])
+        # subtract only where d(x, y) exceeds, so inf - inf never happens
+        excess = np.subtract(D, far, out=np.zeros_like(D), where=D > far)
+        excess[np.isnan(D) | np.isnan(far)] = np.inf
         excess[z, :] = -np.inf
         excess[:, z] = -np.inf
         np.fill_diagonal(excess, -np.inf)

@@ -9,6 +9,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from ultraheat.cli import (
     main,
 )
 from ultraheat.errors import ConfigError, UnknownGenerator
+from ultraheat.semigroup import generator
 from ultraheat.space import build_tree, save_space
 
 from conftest import S2_SPEC, S4_SPEC, kernel_to_csv, random_scenario
@@ -196,6 +198,32 @@ class TestCurves:
         cross = [float(r["value"]) for r in rows
                  if (r["x"], r["y"]) in (("a", "c"), ("a", "d"), ("b", "c"))]
         assert cross and all(v == 0.0 for v in cross)
+
+    def test_exit_column_is_the_direct_exit_sum(self, tmp_path):
+        # supremum.csv's exit column against max over balls B of
+        # sup_{x in B} sum_{y not in B} p_t(x, y) mu(y) (r ^ R0)^beta / t,
+        # each sum taken in long double, on an irregular tree
+        cfg_path = write_config(
+            tmp_path,
+            space={"generator": {"kind": "random", "depth": 4, "max_points": 24,
+                                 "mass_law": "loguniform"}},
+            exponents={"alpha": 1.0, "beta": 1.5},
+        )
+        assert main(["curves", "--config", str(cfg_path)]) == 0
+        ctx = build_context(load_config(cfg_path))
+        text = (tmp_path / "out" / "curves" / "supremum.csv").read_text()
+        rows = list(csv.DictReader(text.splitlines()))
+        assert len(rows) == len(ctx.grid)
+        gen = generator(ctx.kernel)
+        beta, r0 = ctx.exponents.beta, ctx.exponents.r0
+        balls = [b for b in ctx.space.balls() if b.radius > 0]
+        assert balls
+        for t, row in zip(ctx.grid, rows):
+            heat = (gen.density(float(t)) * ctx.kernel.mu).astype(np.longdouble)
+            expected = max([0.0] + [
+                float(heat[b.node.start:b.node.stop][:, b.indicator() == 0].sum(axis=1).max())
+                * min(b.radius, r0) ** beta / t for b in balls])
+            assert float(row["exit_quantity"]) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_no_checks_run(self, tmp_path):
         cfg_path = write_config(tmp_path)

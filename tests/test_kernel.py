@@ -86,10 +86,11 @@ class TestConstruction:
 
 
 class TestTail:
-    def test_tail_values(self, k4):
-        assert k4.tail("a", 1) == pytest.approx(0.25, rel=1e-15)
-        assert k4.tail("a", 2) == 0.0
-        assert k4.tail("a", 0.5) == pytest.approx(1.25, rel=1e-15)
+    def test_tail_values(self, s4, k4):
+        a = s4.index("a")
+        assert k4.tail_vector(1)[a] == pytest.approx(0.25, rel=1e-15)
+        assert k4.tail_vector(2)[a] == 0.0
+        assert k4.tail_vector(0.5)[a] == pytest.approx(1.25, rel=1e-15)
 
     def test_tail_non_increasing_right_continuous(self):
         for seed in range(6):
@@ -99,7 +100,7 @@ class TestTail:
                                     np.array(space.distance_levels) * 1.0001,
                                     [space.diam * 2]])
             for x in space.ids[:4]:
-                vals = [kernel.tail(x, r) for r in np.sort(radii)]
+                vals = [kernel.tail_vector(r)[space.index(x)] for r in np.sort(radii)]
                 assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
                 assert vals[-1] == 0.0
             for level in space.distance_levels:

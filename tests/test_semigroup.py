@@ -108,7 +108,8 @@ class TestHeatKernel:
             _, kernel = random_scenario(seed, max_points=64)
             gen = generator(kernel)
             for t in (1e-3, 0.1, 1.0, 10.0):
-                a = gen.heat_matrix(t)
+                a = gen.density(t) * kernel.mu
+                assert np.array_equal(gen.heat_matrix(t), a)
                 b = expm(t * gen.matrix)
                 assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(b).max())
 

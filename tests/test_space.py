@@ -135,6 +135,12 @@ class TestDistanceMatrixRoundTrip:
         with pytest.raises(SpaceError, match="square and nonempty"):
             from_distance_matrix(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("extra", [
+        {"masses": [1.0, 2.0, 3.0]}, {"masses": [1.0]}, {"ids": ["a"]}, {"ids": ["a", "b", "c"]}])
+    def test_one_mass_and_id_per_row(self, extra):
+        with pytest.raises(SpaceError, match="one id and one mass per row"):
+            from_distance_matrix([[0.0, 1.0], [1.0, 0.0]], **extra)
+
     def test_singleton_matrix(self):
         space = from_distance_matrix(np.array([[0.0]]), ids=["z"])
         assert len(space) == 1
@@ -292,9 +298,7 @@ def _s4_with(i, j, value, symmetric=True):
     pytest.param(_s4_with(2, 0, 5.0, symmetric=False), id="asymmetric"),
     pytest.param(_s4_with(0, 1, -1.0), id="negative"),
     pytest.param(_s4_with(0, 1, np.nan), id="nan"),
-    # the scan itself warns on inf - inf
-    pytest.param(_s4_with(0, 2, np.inf), id="inf", marks=pytest.mark.filterwarnings(
-        "ignore:invalid value encountered in subtract:RuntimeWarning")),
+    pytest.param(_s4_with(0, 2, np.inf), id="inf"),
 ])
 def test_undecidable_matrix_gets_the_exhaustive_scan(s4, D):
     worst, triple = strong_triangle_excess(D)
@@ -303,6 +307,16 @@ def test_undecidable_matrix_gets_the_exhaustive_scan(s4, D):
     assert rec.status == ("pass" if worst <= 0.0 else "fail")
     assert rec.witness == (None if triple is None else {
         "triple": tuple(s4.ids[i] for i in triple), "excess": worst})
+
+
+# an undefined excess counts as infinite, so the record fails: with d(a, b)
+# NaN, the first such excess is d(b, c) against max(d(b, a), d(a, c))
+@pytest.mark.parametrize("value,triple", [(np.nan, ("b", "a", "c")),
+                                          (np.inf, ("a", "c", "b"))])
+def test_nonfinite_distance_fails_and_names_its_triple(s4, value, triple):
+    rec = validate_ultrametric(s4, distance_matrix=_s4_with(0, 1, value)).records[0]
+    assert rec.status == "fail" and rec.measured == np.inf
+    assert rec.witness == {"triple": triple, "excess": np.inf}
 
 
 def test_rejecting_a_large_matrix_is_fast():
