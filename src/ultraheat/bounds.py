@@ -42,8 +42,7 @@ from .davies import nash_ratio_batch
 from .form import energy_batch
 from .kernel import ExponentConfig, JumpKernel, tj_constant
 from .reporting import CheckRecord, CheckReport, record, vacuous
-from .semigroup import HierarchicalHeatKernel, PairClasses, generator
-from .space import UltrametricSpace
+from .semigroup import HierarchicalHeatKernel, PairClasses, ball_spans, generator
 
 
 SCAN_TOL, SCAN_MAX_ROUNDS = 1e-9, 40  # time scan: gain that ends refinement, most rounds
@@ -106,17 +105,17 @@ def scaled_density(dens: np.ndarray, t: float, alpha: float, beta: float,
     return t ** (alpha / beta) * dens * (1.0 + capped / t ** (1.0 / beta)) ** beta
 
 
-def heat_pair_classes(kernel: JumpKernel, scan: str) -> PairClasses:
-    """The pair classes of the full-space heat kernel that serve one scan:
-    one per point and per tree node from `HierarchicalHeatKernel` when the
-    kernel is isotropic, else one per ordered pair from the dense generator.
-    Logs which engine served `scan`."""
+def heat_pair_classes(kernel: JumpKernel, use: str, rho: float | None = None) -> PairClasses:
+    """The pair classes of the rho-truncated heat kernel (rho=None: the full
+    one) that serve `use`: one per point and per tree node from
+    `HierarchicalHeatKernel` when the kernel is isotropic, else one per
+    ordered pair from the dense generator.  Logs which engine served `use`."""
     try:
-        classes = HierarchicalHeatKernel.from_kernel(kernel).pair_classes()
+        classes = HierarchicalHeatKernel.from_kernel(kernel, rho).pair_classes()
     except NotIsotropic as exc:
-        log.info("%s scan: dense densities (not isotropic: %s)", scan, exc)
-        return generator(kernel).pair_classes()
-    log.info("%s scan: hierarchical heat profile, %d pair classes", scan, classes.dist.size)
+        log.info("%s: dense densities (not isotropic: %s)", use, exc)
+        return generator(kernel, rho=rho).pair_classes()
+    log.info("%s: hierarchical heat profile, %d pair classes", use, classes.dist.size)
     return classes
 
 
@@ -125,7 +124,7 @@ def _density_scan(kind: str, kernel: JumpKernel, alpha: float, beta: float, r0: 
     """Minimal C with `scaled_density` <= C over the time range, the distance
     capped at R0 when `off_diagonal`; the witness is the first pair of the
     first maximising class."""
-    classes = heat_pair_classes(kernel, kind)
+    classes = heat_pair_classes(kernel, f"{kind} scan")
     capped = np.minimum(classes.dist, r0) if off_diagonal else 0.0
 
     def scaled_at(t):
@@ -296,29 +295,6 @@ def truncation_comparison_check(kernel: JumpKernel, rho: float, omega, fs,
     return report
 
 
-def exit_probabilities(space: UltrametricSpace, dens: np.ndarray):
-    """P_t 1_{S^c}(x) for every distinct node span S = [s0, s1) and every
-    point x, from the full-space density `dens` = p_t: `(row, sup, outside)`,
-    where `row` maps each span to its row of the (spans, points) matrix
-    `outside` and `sup[k]` is the max of row k over its own span.  As the
-    complement of a span is a prefix and a suffix of the points, a row is the
-    sum of two running sums of p_t(x, .) mu: no per-span product, no
-    cancellation.
-    """
-    n = len(space)
-    weighted = (dens * space.masses).T  # [y, x] = p_t(x, y) mu(y)
-    before, after = np.zeros((n + 1, n)), np.zeros((n + 1, n))
-    np.cumsum(weighted, axis=0, out=before[1:])  # before[k]: the sum over y < k
-    np.cumsum(weighted[::-1], axis=0, out=after[-2::-1])  # after[k]: over y >= k
-    del weighted
-    spans = sorted({(nd.start, nd.stop) for nd in space._nodes})
-    outside, sup = np.empty((len(spans), n)), np.empty(len(spans))
-    for k, (s0, s1) in enumerate(spans):
-        np.add(before[s0], after[s1], out=outside[k])
-        sup[k] = outside[k, s0:s1].max()
-    return {s: k for k, s in enumerate(spans)}, sup, outside
-
-
 def tail_probability_check(kernel: JumpKernel, beta: float, c_tj: float, r0: float,
                            time_grid, rtol: float = 1e-12) -> CheckReport:
     """Exit-probability bound with the tracked constant C_tail = 4 C_tj.
@@ -331,10 +307,10 @@ def tail_probability_check(kernel: JumpKernel, beta: float, c_tj: float, r0: flo
     truncation comparison with factor 4 (route rho = r; the halved-range
     route rho = r/2 gives 4 * 2^beta * C_tj and is reported alongside).
     In r, P_t 1_{B(x0,r)^c} is non-increasing pointwise, checked on all
-    nested balls.  Both read `exit_probabilities`.
+    nested balls.  Both read the `exits` of `heat_pair_classes`: per tree
+    node for an isotropic kernel, else from the dense densities.
     """
     space = kernel.space
-    gen = generator(kernel)
     times = [float(t) for t in time_grid]
     c_tail = 4.0 * c_tj
     report = CheckReport()
@@ -347,11 +323,12 @@ def tail_probability_check(kernel: JumpKernel, beta: float, c_tj: float, r0: flo
     worst = worst_mono = -np.inf
     witness = wit_mono = None
     empirical = 0.0
+    classes = heat_pair_classes(kernel, "tail")
     # pointwise monotonicity in the radius is checked on every (ball, parent) pair
-    chains = sorted({(nd.start, nd.stop, nd.parent.start, nd.parent.stop)
-                     for nd in space._nodes if nd.parent is not None})
+    spans, chains = ball_spans(space)
+    row = {s: k for k, s in enumerate(spans)}
     for t in times:
-        row, sup, outside = exit_probabilities(space, gen.density(t))
+        sup, chain_min = classes.exits(classes.values(t))
         for ball in balls:
             exit_prob = float(sup[row[ball.start, ball.stop]])
             r_eff = min(ball.radius, r0)
@@ -364,7 +341,7 @@ def tail_probability_check(kernel: JumpKernel, beta: float, c_tj: float, r0: flo
                            "exit": exit_prob, "bound": bound}
             if c_tj > 0:
                 empirical = max(empirical, exit_prob * r_eff ** beta / (t * 4 * c_tj))
-        viol = [-(outside[row[c[:2]]] - outside[row[c[2:]]]).min() for c in chains]
+        viol = -chain_min
         c = int(np.argmax(viol))
         if viol[c] > worst_mono:
             worst_mono = float(viol[c])
@@ -444,7 +421,7 @@ def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
     if not all(np.isfinite([c_tj, due.constant, wue.constant, nash.constant])):
         raise ConditionFailure("non-finite measured constant", step="measure")
 
-    classes = heat_pair_classes(kernel, "chaining")
+    classes = heat_pair_classes(kernel, "chaining scan")
     levels, level_of = np.unique(classes.dist, return_inverse=True)
     grid = log_time_grid(r0 ** beta * 1e-4, r0 ** beta, CHAIN_POINTS)
     worst = -np.inf

@@ -17,6 +17,7 @@ run one after another and their records are merged in selection order.
 
 import argparse
 import csv
+import io
 import json
 import logging
 import math
@@ -41,7 +42,7 @@ from .kernel import (
     tj_constant,
 )
 from .reporting import FAIL, CheckReport, record
-from .semigroup import generator, semigroup_selfcheck
+from .semigroup import ball_spans, generator, semigroup_selfcheck
 from .space import (
     UltrametricSpace,
     build_tree,
@@ -594,55 +595,75 @@ def execute_checks(ctx: RunContext, checks) -> VerificationReport:
     )
 
 
+def _csv_fields(fields) -> str:
+    """`fields` joined as `csv.writer` writes them in a row, without the
+    line end."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()[:-2]
+
+
 def write_curves(ctx: RunContext, out_dir: Path) -> None:
     """CSV tables: kernel curves per flavor plus the tracked supremum
     quantities.  For large spaces only the first row and the diagonal are
-    emitted (documented policy; keeps files plottable)."""
+    emitted (documented policy; keeps files plottable).
+
+    Every value is a lookup in the pair classes of
+    `bounds.heat_pair_classes`, one per tree node for an isotropic kernel
+    (the truncated ones derived from the full-space engine), else one per
+    pair of the dense generator; the class of each written pair is found
+    once per run.  The rows of one time are written as one joined string,
+    the bytes `csv.writer` would write.  supremum.csv reads the maxima of
+    the full-space classes and their `exits`.
+    """
     curves = out_dir / "curves"
     curves.mkdir(parents=True, exist_ok=True)
     space, kernel, cfg = ctx.space, ctx.kernel, ctx.exponents
     n = len(space)
     if n <= 24:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
+        rows, cols = np.divmod(np.arange(n * n), n)
     else:
-        pairs = [(0, j) for j in range(n)] + [(i, i) for i in range(n)]
+        rows = np.concatenate((np.zeros(n, dtype=int), np.arange(n)))
+        cols = np.concatenate((np.arange(n), np.arange(n)))
+    full = bounds_mod.heat_pair_classes(kernel, "curves")
+    # the truncated classes share the full-space class layout
+    at = full.index(rows, cols)
+    pairs = [_csv_fields([space.ids[i], space.ids[j]]) for i, j in zip(rows, cols)]
+    header = "t,x,y,value\r\n"
 
-    def density_rows(wr, t, dens):
-        for i, j in pairs:
-            wr.writerow([repr(t), space.ids[i], space.ids[j], repr(float(dens[i, j]))])
-
-    def emit(path, gen):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "x", "y", "value"])
-            for t in ctx.grid:
-                density_rows(wr, float(t), gen.density(float(t)))
+    def density_rows(t, values):
+        stamp = repr(t)
+        return "".join([f"{stamp},{pair},{v!r}\r\n"
+                        for pair, v in zip(pairs, values[at].tolist())])
 
     for k, rho in enumerate(space.distance_levels):
-        emit(curves / f"q_truncated_{k}.csv", generator(kernel, rho=rho))
+        classes = bounds_mod.heat_pair_classes(kernel, f"curves rho={rho!r}", rho)
+        with open(curves / f"q_truncated_{k}.csv", "w", encoding="utf-8", newline="") as fh:
+            fh.write(header)
+            for t in ctx.grid:
+                fh.write(density_rows(float(t), classes.values(float(t))))
 
-    # p_full.csv and supremum.csv share one full-space density per time
-    gen = generator(kernel)
-    capped = np.minimum(space.distance_matrix(), cfg.r0)
-    balls = [b for b in space.balls() if b.radius > 0]
+    # p_full.csv and supremum.csv share one evaluation per time
+    capped = np.minimum(full.dist, cfg.r0)
+    row = {s: k for k, s in enumerate(ball_spans(space)[0])}
+    balls = [(row[b.start, b.stop], min(b.radius, cfg.r0) ** cfg.beta)
+             for b in space.balls() if b.radius > 0]
     with open(curves / "p_full.csv", "w", encoding="utf-8", newline="") as full_fh, \
             open(curves / "supremum.csv", "w", encoding="utf-8", newline="") as sup_fh:
-        full_wr, sup_wr = csv.writer(full_fh), csv.writer(sup_fh)
-        full_wr.writerow(["t", "x", "y", "value"])
+        sup_wr = csv.writer(sup_fh)
+        full_fh.write(header)
         sup_wr.writerow(["t", "max_density", "ondiag_quantity", "offdiag_quantity",
                          "exit_quantity"])
         for t in ctx.grid:
             t = float(t)
-            dens = gen.density(t)
-            density_rows(full_wr, t, dens)
-            # the exit matrix is dropped at once: only each span's sup is read
-            row, sup = bounds_mod.exit_probabilities(space, dens)[:2]
-            exit_q = max([0.0] + [float(sup[row[b.start, b.stop]])
-                                  * min(b.radius, cfg.r0) ** cfg.beta / t for b in balls])
+            values = full.values(t)
+            full_fh.write(density_rows(t, values))
+            sup = full.exits(values)[0]
+            exit_q = max([0.0] + [float(sup[k]) * scale / t for k, scale in balls])
             ondiag, offdiag = (
-                float(bounds_mod.scaled_density(dens, t, cfg.alpha, cfg.beta, c).max())
+                float(bounds_mod.scaled_density(values, t, cfg.alpha, cfg.beta, c).max())
                 for c in (0.0, capped))
-            sup_wr.writerow([repr(t), repr(float(dens.max())), repr(ondiag),
+            sup_wr.writerow([repr(t), repr(float(values.max())), repr(ondiag),
                              repr(offdiag), repr(exit_q)])
 
 

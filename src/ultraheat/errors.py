@@ -71,7 +71,7 @@ class FormError(UltraheatError, ValueError):
 
 
 class DimensionMismatch(FormError):
-    """Function vector length does not match the point count."""
+    """A function vector or a matrix does not match the point count."""
 
 
 class OverlappingBalls(FormError):

@@ -64,6 +64,10 @@ class JumpKernel:
         self.w = w
         self.w.setflags(write=False)
         self._pairs = None
+        self._profile = None
+        # the whole-space `semigroup.HierarchicalHeatKernel`, built there on
+        # first use
+        self._heat = None
 
     @property
     def n(self) -> int:
@@ -107,8 +111,17 @@ class JumpKernel:
         """Return {distance level: profile value} for w = g(d) mu(x) mu(y).
 
         Raises NotIsotropic when the mass-scaled weights vary on a distance
-        level by more than 1e-12 relative.
+        level by more than 1e-12 relative.  The scan runs once per kernel;
+        its outcome, the profile or the reason it has none, is kept.
         """
+        if self._profile is None:
+            self._profile = self._scan_profile()
+        if isinstance(self._profile, str):
+            raise NotIsotropic(self._profile)
+        return dict(self._profile)
+
+    def _scan_profile(self):
+        """The profile dict, or the message of the level it fails on."""
         D = self.space.distance_matrix()
         mu = self.mu
         scaled = self.w / np.outer(mu, mu)
@@ -117,9 +130,7 @@ class JumpKernel:
             vals = scaled[D == level]
             lo, hi = float(vals.min()), float(vals.max())
             if hi - lo > 1e-12 * max(abs(hi), 1e-300):
-                raise NotIsotropic(
-                    f"mass-scaled weights vary on level {level}: [{lo}, {hi}]"
-                )
+                return f"mass-scaled weights vary on level {level}: [{lo}, {hi}]"
             out[level] = 0.5 * (lo + hi)
         return out
 

@@ -28,19 +28,22 @@ Davies tilt e^{psi} e^{tL} e^{-psi} is `davies.tilted_evolution`, built on
 Fast isotropic path.  For kernels w(x, y) = g(d(x, y)) mu(x) mu(y) the
 Haar basis of the ball tree diagonalises the semigroup, so p_t(x, x) depends
 only on x and p_t(x, y), x != y, only on the lowest common ancestor of x and
-y.  `HierarchicalHeatKernel` evaluates that profile from per-node arrays in
-O(nodes) per time, with no n x n matrix.  It serves the DUE, wUE and
-chaining scans of `bounds` through `PairClasses`; the switch is automatic
-(`bounds.heat_pair_classes`: hierarchical when `from_kernel` succeeds, dense
-on `NotIsotropic`), and the dense `SpectralGenerator` stays the fallback
-and the oracle.  All other checks evaluate the dense generator.
+y.  `HierarchicalHeatKernel` evaluates that profile, the exit probabilities
+of every ball and the rho-truncated profile from per-node arrays in
+O(nodes * depth) per time, with no n x n matrix.  Its `PairClasses` serve
+the DUE, wUE and chaining scans, the exit-probability check and the curves;
+the switch is automatic (`bounds.heat_pair_classes`: hierarchical when
+`from_kernel` succeeds, dense on `NotIsotropic`), and the dense
+`SpectralGenerator` stays the fallback and the oracle.  All other checks
+evaluate the dense generator.
 """
 
+import copy
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, EmptyDomain
@@ -62,13 +65,52 @@ class PairClasses:
     Class c has distance `dist[c]` and row-major-first pair
     `(rows[c], cols[c])`; the classes are sorted by that pair, so the first
     maximising class holds the row-major-first maximising pair.
-    `values(t)` is p_t on every class.
+    `values(t)` is p_t on every class and `index(i, j)` the class of each
+    pair (i[k], j[k]).  `exits(values(t))` is `(sup, chain_min)` in the
+    order of `ball_spans`: sup[k] = sup_{x in S} P_t 1_{S^c}(x) on span S,
+    and chain_min[c] = min_x P_t 1_{outer minus inner}(x) on chain c, which
+    is >= 0 where P_t 1_{B^c} does not increase from inner to outer.
     """
 
     dist: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     values: Callable[[float], np.ndarray]
+    index: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    exits: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def ball_spans(space: UltrametricSpace) -> tuple[list, list]:
+    """The distinct node spans (start, stop), sorted, and the distinct
+    chains (start, stop, parent start, parent stop) of a node span inside
+    its parent's, sorted."""
+    spans = sorted({(nd.start, nd.stop) for nd in space._nodes})
+    chains = sorted({(nd.start, nd.stop, nd.parent.start, nd.parent.stop)
+                     for nd in space._nodes if nd.parent is not None})
+    return spans, chains
+
+
+def exit_probabilities(space: UltrametricSpace, dens: np.ndarray):
+    """P_t 1_{S^c}(x) for every span S = [s0, s1) of `ball_spans` and every
+    point x, from the full-space density `dens` = p_t: `(row, sup, outside)`,
+    where `row` maps each span to its row of the (spans, points) matrix
+    `outside` and `sup[k]` is the max of row k over its own span.  As the
+    complement of a span is a prefix and a suffix of the points, a row is the
+    sum of two running sums of p_t(x, .) mu: no per-span product, no
+    cancellation.
+    """
+    n = len(space)
+    weighted = (dens * space.masses).T  # [y, x] = p_t(x, y) mu(y)
+    before, after = np.zeros((n + 1, n)), np.zeros((n + 1, n))
+    np.cumsum(weighted, axis=0, out=before[1:])  # before[k]: the sum over y < k
+    np.cumsum(weighted[::-1], axis=0, out=after[-2::-1])  # after[k]: over y >= k
+    del weighted
+    spans = ball_spans(space)[0]
+    outside, sup = np.empty((len(spans), n)), np.empty(len(spans))
+    for k, (s0, s1) in enumerate(spans):
+        np.add(before[s0], after[s1], out=outside[k])
+        sup[k] = outside[k, s0:s1].max()
+    return {s: k for k, s in enumerate(spans)}, sup, outside
 
 
 class SpectralGenerator:
@@ -166,12 +208,23 @@ class SpectralGenerator:
 
     def pair_classes(self) -> PairClasses:
         """Every ordered pair of the domain as its own class, in row-major
-        order, with the values of `density(t)`."""
+        order, with the values of `density(t)`; `exits` reads
+        `exit_probabilities`, so it needs the whole space."""
         m = self.size
         rows, cols = np.divmod(np.arange(m * m), m)
         dist = self.space.distance_matrix()[np.ix_(self.omega, self.omega)].ravel()
+        at = np.full(len(self.space), -1)
+        at[self.omega] = np.arange(m)
+        chains = ball_spans(self.space)[1]
+
+        def exits(values):
+            row, sup, outside = exit_probabilities(self.space, values.reshape(m, m))
+            return sup, np.array([(outside[row[c[:2]]] - outside[row[c[2:]]]).min()
+                                  for c in chains])
+
         return PairClasses(dist, self.omega[rows], self.omega[cols],
-                           lambda t: self.density(t).ravel())
+                           lambda t: self.density(t).ravel(),
+                           lambda i, j: at[np.asarray(i)] * m + at[np.asarray(j)], exits)
 
     def apply(self, t: float, f) -> np.ndarray:
         """e^{tL} f; full-length input, full-length output (zero off-domain)."""
@@ -278,22 +331,36 @@ class HierarchicalHeatKernel:
 
     with A_child the child of A on the path to N.  So p_t(x, x) depends only
     on the leaf x, and p_t(x, y) for x != y only on their lowest common
-    ancestor N:
+    ancestor N.  With m_N = 1 - e^{-lambda_N t}, both are sums over the
+    strict ancestors A of x or N,
 
-        p_t(x, x) = 1/mu(X) + S_t(x),
-        p_t(x, y) = 1/mu(X) + S_t(N) - e^{-lambda_N t} / mu(N),
+        p_t(x, x) = 1/mu(X) + sum_A e^{-lambda_A t} (1/mu(A_child) - 1/mu(A)),
+        p_t(N) = m_N/mu(X) + sum_A e^{-lambda_A t} (1 - e^{-(lambda_N - lambda_A) t})
+                                   (1/mu(A_child) - 1/mu(A)),
 
-    where S_t(M) sums e^{-lambda_A t} (1/mu(A_child) - 1/mu(A)) over the
-    strict ancestors A of M.  The nodes are kept as arrays in preorder and
-    S_t is one sparse matvec over the root-to-node paths, so `diagonal` and
-    `offdiagonal` cost O(nodes * depth) flops per time, with no Python loop
+    each factor 1 - e^{-s} taken as -expm1(-s).  The terms are nonnegative
+    where lambda_N >= lambda_A, as for a profile that does not grow with r,
+    so small values keep their relative accuracy; elsewhere a term is taken
+    as e^{-lambda_N t} (e^{-(lambda_A - lambda_N) t} - 1), so that no
+    exponential overflows.  The exit probability from the ball of node B is
+    the same at each of its points:
+
+        P_t 1_{B^c} = sum_{A strictly above B} p_t(A) (mu(A) - mu(A_child)).
+
+    The rho-truncated kernel has the profile g 1_{r <= rho}.  Each largest
+    ball of radius <= rho is then a space of its own: the sums restart at
+    its root R, mu(X) becomes mu(R), and a node above rho has p_t = 0.0 by
+    construction.
+
+    The nodes are kept as arrays in preorder.  Every sum runs over the pairs
+    (node, strict ancestor) as one elementwise pass and a `bincount`, so an
+    evaluation costs O(nodes * depth) flops per time, with no Python loop
     over nodes and no n x n matrix.
     """
 
     def __init__(self, space: UltrametricSpace, profile):
         self.space = space
         nodes = space._nodes  # preorder, root first
-        size = len(nodes)
         pos = {id(nd): k for k, nd in enumerate(nodes)}
         self.parent = np.array([-1] + [pos[id(nd.parent)] for nd in nodes[1:]], dtype=int)
         self.radius = np.array([nd.radius for nd in nodes])
@@ -306,78 +373,171 @@ class HierarchicalHeatKernel:
         self._branch = np.flatnonzero(self.branching >= 2)
         self._leaf = np.flatnonzero(self.branching == 0)  # in point order
 
-        # row k marks the non-root nodes on the path from the root to k, k
-        # included; with its columns sorted (preorder), one matvec sums every
-        # root-to-node path from the root down
+        # the pairs (k, j) with j a non-root node on the path from the root to
+        # k, k included, so that parent(j) runs over the strict ancestors of
+        # k; sorted by k and then from the root down
         rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-        node = np.arange(size)
+        node = np.arange(len(nodes))
         while (node > 0).any():
             rows.append(np.flatnonzero(node > 0))
             cols.append(node[node > 0])
             node = np.where(node > 0, self.parent[node], 0)
         rows, cols = np.concatenate(rows), np.concatenate(cols)
-        self._paths = csr_array((np.ones(rows.size), (rows, cols)), shape=(size, size))
-        self._paths.sort_indices()
+        order = np.lexsort((cols, rows))
+        self._path_row, self._path_col = rows[order], cols[order]
 
-        g = np.zeros(size)
+        self._g = np.zeros(len(nodes))
         radii, level_of = np.unique(self.radius[self._branch], return_inverse=True)
-        g[self._branch] = np.array([float(profile(float(r))) for r in radii])[level_of]
-        up = self.parent[1:]
-        gain = np.zeros(size)  # rate a node inherits from its parent's ball
-        gain[1:] = g[up] * (self.volume[up] - self.volume[1:])
-        self.eigenvalue = 2.0 * (g * self.volume + self._paths @ gain)
+        self._g[self._branch] = np.array([float(profile(float(r))) for r in radii])[level_of]
+        self._set_range(None)
+
+    def _set_range(self, rho: float | None) -> None:
+        """The arrays that depend on the truncation range (None: none)."""
+        inside = self.radius <= (np.inf if rho is None else rho)
+        g = np.where(inside, self._g, 0.0)
+        keep = inside[self.parent[self._path_col]]
+        row, col = self._path_row[keep], self._path_col[keep]
+        up = self.parent[col]
+        size = self.volume.size
+        gain = g[up] * (self.volume[up] - self.volume[col])
+        self.eigenvalue = 2.0 * (g * self.volume + np.bincount(row, gain, minlength=size))
         # the dense generator's convention, so that both engines agree
         self.eigenvalue[np.abs(self.eigenvalue) < EIGENVALUE_CLAMP] = 0.0
-        self._inv_volume = 1.0 / self.volume
-        self._step = np.zeros(size)
-        self._step[1:] = self._inv_volume[1:] - self._inv_volume[up]
+        # the root of each node's ball of radius <= rho: the ancestor that
+        # starts its first pair, or the node itself when it has none
+        root = np.arange(size)
+        ks, first = np.unique(row, return_index=True)
+        root[ks] = up[first]
+        self._base = np.where(inside, 1.0 / self.volume[root], 0.0)
+        self._row, self._up = row, up
+        self._step = 1.0 / self.volume[col] - 1.0 / self.volume[up]
+        self._at_leaf = self.branching[row] == 0
+        # e^{-a t} - e^{-b t} = sign(b - a) e^{-min(a, b) t} (1 - e^{-|b - a| t})
+        gap = np.where(self._at_leaf, 0.0, self.eigenvalue[row] - self.eigenvalue[up])
+        self._rate = np.where(gap < 0, self.eigenvalue[row], self.eigenvalue[up])
+        self._gap, self._sign = np.abs(gap), np.sign(gap)
+        self._sibling_mass = self.volume[up] - self.volume[col]
 
     @classmethod
-    def from_kernel(cls, kernel: JumpKernel) -> "HierarchicalHeatKernel":
-        """Build from an explicit kernel; raises NotIsotropic otherwise."""
-        return cls(kernel.space, kernel.isotropy_profile().__getitem__)
+    def from_kernel(cls, kernel: JumpKernel, rho: float | None = None) -> "HierarchicalHeatKernel":
+        """The engine of the rho-truncated kernel (rho=None: the whole
+        kernel); raises NotIsotropic when the kernel is not isotropic.  The
+        whole-space engine is built once per kernel and kept on it; a
+        truncated one is derived from its arrays."""
+        if kernel._heat is None:
+            kernel._heat = cls(kernel.space, kernel.isotropy_profile().__getitem__)
+        return kernel._heat if rho is None else kernel._heat.truncated(rho)
 
-    def _profile(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(S_t, e^{-lambda t}) at every node."""
-        decay = np.exp(-self.eigenvalue * t)
-        return self._paths @ (decay[self.parent] * self._step), decay
+    def truncated(self, rho: float) -> "HierarchicalHeatKernel":
+        """The engine of the rho-truncated profile, sharing the tree arrays."""
+        out = copy.copy(self)
+        out._set_range(rho)
+        return out
+
+    def node_values(self, t: float) -> np.ndarray:
+        """p_t at every node, in preorder: p_t(x, x) at the leaf of x, and at
+        any other node the value of the pairs whose lowest common ancestor
+        it is (0.0 above the truncation range)."""
+        terms = np.exp(-self._rate * t) * self._step
+        fill = -np.expm1(-self._gap * t) * self._sign
+        fill[self._at_leaf] = 1.0
+        terms *= fill
+        own = np.where(self.branching == 0, 1.0, -np.expm1(-self.eigenvalue * t))
+        return self._base * own + np.bincount(self._row, terms, minlength=own.size)
+
+    def exits(self, values: np.ndarray) -> np.ndarray:
+        """P_t 1_{B^c} on the ball B of every node, from `node_values(t)`."""
+        return np.bincount(self._row, values[self._up] * self._sibling_mass,
+                           minlength=values.size)
+
+    @cached_property
+    def _chains(self):
+        """For each chain (B, P) of `ball_spans`, in order: mu(P) - mu(B),
+        and the nodes whose p_t P_t 1_{P minus B} takes, times mu(P) - mu(B),
+        off the siblings of B (P, and each strict ancestor of P with two
+        children or more), as arrays (starts, weight, meet) with the nodes of
+        chain c from meet[starts[c]] on."""
+        nodes = self.space._nodes
+        first = {}
+        for k, nd in enumerate(nodes[1:], 1):
+            first.setdefault((nd.start, nd.stop, nd.parent.start, nd.parent.stop), k)
+        starts, weight, meet = [], [], []
+        for chain in ball_spans(self.space)[1]:
+            b = first[chain]
+            p = self.parent[b]
+            starts.append(len(meet))
+            weight.append(self.volume[p] - self.volume[b])
+            meet.append(p)
+            a = self.parent[p]
+            while a >= 0:
+                if self.branching[a] >= 2:
+                    meet.append(a)
+                a = self.parent[a]
+        return (np.array(starts, dtype=int), np.array(weight, dtype=float),
+                np.array(meet, dtype=int))
+
+    def chain_minima(self, values: np.ndarray) -> np.ndarray:
+        """min_x P_t 1_{P minus B}(x) on each chain (B, P) of `ball_spans`,
+        from `node_values(t)`.  The function is p_t(P)(mu(P) - mu(B)) on B
+        and p_t(A)(mu(P) - mu(B)) where x meets P at A; on a sibling C of B
+        it exceeds its value on B by e^{-lambda_P t}, the evolution of the
+        Haar function 1_C - (mu(C)/mu(P)) 1_P, so C never holds the
+        minimum."""
+        starts, weight, meet = self._chains
+        return np.minimum.reduceat(values[meet], starts) * weight
+
+    def _lca(self, i, j) -> np.ndarray:
+        """The lowest common ancestor of points i[k] and j[k] (the leaf when
+        they are equal).  Of two distinct nodes, the later in preorder is not
+        an ancestor of the other, so it moves to its parent until they meet."""
+        a, b = self._leaf[np.asarray(i)], self._leaf[np.asarray(j)]
+        while (a != b).any():
+            up_a, up_b = a > b, b > a
+            a = np.where(up_a, self.parent[a], a)
+            b = np.where(up_b, self.parent[b], b)
+        return a
 
     def diagonal(self, t: float) -> np.ndarray:
         """p_t(x, x) for every point x, in point order."""
-        acc, _ = self._profile(t)
-        return 1.0 / self.space.total_mass + acc[self._leaf]
+        return self.node_values(t)[self._leaf]
 
     def offdiagonal(self, t: float) -> np.ndarray:
         """p_t at every node with at least two children, in preorder: the
         value of every pair whose lowest common ancestor is that node."""
-        acc, decay = self._profile(t)
-        b = self._branch
-        return 1.0 / self.space.total_mass + acc[b] - decay[b] * self._inv_volume[b]
+        return self.node_values(t)[self._branch]
 
     def value(self, t: float, x, y) -> float:
-        """p_t(x, y), looked up in `diagonal` or `offdiagonal`."""
-        i, j = sorted((self.space.index(x), self.space.index(y)))
-        if i == j:
-            return float(self.diagonal(t)[i])
-        # the ancestors of both points form a chain; the last in preorder is
-        # the lowest
-        b = self._branch
-        k = np.flatnonzero((self._start[b] <= i) & (self._stop[b] > j))[-1]
-        return float(self.offdiagonal(t)[k])
+        """p_t(x, y), looked up at the lowest common ancestor."""
+        node = self._lca([self.space.index(x)], [self.space.index(y)])[0]
+        return float(self.node_values(t)[node])
 
     def pair_classes(self) -> PairClasses:
         """One class per point (distance 0) and one per node with at least
         two children (distance r_N).  A node's row-major-first pair joins
         the first leaf of its first child to the first leaf of its second
         child, which starts where the first child (next in preorder) stops."""
-        n, b = len(self.space), self._branch
+        n, b, size = len(self.space), self._branch, self.volume.size
+        nodes = np.concatenate((self._leaf, b))
         rows = np.concatenate((np.arange(n), self._start[b]))
         cols = np.concatenate((np.arange(n), self._stop[b + 1]))
         dist = np.concatenate((np.zeros(n), self.radius[b]))
         order = np.lexsort((cols, rows))
+        nodes = nodes[order]
+        klass = np.full(size, -1)
+        klass[nodes] = np.arange(nodes.size)
+        # the first node in preorder of each span, in the sorted order of
+        # `ball_spans`; the nodes of a single-child chain share their span
+        # and, with zero weight on the chain, their exit
+        span_node = np.unique(self._start * (n + 1) + self._stop, return_index=True)[1]
+
+        def exits(values):
+            p = np.zeros(size)
+            p[nodes] = values
+            return self.exits(p)[span_node], self.chain_minima(p)
+
         return PairClasses(dist[order], rows[order], cols[order],
-                           lambda t: np.concatenate((self.diagonal(t),
-                                                     self.offdiagonal(t)))[order])
+                           lambda t: self.node_values(t)[nodes],
+                           lambda i, j: klass[self._lca(i, j)], exits)
 
     def trace(self, t: float) -> float:
         """sum_x p_t(x, x) mu(x) = sum_k e^{-lambda_k t}, via multiplicities."""

@@ -26,6 +26,7 @@ from scipy.cluster.hierarchy import cophenet, linkage
 from scipy.spatial.distance import squareform
 
 from .errors import (
+    DimensionMismatch,
     EmptySpace,
     MalformedCsv,
     NonDecreasingRadii,
@@ -489,11 +490,15 @@ def validate_ultrametric(space: UltrametricSpace, distance_matrix=None) -> Check
     `ultrametric_merges` decides the first on every matrix it may take; the
     exhaustive `strong_triangle_excess` only names a witness, or decides a
     matrix outside that test.  An explicit `distance_matrix` audits external
-    data against this space's structure (used by negative-control tests).
+    data against this space's structure (used by negative-control tests);
+    it must be n x n for the n points of the space (DimensionMismatch).
     """
     report = CheckReport()
     D = space.distance_matrix() if distance_matrix is None else np.asarray(distance_matrix)
-    decidable = (D.ndim == 2 and 2 <= len(D) == D.shape[1] and np.all(np.isfinite(D))
+    if D.shape != (len(space), len(space)):
+        raise DimensionMismatch(f"distance matrix shape {D.shape} does not match "
+                                f"{len(space)} points")
+    decidable = (len(D) >= 2 and np.all(np.isfinite(D))
                  and np.all(D >= 0) and np.array_equal(D, D.T) and not np.any(np.diagonal(D)))
     if decidable and ultrametric_merges(D) is not None:
         worst, triple = 0.0, None

@@ -407,6 +407,29 @@ def test_monotone_chains_equal_per_chain_loop(name, kernel, r0):
         assert at[(wit["t"], *wit["inner"], *wit["outer"])] >= worst - tol
 
 
+@settings(max_examples=30, deadline=None)
+@given(ball_trees(), st.sampled_from([1.0, -1.0]))
+def test_closed_form_chain_minima_match_dense(case, sign):
+    # min_x P_t 1_{outer minus inner}(x) on every chain: the few values of the
+    # engine's closed forms against the dense difference of two exit rows,
+    # at the engine tolerance carried to probabilities by mu(X).  A profile
+    # that grows with r makes p_t grow with the distance, so that the
+    # minimum can sit on a sibling of the inner ball.  The dense values
+    # drift by about eps lambda_max t, so the times are set by the largest
+    # jump rate
+    space, exponent, scale = case
+    kernel = isotropic_kernel(space, power_profile(sign * exponent, scale), scaling="mass")
+    fast = HierarchicalHeatKernel.from_kernel(kernel).pair_classes()
+    gen = generator(kernel)
+    dense = gen.pair_classes()
+    for t in np.geomspace(1e-4, 1e4, 9) / -np.diagonal(gen.matrix).min():
+        values = dense.values(t)
+        tol = 1e-10 * values.max() * space.total_mass
+        got, want = fast.exits(fast.values(t))[1], dense.exits(values)[1]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= tol
+
+
 def test_chaining_all_near_is_vacuous():
     # a single point: its one pair sits on the diagonal, below every threshold
     kernel = isotropic_kernel(build_tree({"id": "a", "mass": 2.0}), power_profile(3.0),

@@ -1,15 +1,17 @@
 """Runner, generators, curves, exit codes, and report determinism."""
 
+import contextlib
 import copy
 import csv
+import io
 import json
 import logging
 import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,8 +27,8 @@ from ultraheat.cli import (
     load_config,
     main,
 )
-from ultraheat.errors import ConfigError, UnknownGenerator
-from ultraheat.semigroup import generator
+from ultraheat.errors import ConfigError, NotIsotropic, UnknownGenerator
+from ultraheat.semigroup import HierarchicalHeatKernel, SpectralGenerator, generator
 from ultraheat.space import build_tree, save_space
 
 from conftest import S2_SPEC, S4_SPEC, kernel_to_csv, random_scenario
@@ -201,12 +203,17 @@ class TestCurves:
 
     def test_exit_column_is_the_direct_exit_sum(self, tmp_path):
         # supremum.csv's exit column against max over balls B of
-        # sup_{x in B} sum_{y not in B} p_t(x, y) mu(y) (r ^ R0)^beta / t,
-        # each sum taken in long double, on an irregular tree
+        # sup_{x in B} sum_{y not in B} p_t(x, y) mu(y) (r ^ R0)^beta / t on an
+        # irregular tree, from one 40-digit eigendecomposition of the
+        # mu-symmetrised generator A = -D^{1/2} L D^{-1/2}, so that
+        # e^{tL} = D^{-1/2} Q e^{-t E} Q^T D^{1/2}
+        mp = pytest.importorskip("mpmath")
         cfg_path = write_config(
             tmp_path,
             space={"generator": {"kind": "random", "depth": 4, "max_points": 24,
                                  "mass_law": "loguniform"}},
+            kernel={"isotropic": {"kind": "power", "exponent": 3.0, "scale": 1.0},
+                    "scaling": "mass"},
             exponents={"alpha": 1.0, "beta": 1.5},
         )
         assert main(["curves", "--config", str(cfg_path)]) == 0
@@ -214,16 +221,68 @@ class TestCurves:
         text = (tmp_path / "out" / "curves" / "supremum.csv").read_text()
         rows = list(csv.DictReader(text.splitlines()))
         assert len(rows) == len(ctx.grid)
-        gen = generator(ctx.kernel)
         beta, r0 = ctx.exponents.beta, ctx.exponents.r0
         balls = [b for b in ctx.space.balls() if b.radius > 0]
         assert balls
-        for t, row in zip(ctx.grid, rows):
-            heat = (gen.density(float(t)) * ctx.kernel.mu).astype(np.longdouble)
-            expected = max([0.0] + [
-                float(heat[b.node.start:b.node.stop][:, b.indicator() == 0].sum(axis=1).max())
-                * min(b.radius, r0) ** beta / t for b in balls])
-            assert float(row["exit_quantity"]) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        with mp.workdps(40):
+            L = generator(ctx.kernel).matrix
+            root = [mp.sqrt(mp.mpf(m)) for m in ctx.kernel.mu]
+            n = len(root)
+            A = mp.matrix(n, n)
+            for i in range(n):
+                for j in range(i, n):
+                    A[i, j] = A[j, i] = -mp.mpf(L[i, j]) * root[i] / root[j]
+            E, Q = mp.eigsy(A)
+            for t, row in zip(ctx.grid, rows):
+                decay = mp.diag([mp.exp(-E[k] * mp.mpf(t)) for k in range(n)])
+                H = Q * decay * Q.T
+                expected = max([0.0] + [float(
+                    max(sum(H[x, y] * root[y] for y in range(n)
+                            if not b.start <= y < b.stop) / root[x]
+                        for x in range(b.start, b.stop))
+                    * mp.mpf(min(b.radius, r0)) ** beta / mp.mpf(t)) for b in balls])
+                assert float(row["exit_quantity"]) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_engine_and_dense_curves_agree(self, tmp_path):
+        # ids that csv.writer must quote: the joined rows keep its bytes; the
+        # per-node lookups keep the dense layout and values, and the
+        # cross-block zeros of the truncated curves
+        spec = {"radius": 2, "children": [
+            {"radius": 1, "children": [{"id": "a,1", "mass": 1.5}, {"id": 'b"2', "mass": 1}]},
+            {"radius": 1, "children": [{"id": "c", "mass": 0.5}, {"id": "d", "mass": 2}]},
+        ]}
+        outs = {}
+        for engine in ("hierarchical", "dense"):
+            cfg_path = write_config(
+                tmp_path, space={"inline": spec}, output_dir=str(tmp_path / engine),
+                kernel={"isotropic": {"kind": "power", "exponent": 3.0, "scale": 1.0},
+                        "scaling": "mass"})
+            forced = mock.patch.object(HierarchicalHeatKernel, "from_kernel",
+                                       side_effect=NotIsotropic("dense engine forced"))
+            with forced if engine == "dense" else contextlib.nullcontext():
+                assert main(["curves", "--config", str(cfg_path)]) == 0
+            outs[engine] = {p.name: p.read_bytes()
+                            for p in (tmp_path / engine / "curves").iterdir()}
+        assert sorted(outs["hierarchical"]) == sorted(outs["dense"])
+        for name, fast in outs["hierarchical"].items():
+            text = fast.decode()
+            buf = io.StringIO()
+            csv.writer(buf).writerows(csv.reader(io.StringIO(text, newline="")))
+            assert buf.getvalue() == text
+            fast_rows = list(csv.reader(io.StringIO(text, newline="")))
+            dense_rows = list(csv.reader(io.StringIO(outs["dense"][name].decode(), newline="")))
+            keys = 1 if name == "supremum.csv" else 3  # t, or t, x and y
+            assert [r[:keys] for r in fast_rows] == [r[:keys] for r in dense_rows]
+            assert fast_rows[0] == dense_rows[0]
+            for a, b in zip(fast_rows[1:], dense_rows[1:]):
+                assert [float(v) for v in a[keys:]] == pytest.approx(
+                    [float(v) for v in b[keys:]], rel=1e-12, abs=1e-12)
+                if name.startswith("q_truncated") and float(b[-1]) == 0.0:
+                    assert a[-1] == "0.0"
+        cross = [r for r in csv.reader(io.StringIO(outs["hierarchical"]["q_truncated_0.csv"]
+                                                   .decode(), newline=""))
+                 if {r[1], r[2]} == {"a,1", "c"}]
+        assert cross and all(r[3] == "0.0" for r in cross)
 
     def test_no_checks_run(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -543,6 +602,35 @@ def test_each_check_logs_its_wall_time(tmp_path, caplog):
     assert [m.split()[1] for m in timed] == ["ultrametric", "form", "due"]
     for m in timed:
         assert re.fullmatch(r"check \w+ took \d+\.\d{3} s", m), m
+
+
+NOT_ISOTROPIC = [[0, 1, .2, .3], [1, 0, .25, .2], [.2, .25, 0, 2], [.3, .2, 2, 0]]
+
+
+@pytest.mark.parametrize("kernel,engine", [
+    ({"isotropic": {"kind": "power", "exponent": 3.0}, "scaling": "none"},
+     "hierarchical heat profile"),
+    ({"matrix": NOT_ISOTROPIC}, "dense densities"),
+])
+def test_tail_and_curves_log_their_engine(tmp_path, caplog, kernel, engine):
+    path = write_config(tmp_path, checks=["tail"], kernel=kernel)
+    with caplog.at_level(logging.INFO, logger="ultraheat.bounds"):
+        assert main(["run", "--config", str(path)]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "ultraheat.bounds"]
+    assert [m.split(":")[0] for m in lines] == [
+        "tail", "curves", "curves rho=1.0", "curves rho=2.0"]
+    assert all(m.split(": ", 1)[1].startswith(engine) for m in lines)
+
+
+def test_isotropic_tail_and_curves_evaluate_no_dense_density(tmp_path, monkeypatch):
+    path = write_config(tmp_path, checks=["tail"])
+
+    def refuse(self, t):
+        raise AssertionError("dense density evaluated")
+
+    monkeypatch.setattr(SpectralGenerator, "density", refuse)
+    assert main(["run", "--config", str(path)]) == 0
+    assert (tmp_path / "out" / "curves" / "supremum.csv").is_file()
 
 
 # -- config fuzzer ---------------------------------------------------------------------

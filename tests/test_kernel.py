@@ -12,7 +12,7 @@ from ultraheat.errors import (
     NonzeroDiagonal,
     NotIsotropic,
 )
-from ultraheat.kernel import ExponentConfig, kernel_from_csv
+from ultraheat.kernel import ExponentConfig, JumpKernel, kernel_from_csv
 
 from conftest import kernel_to_csv, random_scenario
 
@@ -170,6 +170,24 @@ def test_isotropy_profile_detection(s4, k4):
     w[0, 2] = w[2, 0] = 0.3  # break level constancy
     with pytest.raises(NotIsotropic):
         from_matrix(s4, w).isotropy_profile()
+
+
+def test_isotropy_scan_runs_once_per_kernel(s4, k4, monkeypatch):
+    # the profile, or the reason there is none, is kept; callers get copies
+    calls = []
+    scan = JumpKernel._scan_profile
+    monkeypatch.setattr(JumpKernel, "_scan_profile",
+                        lambda self: calls.append(self) or scan(self))
+    first = k4.isotropy_profile()
+    first[1.0] = 7.0
+    assert k4.isotropy_profile() == {1.0: 1.0, 2.0: 0.125}
+    w = k4.w.copy()
+    w[0, 2] = w[2, 0] = 0.3
+    raw = from_matrix(s4, w)
+    for _ in range(2):
+        with pytest.raises(NotIsotropic, match="vary on level 2.0"):
+            raw.isotropy_profile()
+    assert calls == [k4, raw]
 
 
 def test_kernel_leaves_the_callers_array_writable(s4, k4):

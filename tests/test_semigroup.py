@@ -18,6 +18,7 @@ from ultraheat import (
 )
 from ultraheat.errors import EmptyDomain, NotIsotropic
 from ultraheat.cli import generate_space
+from ultraheat.semigroup import exit_probabilities
 
 from conftest import ball_trees, lca_index, random_scenario
 
@@ -277,6 +278,17 @@ class TestFastIsotropicPath:
         with pytest.raises(NotIsotropic):
             HierarchicalHeatKernel.from_kernel(from_matrix(s4, w))
 
+    def test_engine_is_built_once_per_kernel(self, k8):
+        # truncated engines are derived from the kept whole-space engine
+        full = HierarchicalHeatKernel.from_kernel(k8)
+        assert HierarchicalHeatKernel.from_kernel(k8) is full
+        rho = k8.space.distance_levels[0]
+        trunc = HierarchicalHeatKernel.from_kernel(k8, rho)
+        assert trunc is not full and trunc.parent is full.parent
+        assert np.array_equal(trunc.diagonal(0.3),
+                              HierarchicalHeatKernel(k8.space, k8.isotropy_profile().__getitem__)
+                              .truncated(rho).diagonal(0.3))
+
     def test_trace_identity(self):
         space, _ = generate_space("dyadic", depth=8, seed=0)
         fast = HierarchicalHeatKernel(space, power_profile(3.0))
@@ -377,3 +389,39 @@ def test_pair_classes_hold_their_first_pairs(case):
     values = classes.values(0.7)
     assert np.array_equal(values[node >= 0], fast.offdiagonal(0.7)[node[node >= 0]])
     assert np.array_equal(values[node < 0], fast.diagonal(0.7))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ball_trees())
+def test_engine_exits_match_dense(case):
+    # the exit from a ball is one value per node, the sup over its points;
+    # an exit sums p_t mu, so the density tolerance scales by mu(X)
+    space, exponent, scale = case
+    kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+    classes = HierarchicalHeatKernel.from_kernel(kernel).pair_classes()
+    gen = generator(kernel)
+    for t in ENGINE_TIMES:
+        dens = gen.density(t)
+        sup = classes.exits(classes.values(t))[0]
+        tol = 1e-10 * dens.max() * space.total_mass
+        assert np.abs(sup - exit_probabilities(space, dens)[1]).max() <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(ball_trees())
+def test_truncated_engine_matches_dense_blocks(case):
+    # every pair read through `index`: exactly 0.0 across the balls of radius
+    # rho, the dense truncated density inside them
+    space, exponent, scale = case
+    kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+    n = len(space)
+    D = space.distance_matrix()
+    rows, cols = np.divmod(np.arange(n * n), n)
+    for rho in space.distance_levels:
+        classes = HierarchicalHeatKernel.from_kernel(kernel, rho).pair_classes()
+        at = classes.index(rows, cols).reshape(n, n)
+        gen = generator(kernel, rho=rho)
+        for t in ENGINE_TIMES:
+            dens, fast = gen.density(t), classes.values(t)[at]
+            assert np.all(fast[D > rho] == 0.0)
+            assert np.abs(fast - dens).max() <= 1e-10 * dens.max()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ultraheat import build_tree, from_distance_matrix, validate_ultrametric
 from ultraheat.errors import (
+    DimensionMismatch,
     EmptySpace,
     NonDecreasingRadii,
     NonPositiveMass,
@@ -188,6 +189,14 @@ class TestValidation:
         dichotomy = validate_ultrametric(space, distance_matrix=D).records[1]
         assert dichotomy.status == "fail"
         assert dichotomy.witness == {"spans": [(0, 3), (2, 4)]}
+
+    # a matrix with more columns, fewer points or more rows than the space
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 3), (5, 4)])
+    def test_matrix_of_another_shape_is_rejected(self, s4, shape):
+        D = np.ones(shape)
+        np.fill_diagonal(D, 0.0)
+        with pytest.raises(DimensionMismatch):
+            validate_ultrametric(s4, distance_matrix=D)
 
     def test_strong_triangle_exhaustive_random(self):
         for seed in range(8):
