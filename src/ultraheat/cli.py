@@ -42,7 +42,7 @@ from .kernel import (
     tj_constant,
 )
 from .reporting import FAIL, CheckReport, record
-from .semigroup import ball_spans, generator, semigroup_selfcheck
+from .semigroup import generator, semigroup_selfcheck
 from .space import (
     UltrametricSpace,
     build_tree,
@@ -645,9 +645,7 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
 
     # p_full.csv and supremum.csv share one evaluation per time
     capped = np.minimum(full.dist, cfg.r0)
-    row = {s: k for k, s in enumerate(ball_spans(space)[0])}
-    balls = [(row[b.start, b.stop], min(b.radius, cfg.r0) ** cfg.beta)
-             for b in space.balls() if b.radius > 0]
+    scale = bounds_mod.ball_scales(space, cfg.r0, cfg.beta)
     with open(curves / "p_full.csv", "w", encoding="utf-8", newline="") as full_fh, \
             open(curves / "supremum.csv", "w", encoding="utf-8", newline="") as sup_fh:
         sup_wr = csv.writer(sup_fh)
@@ -658,8 +656,7 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
             t = float(t)
             values = full.values(t)
             full_fh.write(density_rows(t, values))
-            sup = full.exits(values)[0]
-            exit_q = max([0.0] + [float(sup[k]) * scale / t for k, scale in balls])
+            exit_q = max([0.0, *(full.exits(values)[0] * scale / t).tolist()])
             ondiag, offdiag = (
                 float(bounds_mod.scaled_density(values, t, cfg.alpha, cfg.beta, c).max())
                 for c in (0.0, capped))

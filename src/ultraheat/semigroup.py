@@ -29,13 +29,13 @@ Fast isotropic path.  For kernels w(x, y) = g(d(x, y)) mu(x) mu(y) the
 Haar basis of the ball tree diagonalises the semigroup, so p_t(x, x) depends
 only on x and p_t(x, y), x != y, only on the lowest common ancestor of x and
 y.  `HierarchicalHeatKernel` evaluates that profile, the exit probabilities
-of every ball and the rho-truncated profile from per-node arrays in
-O(nodes * depth) per time, with no n x n matrix.  Its `PairClasses` serve
-the DUE, wUE and chaining scans, the exit-probability check and the curves;
-the switch is automatic (`bounds.heat_pair_classes`: hierarchical when
-`from_kernel` succeeds, dense on `NotIsotropic`), and the dense
-`SpectralGenerator` stays the fallback and the oracle.  All other checks
-evaluate the dense generator.
+of every ball and the rho-truncated profile on the preorder arrays of
+`space.tree` in O(nodes * depth) per time, with no n x n matrix.  Its
+`PairClasses` serve the DUE, wUE and chaining scans, the exit-probability
+check and the curves; the switch is automatic (`bounds.heat_pair_classes`:
+hierarchical when `from_kernel` succeeds, dense on `NotIsotropic`), and the
+dense `SpectralGenerator` stays the fallback and the oracle.  All other
+checks evaluate the dense generator.
 """
 
 import copy
@@ -66,10 +66,11 @@ class PairClasses:
     `(rows[c], cols[c])`; the classes are sorted by that pair, so the first
     maximising class holds the row-major-first maximising pair.
     `values(t)` is p_t on every class and `index(i, j)` the class of each
-    pair (i[k], j[k]).  `exits(values(t))` is `(sup, chain_min)` in the
-    order of `ball_spans`: sup[k] = sup_{x in S} P_t 1_{S^c}(x) on span S,
-    and chain_min[c] = min_x P_t 1_{outer minus inner}(x) on chain c, which
-    is >= 0 where P_t 1_{B^c} does not increase from inner to outer.
+    pair (i[k], j[k]).  `exits(values(t))` is `(sup, chain_min)`:
+    sup[k] = sup_{x in B} P_t 1_{B^c}(x) on the k-th ball B of
+    `space.balls()`, and chain_min[c] = min_x P_t 1_{P minus B}(x) on the
+    c-th chain (B, P) of `ball_chains`, which is >= 0 where P_t 1_{B^c}
+    does not increase from B to P.
     """
 
     dist: np.ndarray
@@ -80,37 +81,37 @@ class PairClasses:
     exits: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def ball_spans(space: UltrametricSpace) -> tuple[list, list]:
-    """The distinct node spans (start, stop), sorted, and the distinct
-    chains (start, stop, parent start, parent stop) of a node span inside
-    its parent's, sorted."""
-    spans = sorted({(nd.start, nd.stop) for nd in space._nodes})
-    chains = sorted({(nd.start, nd.stop, nd.parent.start, nd.parent.stop)
-                     for nd in space._nodes if nd.parent is not None})
-    return spans, chains
+def ball_chains(space: UltrametricSpace) -> tuple[list, np.ndarray]:
+    """The distinct chains [start, stop, parent start, parent stop] of a
+    node's span inside its parent's, sorted, and the first node in preorder
+    of each."""
+    tree = space.tree
+    up = tree.parent[1:]
+    chains, first = np.unique(
+        np.column_stack((tree.start[1:], tree.stop[1:], tree.start[up], tree.stop[up])),
+        axis=0, return_index=True)
+    return chains.tolist(), first + 1
 
 
 def exit_probabilities(space: UltrametricSpace, dens: np.ndarray):
-    """P_t 1_{S^c}(x) for every span S = [s0, s1) of `ball_spans` and every
-    point x, from the full-space density `dens` = p_t: `(row, sup, outside)`,
-    where `row` maps each span to its row of the (spans, points) matrix
-    `outside` and `sup[k]` is the max of row k over its own span.  As the
-    complement of a span is a prefix and a suffix of the points, a row is the
-    sum of two running sums of p_t(x, .) mu: no per-span product, no
-    cancellation.
+    """`PairClasses.exits` from the full-space density `dens` = p_t: the sup
+    over each ball B of `space.balls()` of P_t 1_{B^c}, and the min over all
+    points of P_t 1_{P minus B} on each chain (B, P) of `ball_chains`.  Each
+    sums p_t(x, .) mu over ranges of points, in nonnegative terms: the
+    complement of B is a prefix and a suffix, two running sums, and P minus
+    B is the ranges [P.start, B.start) and [B.stop, P.stop), summed directly
+    so that a small value is not the difference of two near 1.
     """
     n = len(space)
     weighted = (dens * space.masses).T  # [y, x] = p_t(x, y) mu(y)
     before, after = np.zeros((n + 1, n)), np.zeros((n + 1, n))
     np.cumsum(weighted, axis=0, out=before[1:])  # before[k]: the sum over y < k
     np.cumsum(weighted[::-1], axis=0, out=after[-2::-1])  # after[k]: over y >= k
-    del weighted
-    spans = ball_spans(space)[0]
-    outside, sup = np.empty((len(spans), n)), np.empty(len(spans))
-    for k, (s0, s1) in enumerate(spans):
-        np.add(before[s0], after[s1], out=outside[k])
-        sup[k] = outside[k, s0:s1].max()
-    return {s: k for k, s in enumerate(spans)}, sup, outside
+    sup = [(before[b.start, b.start:b.stop] + after[b.stop, b.start:b.stop]).max()
+           for b in space.balls()]
+    chain_min = [(weighted[p0:b0].sum(axis=0) + weighted[b1:p1].sum(axis=0)).min()
+                 for b0, b1, p0, p1 in ball_chains(space)[0]]
+    return np.array(sup), np.array(chain_min)
 
 
 class SpectralGenerator:
@@ -215,16 +216,10 @@ class SpectralGenerator:
         dist = self.space.distance_matrix()[np.ix_(self.omega, self.omega)].ravel()
         at = np.full(len(self.space), -1)
         at[self.omega] = np.arange(m)
-        chains = ball_spans(self.space)[1]
-
-        def exits(values):
-            row, sup, outside = exit_probabilities(self.space, values.reshape(m, m))
-            return sup, np.array([(outside[row[c[:2]]] - outside[row[c[2:]]]).min()
-                                  for c in chains])
-
         return PairClasses(dist, self.omega[rows], self.omega[cols],
                            lambda t: self.density(t).ravel(),
-                           lambda i, j: at[np.asarray(i)] * m + at[np.asarray(j)], exits)
+                           lambda i, j: at[np.asarray(i)] * m + at[np.asarray(j)],
+                           lambda values: exit_probabilities(self.space, values.reshape(m, m)))
 
     def apply(self, t: float, f) -> np.ndarray:
         """e^{tL} f; full-length input, full-length output (zero off-domain)."""
@@ -352,55 +347,49 @@ class HierarchicalHeatKernel:
     its root R, mu(X) becomes mu(R), and a node above rho has p_t = 0.0 by
     construction.
 
-    The nodes are kept as arrays in preorder.  Every sum runs over the pairs
-    (node, strict ancestor) as one elementwise pass and a `bincount`, so an
-    evaluation costs O(nodes * depth) flops per time, with no Python loop
-    over nodes and no n x n matrix.
+    The tree is read from the preorder arrays of `space.tree`.  Every sum
+    runs over the pairs (node, strict ancestor) as one elementwise pass and a
+    `bincount`, so an evaluation costs O(nodes * depth) flops per time, with
+    no Python loop over nodes and no n x n matrix.  p_t(x, y) is
+    `node_values(t)[space.lca(i, j)]` for the points i, j of x, y.
     """
 
     def __init__(self, space: UltrametricSpace, profile):
         self.space = space
-        nodes = space._nodes  # preorder, root first
-        pos = {id(nd): k for k, nd in enumerate(nodes)}
-        self.parent = np.array([-1] + [pos[id(nd.parent)] for nd in nodes[1:]], dtype=int)
-        self.radius = np.array([nd.radius for nd in nodes])
-        self.volume = np.array([nd.volume for nd in nodes])
-        self.branching = np.array([len(nd.children) for nd in nodes], dtype=int)
-        self._start = np.array([nd.start for nd in nodes], dtype=int)
-        self._stop = np.array([nd.stop for nd in nodes], dtype=int)
-        # nodes whose pairs meet there; a single-child chain node has none,
-        # its projector is zero and its radius need not be a profile level
-        self._branch = np.flatnonzero(self.branching >= 2)
-        self._leaf = np.flatnonzero(self.branching == 0)  # in point order
-
+        tree = space.tree
         # the pairs (k, j) with j a non-root node on the path from the root to
         # k, k included, so that parent(j) runs over the strict ancestors of
         # k; sorted by k and then from the root down
         rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-        node = np.arange(len(nodes))
+        node = np.arange(tree.parent.size)
         while (node > 0).any():
             rows.append(np.flatnonzero(node > 0))
             cols.append(node[node > 0])
-            node = np.where(node > 0, self.parent[node], 0)
+            node = np.where(node > 0, tree.parent[node], 0)
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         order = np.lexsort((cols, rows))
         self._path_row, self._path_col = rows[order], cols[order]
 
-        self._g = np.zeros(len(nodes))
-        radii, level_of = np.unique(self.radius[self._branch], return_inverse=True)
-        self._g[self._branch] = np.array([float(profile(float(r))) for r in radii])[level_of]
+        # nodes whose pairs meet there; a single-child chain node has none,
+        # its projector is zero and its radius need not be a profile level
+        branch = np.flatnonzero(tree.children >= 2)
+        self._g = np.zeros(tree.parent.size)
+        radii, level_of = np.unique(tree.radius[branch], return_inverse=True)
+        self._g[branch] = np.array([float(profile(float(r))) for r in radii])[level_of]
         self._set_range(None)
 
     def _set_range(self, rho: float | None) -> None:
         """The arrays that depend on the truncation range (None: none)."""
-        inside = self.radius <= (np.inf if rho is None else rho)
+        tree = self.space.tree
+        parent, volume = tree.parent, tree.volume
+        inside = tree.radius <= (np.inf if rho is None else rho)
         g = np.where(inside, self._g, 0.0)
-        keep = inside[self.parent[self._path_col]]
+        keep = inside[parent[self._path_col]]
         row, col = self._path_row[keep], self._path_col[keep]
-        up = self.parent[col]
-        size = self.volume.size
-        gain = g[up] * (self.volume[up] - self.volume[col])
-        self.eigenvalue = 2.0 * (g * self.volume + np.bincount(row, gain, minlength=size))
+        up = parent[col]
+        size = volume.size
+        gain = g[up] * (volume[up] - volume[col])
+        self.eigenvalue = 2.0 * (g * volume + np.bincount(row, gain, minlength=size))
         # the dense generator's convention, so that both engines agree
         self.eigenvalue[np.abs(self.eigenvalue) < EIGENVALUE_CLAMP] = 0.0
         # the root of each node's ball of radius <= rho: the ancestor that
@@ -408,15 +397,15 @@ class HierarchicalHeatKernel:
         root = np.arange(size)
         ks, first = np.unique(row, return_index=True)
         root[ks] = up[first]
-        self._base = np.where(inside, 1.0 / self.volume[root], 0.0)
+        self._base = np.where(inside, 1.0 / volume[root], 0.0)
         self._row, self._up = row, up
-        self._step = 1.0 / self.volume[col] - 1.0 / self.volume[up]
-        self._at_leaf = self.branching[row] == 0
+        self._step = 1.0 / volume[col] - 1.0 / volume[up]
+        self._at_leaf = tree.children[row] == 0
         # e^{-a t} - e^{-b t} = sign(b - a) e^{-min(a, b) t} (1 - e^{-|b - a| t})
         gap = np.where(self._at_leaf, 0.0, self.eigenvalue[row] - self.eigenvalue[up])
         self._rate = np.where(gap < 0, self.eigenvalue[row], self.eigenvalue[up])
         self._gap, self._sign = np.abs(gap), np.sign(gap)
-        self._sibling_mass = self.volume[up] - self.volume[col]
+        self._sibling_mass = volume[up] - volume[col]
 
     @classmethod
     def from_kernel(cls, kernel: JumpKernel, rho: float | None = None) -> "HierarchicalHeatKernel":
@@ -442,7 +431,7 @@ class HierarchicalHeatKernel:
         fill = -np.expm1(-self._gap * t) * self._sign
         fill[self._at_leaf] = 1.0
         terms *= fill
-        own = np.where(self.branching == 0, 1.0, -np.expm1(-self.eigenvalue * t))
+        own = np.where(self.space.tree.children == 0, 1.0, -np.expm1(-self.eigenvalue * t))
         return self._base * own + np.bincount(self._row, terms, minlength=own.size)
 
     def exits(self, values: np.ndarray) -> np.ndarray:
@@ -452,32 +441,28 @@ class HierarchicalHeatKernel:
 
     @cached_property
     def _chains(self):
-        """For each chain (B, P) of `ball_spans`, in order: mu(P) - mu(B),
+        """For each chain (B, P) of `ball_chains`, in order: mu(P) - mu(B),
         and the nodes whose p_t P_t 1_{P minus B} takes, times mu(P) - mu(B),
         off the siblings of B (P, and each strict ancestor of P with two
         children or more), as arrays (starts, weight, meet) with the nodes of
         chain c from meet[starts[c]] on."""
-        nodes = self.space._nodes
-        first = {}
-        for k, nd in enumerate(nodes[1:], 1):
-            first.setdefault((nd.start, nd.stop, nd.parent.start, nd.parent.stop), k)
+        tree = self.space.tree
         starts, weight, meet = [], [], []
-        for chain in ball_spans(self.space)[1]:
-            b = first[chain]
-            p = self.parent[b]
+        for b in ball_chains(self.space)[1].tolist():
+            p = tree.parent[b]
             starts.append(len(meet))
-            weight.append(self.volume[p] - self.volume[b])
+            weight.append(tree.volume[p] - tree.volume[b])
             meet.append(p)
-            a = self.parent[p]
+            a = tree.parent[p]
             while a >= 0:
-                if self.branching[a] >= 2:
+                if tree.children[a] >= 2:
                     meet.append(a)
-                a = self.parent[a]
+                a = tree.parent[a]
         return (np.array(starts, dtype=int), np.array(weight, dtype=float),
                 np.array(meet, dtype=int))
 
     def chain_minima(self, values: np.ndarray) -> np.ndarray:
-        """min_x P_t 1_{P minus B}(x) on each chain (B, P) of `ball_spans`,
+        """min_x P_t 1_{P minus B}(x) on each chain (B, P) of `ball_chains`,
         from `node_values(t)`.  The function is p_t(P)(mu(P) - mu(B)) on B
         and p_t(A)(mu(P) - mu(B)) where x meets P at A; on a sibling C of B
         it exceeds its value on B by e^{-lambda_P t}, the evolution of the
@@ -486,65 +471,29 @@ class HierarchicalHeatKernel:
         starts, weight, meet = self._chains
         return np.minimum.reduceat(values[meet], starts) * weight
 
-    def _lca(self, i, j) -> np.ndarray:
-        """The lowest common ancestor of points i[k] and j[k] (the leaf when
-        they are equal).  Of two distinct nodes, the later in preorder is not
-        an ancestor of the other, so it moves to its parent until they meet."""
-        a, b = self._leaf[np.asarray(i)], self._leaf[np.asarray(j)]
-        while (a != b).any():
-            up_a, up_b = a > b, b > a
-            a = np.where(up_a, self.parent[a], a)
-            b = np.where(up_b, self.parent[b], b)
-        return a
-
-    def diagonal(self, t: float) -> np.ndarray:
-        """p_t(x, x) for every point x, in point order."""
-        return self.node_values(t)[self._leaf]
-
-    def offdiagonal(self, t: float) -> np.ndarray:
-        """p_t at every node with at least two children, in preorder: the
-        value of every pair whose lowest common ancestor is that node."""
-        return self.node_values(t)[self._branch]
-
-    def value(self, t: float, x, y) -> float:
-        """p_t(x, y), looked up at the lowest common ancestor."""
-        node = self._lca([self.space.index(x)], [self.space.index(y)])[0]
-        return float(self.node_values(t)[node])
-
     def pair_classes(self) -> PairClasses:
         """One class per point (distance 0) and one per node with at least
         two children (distance r_N).  A node's row-major-first pair joins
         the first leaf of its first child to the first leaf of its second
         child, which starts where the first child (next in preorder) stops."""
-        n, b, size = len(self.space), self._branch, self.volume.size
-        nodes = np.concatenate((self._leaf, b))
-        rows = np.concatenate((np.arange(n), self._start[b]))
-        cols = np.concatenate((np.arange(n), self._stop[b + 1]))
-        dist = np.concatenate((np.zeros(n), self.radius[b]))
+        tree = self.space.tree
+        n, size = len(self.space), tree.parent.size
+        b = np.flatnonzero(tree.children >= 2)
+        nodes = np.concatenate((tree.leaf, b))
+        rows = np.concatenate((np.arange(n), tree.start[b]))
+        cols = np.concatenate((np.arange(n), tree.stop[b + 1]))
+        dist = np.concatenate((np.zeros(n), tree.radius[b]))
         order = np.lexsort((cols, rows))
         nodes = nodes[order]
         klass = np.full(size, -1)
         klass[nodes] = np.arange(nodes.size)
-        # the first node in preorder of each span, in the sorted order of
-        # `ball_spans`; the nodes of a single-child chain share their span
-        # and, with zero weight on the chain, their exit
-        span_node = np.unique(self._start * (n + 1) + self._stop, return_index=True)[1]
+        balls = np.flatnonzero(tree.children > 0)  # the nodes of `space.balls()`
 
         def exits(values):
             p = np.zeros(size)
             p[nodes] = values
-            return self.exits(p)[span_node], self.chain_minima(p)
+            return self.exits(p)[balls], self.chain_minima(p)
 
         return PairClasses(dist[order], rows[order], cols[order],
                            lambda t: self.node_values(t)[nodes],
-                           lambda i, j: klass[self._lca(i, j)], exits)
-
-    def trace(self, t: float) -> float:
-        """sum_x p_t(x, x) mu(x) = sum_k e^{-lambda_k t}, via multiplicities."""
-        mult = np.maximum(self.branching - 1, 0)
-        return 1.0 + float((mult * np.exp(-self.eigenvalue * t)).sum())
-
-    def eigenvalues(self) -> np.ndarray:
-        """All rate eigenvalues with multiplicity, ascending."""
-        mult = np.maximum(self.branching - 1, 0)
-        return np.sort(np.concatenate(([0.0], np.repeat(self.eigenvalue, mult))))
+                           lambda i, j: klass[self.space.lca(i, j)], exits)

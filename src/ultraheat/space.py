@@ -12,7 +12,11 @@ holds by construction and two balls are always nested or disjoint.
 
 Leaves are stored in depth-first order (the canonical point order), which
 makes every ball a contiguous slice of the point array and keeps all
-derived matrices reproducible bit for bit across runs.
+derived matrices reproducible bit for bit across runs.  The tree itself is
+`space.tree`, read-only arrays over the nodes in preorder (`BallTree`);
+a `Ball` is a view of one node, and every walk of the tree (the lowest
+common ancestors, distances, balls, partitions, and the heat engine of
+`semigroup`) reads those arrays.
 
 Balls are closed sets {y : d(x, y) <= r}; tail events elsewhere in the
 package use the strict inequality d > r.
@@ -20,6 +24,7 @@ package use the strict inequality d > r.
 
 import csv
 import json
+from typing import NamedTuple
 
 import numpy as np
 from scipy.cluster.hierarchy import cophenet, linkage
@@ -41,26 +46,18 @@ from .reporting import CheckReport, record
 RADIUS_GAP = 1e-12
 
 
-class _Node:
-    """Ball-tree node; leaves have no children and radius 0."""
+class BallTree(NamedTuple):
+    """The ball tree as read-only arrays over its nodes in preorder, root
+    first.  A node's children follow it in order, each with its subtree,
+    and the leaves come in point order."""
 
-    __slots__ = ("radius", "children", "parent", "start", "stop", "volume", "height")
-
-    def __init__(self, radius: float, children=()):
-        self.radius = float(radius)
-        self.children = list(children)
-        self.parent = None
-        self.start = 0
-        self.stop = 0
-        self.volume = 0.0
-        self.height = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def __repr__(self):
-        return f"_Node(r={self.radius}, [{self.start}:{self.stop}])"
+    parent: np.ndarray  # parent's position; -1 at the root
+    start: np.ndarray  # the node's points are start .. stop - 1
+    stop: np.ndarray
+    radius: np.ndarray  # 0 at a leaf
+    volume: np.ndarray  # mu of the ball, summed over the children in order
+    children: np.ndarray  # number of children; 0 at a leaf
+    leaf: np.ndarray  # the node of each point, in point order
 
 
 class Ball:
@@ -70,54 +67,47 @@ class Ball:
     single-child chain describing the same set compare equal.
     """
 
-    __slots__ = ("space", "node")
+    __slots__ = ("space", "node", "start", "stop")
 
-    def __init__(self, space: "UltrametricSpace", node: _Node):
+    def __init__(self, space: "UltrametricSpace", node: int):
         self.space = space
-        self.node = node
+        self.node = node  # position in `space.tree`
+        self.start, self.stop = int(space.tree.start[node]), int(space.tree.stop[node])
 
     @property
     def radius(self) -> float:
-        return self.node.radius
-
-    @property
-    def start(self) -> int:
-        return self.node.start
-
-    @property
-    def stop(self) -> int:
-        return self.node.stop
+        return float(self.space.tree.radius[self.node])
 
     @property
     def volume(self) -> float:
-        return self.node.volume
+        return float(self.space.tree.volume[self.node])
 
     @property
     def members(self) -> tuple:
-        return self.space.ids[self.node.start:self.node.stop]
+        return self.space.ids[self.start:self.stop]
 
     @property
     def indices(self) -> np.ndarray:
-        return np.arange(self.node.start, self.node.stop)
+        return np.arange(self.start, self.stop)
 
     def indicator(self) -> np.ndarray:
         out = np.zeros(len(self.space))
-        out[self.node.start:self.node.stop] = 1.0
+        out[self.start:self.stop] = 1.0
         return out
 
     def __len__(self) -> int:
-        return self.node.stop - self.node.start
+        return self.stop - self.start
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Ball)
             and self.space is other.space
-            and self.node.start == other.node.start
-            and self.node.stop == other.node.stop
+            and self.start == other.start
+            and self.stop == other.stop
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.space), self.node.start, self.node.stop))
+        return hash((id(self.space), self.start, self.stop))
 
     def __repr__(self):
         return f"Ball(r={self.radius}, members={list(self.members)})"
@@ -136,12 +126,14 @@ class UltrametricSpace:
         Point masses mu(x) > 0, aligned with `ids`.
     diam : float
         Radius label of the root (0 for a singleton).
+    tree : BallTree
+        The ball tree as read-only arrays over its nodes in preorder; `lca`
+        and every `Ball` give positions in these arrays.
     """
 
-    def __init__(self, root: _Node, ids, masses):
+    def __init__(self, tree: BallTree, ids, masses):
         if len(ids) == 0:
             raise EmptySpace("space has no points")
-        self.root = root
         self.ids = tuple(str(i) for i in ids)
         self.masses = np.asarray(masses, dtype=float)
         if np.any(self.masses <= 0.0) or not np.all(np.isfinite(self.masses)):
@@ -157,33 +149,19 @@ class UltrametricSpace:
         self.masses.setflags(write=False)
         self._index = {p: i for i, p in enumerate(self.ids)}
 
-        self._nodes: list[_Node] = []
-        self._leaf_nodes: list[_Node] = [None] * len(self.ids)
-        self._finalize(root)
+        # the first node in preorder whose label is not below its parent's
+        low = (tree.radius[tree.parent[1:]] - tree.radius[1:] < RADIUS_GAP).nonzero()[0]
+        if low.size:
+            k = low[0] + 1
+            raise NonDecreasingRadii(
+                f"child radius {float(tree.radius[k])} under parent radius "
+                f"{float(tree.radius[tree.parent[k]])}: "
+                f"labels must strictly decrease (gap >= {RADIUS_GAP})"
+            )
+        for array in tree:
+            array.setflags(write=False)
+        self.tree = tree
         self._dmat = None
-
-    # -- construction helpers ---------------------------------------------
-
-    def _finalize(self, node: _Node, parent=None) -> None:
-        node.parent = parent
-        self._nodes.append(node)
-        if node.is_leaf:
-            # start/stop assigned by the builder
-            node.volume = float(self.masses[node.start])
-            node.height = 0
-            self._leaf_nodes[node.start] = node
-            return
-        for child in node.children:
-            if node.radius - child.radius < RADIUS_GAP:
-                raise NonDecreasingRadii(
-                    f"child radius {child.radius} under parent radius {node.radius}: "
-                    f"labels must strictly decrease (gap >= {RADIUS_GAP})"
-                )
-            self._finalize(child, node)
-        node.start = node.children[0].start
-        node.stop = node.children[-1].stop
-        node.volume = float(sum(c.volume for c in node.children))
-        node.height = 1 + max(c.height for c in node.children)
 
     # -- basic queries -------------------------------------------------------
 
@@ -196,11 +174,11 @@ class UltrametricSpace:
 
     @property
     def diam(self) -> float:
-        return self.root.radius
+        return float(self.tree.radius[0])
 
     @property
     def total_mass(self) -> float:
-        return float(self.root.volume)
+        return float(self.tree.volume[0])
 
     def index(self, point_id) -> int:
         key = str(point_id)
@@ -208,35 +186,34 @@ class UltrametricSpace:
             raise UnknownPoint(f"unknown point id {point_id!r}")
         return self._index[key]
 
-    def lca(self, i: int, j: int) -> _Node:
-        """Lowest common ancestor node of the points at indices i and j
-        (the leaf itself when i == j)."""
-        a, b = self._leaf_nodes[i], self._leaf_nodes[j]
-        while a is not b:
-            if a.height < b.height:
-                a = a.parent
-            elif b.height < a.height:
-                b = b.parent
-            else:
-                a, b = a.parent, b.parent
+    def lca(self, i, j) -> np.ndarray:
+        """The position in `tree` of the lowest common ancestor of the points
+        at indices i[k] and j[k] (the leaf when they are equal).  Of two
+        distinct nodes, the later in preorder is not an ancestor of the
+        other, so it moves to its parent until they meet."""
+        parent = self.tree.parent
+        a, b = self.tree.leaf[np.asarray(i)], self.tree.leaf[np.asarray(j)]
+        while (a != b).any():
+            a, b = np.where(a > b, parent[a], a), np.where(b > a, parent[b], b)
         return a
 
     def distance(self, x, y) -> float:
         """Radius of the lowest common ancestor ball; 0 iff x == y."""
-        return self.lca(self.index(x), self.index(y)).radius
+        return float(self.tree.radius[self.lca(self.index(x), self.index(y))])
 
     def distance_matrix(self) -> np.ndarray:
         """Full pairwise distance matrix in canonical point order (cached)."""
         if self._dmat is None:
             n = len(self.ids)
             D = np.zeros((n, n))
-            for node in self._nodes:
-                if len(node.children) < 2:
-                    continue
-                for i, ci in enumerate(node.children):
-                    for cj in node.children[i + 1:]:
-                        D[ci.start:ci.stop, cj.start:cj.stop] = node.radius
-                        D[cj.start:cj.stop, ci.start:ci.stop] = node.radius
+            # each block in preorder, so a pair keeps the radius of the
+            # lowest node over it
+            tree = self.tree
+            for a, b, r, c in zip(tree.start.tolist(), tree.stop.tolist(),
+                                  tree.radius.tolist(), tree.children.tolist()):
+                if c >= 2:
+                    D[a:b, a:b] = r
+            np.fill_diagonal(D, 0.0)
             D.setflags(write=False)
             self._dmat = D
         return self._dmat
@@ -244,8 +221,9 @@ class UltrametricSpace:
     @property
     def distance_levels(self) -> tuple:
         """Sorted distinct positive distance values realised by point pairs."""
-        vals = {n.radius for n in self._nodes if len(n.children) >= 2}
-        return tuple(sorted(vals))
+        tree = self.tree
+        return tuple(sorted({r for r, c in zip(tree.radius.tolist(), tree.children.tolist())
+                             if c >= 2}))
 
     # -- balls ----------------------------------------------------------------
 
@@ -253,51 +231,46 @@ class UltrametricSpace:
         """The closed ball {y : d(x, y) <= r} as a tree node or singleton."""
         if r < 0:
             raise ValueError(f"ball radius must be >= 0, got {r}")
-        node = self._leaf_nodes[self.index(x)]
-        while node.parent is not None and node.parent.radius <= r:
-            node = node.parent
-        return Ball(self, node)
+        parent, radius = self.tree.parent, self.tree.radius
+        node = self.tree.leaf[self.index(x)]
+        while parent[node] >= 0 and radius[parent[node]] <= r:
+            node = parent[node]
+        return Ball(self, int(node))
 
     def partition(self, r: float) -> list:
-        """The pairwise-disjoint balls of radius r covering the space."""
+        """The pairwise-disjoint balls of radius r covering the space: the
+        nodes of radius <= r whose parent's is > r, in preorder."""
         if r < 0:
             raise ValueError(f"partition radius must be >= 0, got {r}")
-        cells = []
-
-        def select(node):
-            if node.radius <= r:
-                cells.append(Ball(self, node))
-            else:
-                for child in node.children:
-                    select(child)
-
-        select(self.root)
-        return cells
+        top = self.tree.radius <= r
+        top[1:] &= self.tree.radius[self.tree.parent[1:]] > r
+        return [Ball(self, k) for k in np.flatnonzero(top).tolist()]
 
     def balls(self, include_points: bool = False) -> list:
         """All tree-node balls in depth-first order.
 
         With `include_points`, singleton leaf balls are appended as well.
         """
-        out = [Ball(self, n) for n in self._nodes if not n.is_leaf]
+        out = [Ball(self, k) for k in np.flatnonzero(self.tree.children > 0).tolist()]
         if include_points:
-            out.extend(Ball(self, n) for n in self._nodes if n.is_leaf)
+            out.extend(Ball(self, k) for k in self.tree.leaf.tolist())
         return out
 
     def whole(self) -> Ball:
-        return Ball(self, self.root)
+        return Ball(self, 0)
 
     # -- serialisation ----------------------------------------------------------
 
     def to_spec(self) -> dict:
         """Nested dict describing the tree; inverse of `build_tree`."""
-
-        def emit(node):
-            if node.is_leaf:
-                return {"id": self.ids[node.start], "mass": float(self.masses[node.start])}
-            return {"radius": node.radius, "children": [emit(c) for c in node.children]}
-
-        return emit(self.root)
+        tree, specs = self.tree, []
+        for k in range(tree.parent.size):
+            i = int(tree.start[k])
+            specs.append({"radius": float(tree.radius[k]), "children": []} if tree.children[k]
+                         else {"id": self.ids[i], "mass": float(self.masses[i])})
+            if k:
+                specs[tree.parent[k]]["children"].append(specs[k])
+        return specs[0]
 
     def __repr__(self):
         return f"UltrametricSpace(n={len(self.ids)}, diam={self.diam})"
@@ -321,8 +294,9 @@ def build_tree(spec: dict) -> UltrametricSpace:
     """
     ids: list = []
     masses: list = []
+    nodes: list = []  # [parent, start, stop, radius, volume, children] in preorder
 
-    def parse(obj):
+    def parse(obj, parent):
         if not isinstance(obj, dict):
             raise SpaceError(f"tree entry must be an object, got {obj!r}")
         known = _LEAF_KEYS if "id" in obj else _NODE_KEYS
@@ -332,12 +306,10 @@ def build_tree(spec: dict) -> UltrametricSpace:
         if "id" in obj:
             if not isinstance(obj["id"], str) or not obj["id"]:
                 raise SpaceError(f"leaf id must be a non-empty string, got {obj['id']!r}")
-            node = _Node(0.0)
-            node.start = len(ids)
-            node.stop = node.start + 1
             ids.append(obj["id"])
             masses.append(float(obj.get("mass", 1.0)))
-            return node
+            nodes.append([parent, len(ids) - 1, len(ids), 0.0, masses[-1], 0])
+            return nodes[-1]
         if "radius" not in obj:
             raise EmptySpace(f"node needs 'radius' or 'id': {obj!r}")
         radius = float(obj["radius"])
@@ -346,10 +318,19 @@ def build_tree(spec: dict) -> UltrametricSpace:
         entries = obj.get("children", obj.get("leaves"))
         if not entries:
             raise EmptySpace("ball with no children")
-        return _Node(radius, [parse(e) for e in entries])
+        node = [parent, len(ids), 0, radius, 0.0, len(entries)]
+        k = len(nodes)
+        nodes.append(node)
+        volumes = [parse(entry, k)[4] for entry in entries]
+        node[2], node[4] = len(ids), float(sum(volumes))
+        return node
 
-    root = parse(spec)
-    return UltrametricSpace(root, ids, masses)
+    parse(spec, -1)
+    parent, start, stop, radius, volume, children = zip(*nodes)
+    children = np.array(children)
+    tree = BallTree(np.array(parent), np.array(start), np.array(stop), np.array(radius),
+                    np.array(volume), children, (children == 0).nonzero()[0])
+    return UltrametricSpace(tree, ids, masses)
 
 
 def from_distance_matrix(matrix, masses=None, ids=None) -> UltrametricSpace:
@@ -520,8 +501,8 @@ def validate_ultrametric(space: UltrametricSpace, distance_matrix=None) -> Check
     # is the first crossing pair in node order.  Comparing each node with all
     # nodes finds it (a crossing with an earlier node stops the scan there)
     # and gives numpy's small-buffer cache one length to hold, not one per node.
-    spans = [(nd.start, nd.stop) for nd in space._nodes]
-    b0, b1 = np.array(spans).T
+    b0, b1 = space.tree.start, space.tree.stop
+    spans = list(zip(b0.tolist(), b1.tolist()))
     bad_pair = None
     for a0, a1 in spans:
         crossing = ~((a1 <= b0) | (b1 <= a0) | (a0 <= b0) & (b1 <= a1) | (b0 <= a0) & (a1 <= b1))

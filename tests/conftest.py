@@ -107,14 +107,17 @@ def exit_probability_slope(kernel, ball, x) -> float:
 
 
 def lca_index(space):
-    """n x n: the position of lca(i, j) among the nodes with at least two
-    children in preorder (the order of `offdiagonal`), -1 on the diagonal;
-    found by the tree walk of `space.lca`."""
-    branch = {id(nd): k for k, nd in enumerate(
-        [nd for nd in space._nodes if len(nd.children) >= 2])}
-    n = len(space)
-    return np.array([[branch[id(space.lca(i, j))] if i != j else -1 for j in range(n)]
-                     for i in range(n)])
+    """n x n: the position in `space.tree` of the lowest common ancestor of
+    each pair of points (the leaf on the diagonal), found by walking the
+    parent pointers up from both leaves; the reference for `space.lca`."""
+    parent = space.tree.parent.tolist()
+    paths = []
+    for node in space.tree.leaf.tolist():
+        paths.append([node])
+        while parent[paths[-1][-1]] >= 0:
+            paths[-1].append(parent[paths[-1][-1]])
+    above = [set(path) for path in paths]
+    return np.array([[next(k for k in path if k in seen) for path in paths] for seen in above])
 
 
 @st.composite

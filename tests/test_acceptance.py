@@ -254,24 +254,27 @@ def test_fast_isotropic_criterion(tmp_path):
         rng = np.random.default_rng(1)
         for t in (0.05, 1.0):
             dens = gen.density(t)
-            diag = fast.diagonal(t)
-            assert np.abs(diag - np.diagonal(dens)).max() <= 1e-10
+            values = fast.node_values(t)
+            assert np.abs(values[space.tree.leaf] - np.diagonal(dens)).max() <= 1e-10
             for _ in range(60):
                 i, j = rng.integers(0, len(space), 2)
-                got = fast.value(t, space.ids[i], space.ids[j])
+                got = values[space.lca(i, j)]
                 assert abs(got - dens[i, j]) <= 1e-10 * max(1.0, abs(dens[i, j]))
 
     big, _ = generate_space("dyadic", depth=12, q=2.0)
     assert len(big) == 4096
     start = time.monotonic()
     fast = HierarchicalHeatKernel(big, power_profile(3.0))
-    diag = fast.diagonal(1.0)
+    diag = fast.node_values(1.0)[big.tree.leaf]
     fast_time = time.monotonic() - start
     assert fast_time < 1.0
     # independent identity at full size: mass-weighted diagonal equals the
-    # spectral trace
+    # spectral trace at t = 1, each node's eigenvalue once per child beyond
+    # the first
+    mult = np.maximum(big.tree.children - 1, 0)
+    trace = 1.0 + float((mult * np.exp(-fast.eigenvalue)).sum())
     trace_diag = float((diag * big.masses).sum())
-    assert trace_diag == pytest.approx(fast.trace(1.0), rel=1e-10)
+    assert trace_diag == pytest.approx(trace, rel=1e-10)
 
     m = 512
     a = np.random.default_rng(0).normal(size=(m, m))

@@ -26,7 +26,9 @@ from ultraheat import (
 )
 from ultraheat.bounds import (
     ConditionEstimate,
+    ball_scales,
     default_function_family,
+    heat_pair_classes,
     log_time_grid,
     scaled_density,
 )
@@ -34,6 +36,7 @@ from ultraheat.cli import generate_space
 from ultraheat.davies import nash_ratio_batch
 from ultraheat.errors import NotIsotropic
 from ultraheat.kernel import tj_witness
+from ultraheat.semigroup import ball_chains
 
 from conftest import ball_trees, exit_probability_slope, lca_index, random_scenario
 
@@ -302,13 +305,7 @@ def scan_density(kernel):
     except NotIsotropic:
         return generator(kernel).density
     lca = lca_index(kernel.space)
-
-    def density(t):
-        out = fast.offdiagonal(t)[lca]
-        np.fill_diagonal(out, fast.diagonal(t))
-        return out
-
-    return density
+    return lambda t: fast.node_values(t)[lca]
 
 
 def chaining_oracle(kernel, alpha, beta, r0, c_due, c_tail):
@@ -341,8 +338,10 @@ def monotone_oracle(kernel, time_grid):
     with e^{tL} = density(t) * mu in float64 and every sum in long double."""
     space = kernel.space
     gen = generator(kernel)
-    chains = sorted({(nd.start, nd.stop, nd.parent.start, nd.parent.stop)
-                     for nd in space._nodes if nd.parent is not None})
+    start, stop, parent = (a.tolist() for a in (space.tree.start, space.tree.stop,
+                                                 space.tree.parent))
+    chains = sorted({(start[k], stop[k], start[parent[k]], stop[parent[k]])
+                     for k in range(1, len(parent))})
     viol = {}
     for t in time_grid:
         heat = (gen.density(float(t)) * kernel.mu).astype(np.longdouble)
@@ -355,6 +354,39 @@ def monotone_oracle(kernel, time_grid):
         for a0, a1, b0, b1 in chains:
             viol[float(t), a0, a1, b0, b1] = -(outside(a0, a1) - outside(b0, b1)).min()
     return viol
+
+
+def tail_loop(kernel, beta, c_tj, r0, time_grid, rtol=1e-12):
+    """The two records of `tail_probability_check` by its former loop over
+    the balls and chains at each time: ((measured, witness, empirical
+    factor) of the bound, (measured, witness) of the monotone chains)."""
+    space = kernel.space
+    classes = heat_pair_classes(kernel, "tail")
+    chains = ball_chains(space)[0]
+    c_tail = 4.0 * c_tj
+    worst = worst_mono = -np.inf
+    witness = wit_mono = None
+    empirical = 0.0
+    for t in time_grid:
+        t = float(t)
+        sup, chain_min = classes.exits(classes.values(t))
+        for k, ball in enumerate(space.balls()):
+            exit_prob = float(sup[k])
+            r_eff = min(ball.radius, r0)
+            bound = c_tail * t / r_eff ** beta
+            tol = rtol * max(1.0, bound)
+            gap = exit_prob - bound
+            if gap - tol > worst:
+                worst = gap - tol
+                witness = {"t": t, "ball": list(ball.members), "r": ball.radius,
+                           "exit": exit_prob, "bound": bound}
+            if c_tj > 0:
+                empirical = max(empirical, exit_prob * r_eff ** beta / (t * 4 * c_tj))
+        for c, low in enumerate(chain_min.tolist()):
+            if -low > worst_mono:
+                worst_mono = -low
+                wit_mono = {"t": t, "inner": chains[c][:2], "outer": chains[c][2:]}
+    return (worst, witness, empirical), (worst_mono, wit_mono)
 
 
 def _oracle_kernels():
@@ -405,6 +437,33 @@ def test_monotone_chains_equal_per_chain_loop(name, kernel, r0):
         assert abs(mono.measured - worst) <= tol
         wit = mono.witness
         assert at[(wit["t"], *wit["inner"], *wit["outer"])] >= worst - tol
+
+
+@pytest.mark.parametrize("name,kernel,r0", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_tail_check_equals_per_ball_loop(name, kernel, r0):
+    # one array pass per time against the loop: the same arithmetic, so the
+    # values are bitwise equal and the witness is the first worst ball
+    grid = log_time_grid(1e-3, 1.0, 17)
+    c_tj = tj_constant(kernel, 1.5, r0)
+    exit_rec, mono = tail_probability_check(kernel, 1.5, c_tj, r0, grid).records
+    (worst, witness, empirical), (worst_mono, wit_mono) = tail_loop(kernel, 1.5, c_tj, r0, grid)
+    assert exit_rec.name == "bounds.exit_probability"
+    assert repr(exit_rec.measured) == repr(worst)
+    assert exit_rec.witness == witness
+    assert repr(exit_rec.params["empirical_over_c_tail"]) == repr(empirical)
+    assert repr(mono.measured) == repr(worst_mono)
+    assert mono.witness == wit_mono
+
+
+@settings(max_examples=30, deadline=None)
+@given(ball_trees(), st.floats(0.5, 3.0), st.floats(0.1, 1.0))
+def test_ball_scales_are_the_scalar_powers(case, beta, frac):
+    # numpy's vectorised power can differ from Python's in the last bit, and
+    # the exit bound and supremum.csv keep the scalar values
+    space = case[0]
+    r0 = frac * space.diam
+    want = [min(b.radius, r0) ** beta for b in space.balls()]
+    assert ball_scales(space, r0, beta).tolist() == want
 
 
 @settings(max_examples=30, deadline=None)

@@ -18,7 +18,7 @@ from ultraheat import (
 )
 from ultraheat.errors import EmptyDomain, NotIsotropic
 from ultraheat.cli import generate_space
-from ultraheat.semigroup import exit_probabilities
+from ultraheat.semigroup import ball_chains, exit_probabilities
 
 from conftest import ball_trees, lca_index, random_scenario
 
@@ -234,6 +234,18 @@ class TestSelfCheck:
         assert [r.name for r in report.failures()] == ["semigroup.duality"]
 
 
+def engine_spectrum(fast):
+    """The eigenvalues of the engine with multiplicity, ascending: 0 once,
+    and the eigenvalue of each node once per child beyond its first."""
+    mult = np.maximum(fast.space.tree.children - 1, 0)
+    return np.sort(np.concatenate(([0.0], np.repeat(fast.eigenvalue, mult))))
+
+
+def engine_trace(fast, t):
+    """sum_x p_t(x, x) mu(x) = sum_k e^{-lambda_k t} over that spectrum."""
+    return float(np.exp(-engine_spectrum(fast) * t).sum())
+
+
 class TestFastIsotropicPath:
     def test_agrees_with_dense_oracle_small(self, s4):
         k = isotropic_kernel(s4, power_profile(3.0), scaling="mass")
@@ -241,9 +253,10 @@ class TestFastIsotropicPath:
         fast = HierarchicalHeatKernel.from_kernel(k)
         for t in (0.01, 1.0, 100.0):
             dens = gen.density(t)
-            for i, x in enumerate(s4.ids):
-                for j, y in enumerate(s4.ids):
-                    assert fast.value(t, x, y) == pytest.approx(
+            values = fast.node_values(t)
+            for i in range(len(s4)):
+                for j in range(len(s4)):
+                    assert values[s4.lca(i, j)] == pytest.approx(
                         dens[i, j], rel=1e-12, abs=1e-12)
 
     def test_agrees_on_larger_spaces(self):
@@ -255,18 +268,18 @@ class TestFastIsotropicPath:
             rng = np.random.default_rng(0)
             for t in (0.05, 2.0):
                 dens = gen.density(t)
-                diag = fast.diagonal(t)
-                assert np.abs(diag - np.diagonal(dens)).max() <= 1e-10
+                values = fast.node_values(t)
+                assert np.abs(values[space.tree.leaf] - np.diagonal(dens)).max() <= 1e-10
                 for _ in range(40):
                     i, j = rng.integers(0, len(space), 2)
-                    assert fast.value(t, space.ids[i], space.ids[j]) == pytest.approx(
+                    assert values[space.lca(i, j)] == pytest.approx(
                         dens[i, j], rel=1e-10, abs=1e-12)
 
     def test_function_entry_point(self, s4):
         k = isotropic_kernel(s4, power_profile(3.0), scaling="mass")
         dens = generator(k).density(0.3)
         fast = HierarchicalHeatKernel(s4, power_profile(3.0))
-        vals = [fast.value(0.3, x, y) for x, y in [("a", "b"), ("a", "c"), ("d", "d")]]
+        vals = fast.node_values(0.3)[s4.lca([0, 0, 3], [1, 2, 3])].tolist()
         assert vals == pytest.approx([dens[0, 1], dens[0, 2], dens[3, 3]], rel=1e-12)
 
     def test_not_isotropic_rejected(self, s4):
@@ -284,24 +297,24 @@ class TestFastIsotropicPath:
         assert HierarchicalHeatKernel.from_kernel(k8) is full
         rho = k8.space.distance_levels[0]
         trunc = HierarchicalHeatKernel.from_kernel(k8, rho)
-        assert trunc is not full and trunc.parent is full.parent
-        assert np.array_equal(trunc.diagonal(0.3),
+        assert trunc is not full and trunc._path_row is full._path_row
+        assert np.array_equal(trunc.node_values(0.3),
                               HierarchicalHeatKernel(k8.space, k8.isotropy_profile().__getitem__)
-                              .truncated(rho).diagonal(0.3))
+                              .truncated(rho).node_values(0.3))
 
     def test_trace_identity(self):
         space, _ = generate_space("dyadic", depth=8, seed=0)
         fast = HierarchicalHeatKernel(space, power_profile(3.0))
         for t in (0.1, 1.0):
-            diag_trace = float((fast.diagonal(t) * space.masses).sum())
-            assert diag_trace == pytest.approx(fast.trace(t), rel=1e-12)
+            diag_trace = float((fast.node_values(t)[space.tree.leaf] * space.masses).sum())
+            assert diag_trace == pytest.approx(engine_trace(fast, t), rel=1e-12)
 
     def test_eigenvalues_match_dense(self):
         space, _ = generate_space("dyadic", depth=4, mass_law="uniform", seed=3)
         k = isotropic_kernel(space, power_profile(2.0), scaling="mass")
         fast = HierarchicalHeatKernel.from_kernel(k)
         dense = generator(k).eigenvalues()
-        assert np.allclose(np.sort(fast.eigenvalues()), dense, rtol=1e-10, atol=1e-10)
+        assert np.allclose(engine_spectrum(fast), dense, rtol=1e-10, atol=1e-10)
 
     def test_single_child_chain_node(self):
         # a nested ball with one child is a legal tree node whose radius is
@@ -319,12 +332,12 @@ class TestFastIsotropicPath:
         k = isotropic_kernel(space, power_profile(2.0), scaling="mass")
         fast = HierarchicalHeatKernel.from_kernel(k)
         dens = generator(k).density(0.7)
-        for i, x in enumerate(space.ids):
-            for j, y in enumerate(space.ids):
-                assert fast.value(0.7, x, y) == pytest.approx(
+        values = fast.node_values(0.7)
+        for i in range(len(space)):
+            for j in range(len(space)):
+                assert values[space.lca(i, j)] == pytest.approx(
                     dens[i, j], rel=1e-12, abs=1e-13)
-        assert np.allclose(np.sort(fast.eigenvalues()),
-                           generator(k).eigenvalues(), atol=1e-12)
+        assert np.allclose(engine_spectrum(fast), generator(k).eigenvalues(), atol=1e-12)
 
 
     def test_clamps_tiny_eigenvalues_like_dense(self):
@@ -335,9 +348,9 @@ class TestFastIsotropicPath:
                                                            {"id": "b", "mass": 2.8}]})
         k = isotropic_kernel(space, power_profile(4.0), scaling="mass")
         fast = HierarchicalHeatKernel.from_kernel(k)
-        assert fast.eigenvalues().tolist() == generator(k).eigenvalues().tolist() == [0.0, 0.0]
-        assert fast.diagonal(4096.0).tolist() == [1 / 6.4, 1 / 2.8]
-        assert fast.offdiagonal(4096.0).tolist() == [0.0]
+        assert engine_spectrum(fast).tolist() == generator(k).eigenvalues().tolist() == [0.0, 0.0]
+        # the nodes in preorder: the root, then the leaves a and b
+        assert fast.node_values(4096.0).tolist() == [0.0, 1 / 6.4, 1 / 2.8]
 
 
 # -- the hierarchical engine against the dense oracle --------------------------------
@@ -357,16 +370,13 @@ def test_hierarchical_profile_matches_dense(case, c):
     assume(np.array_equal(fast.eigenvalue == 0, faster.eigenvalue == 0))
     gen = generator(kernel)
     lca = lca_index(space)
-    off = lca >= 0
     for t in ENGINE_TIMES:
         dens = gen.density(t)
         tol = 1e-10 * dens.max()
-        diag, pairs = fast.diagonal(t), fast.offdiagonal(t)
-        assert np.abs(diag - np.diagonal(dens)).max() <= tol
-        assert np.abs(pairs[lca[off]] - dens[off]).max(initial=0.0) <= tol
+        values = fast.node_values(t)
+        assert np.abs(values[lca] - dens).max() <= tol
         # p_t(c w) = p_{ct}(w)
-        assert np.abs(faster.diagonal(t / c) - diag).max() <= tol
-        assert np.abs(faster.offdiagonal(t / c) - pairs).max(initial=0.0) <= tol
+        assert np.abs(faster.node_values(t / c)[lca] - values[lca]).max() <= tol
 
 
 @settings(max_examples=40, deadline=None)
@@ -382,13 +392,12 @@ def test_pair_classes_hold_their_first_pairs(case):
     assert np.all(np.diff(key) > 0)
     lca = lca_index(space)
     node = lca[classes.rows, classes.cols]
-    firsts = [np.argwhere(lca == k)[0].tolist() for k in node[node >= 0]]
-    assert firsts == np.column_stack((classes.rows, classes.cols))[node >= 0].tolist()
-    assert classes.rows[node < 0].tolist() == classes.cols[node < 0].tolist() == list(range(n))
+    off = classes.rows != classes.cols
+    firsts = [np.argwhere(lca == k)[0].tolist() for k in node[off]]
+    assert firsts == np.column_stack((classes.rows, classes.cols))[off].tolist()
+    assert classes.rows[~off].tolist() == list(range(n))
     assert np.array_equal(classes.dist, space.distance_matrix()[classes.rows, classes.cols])
-    values = classes.values(0.7)
-    assert np.array_equal(values[node >= 0], fast.offdiagonal(0.7)[node[node >= 0]])
-    assert np.array_equal(values[node < 0], fast.diagonal(0.7))
+    assert np.array_equal(classes.values(0.7), fast.node_values(0.7)[node])
 
 
 @settings(max_examples=30, deadline=None)
@@ -404,7 +413,26 @@ def test_engine_exits_match_dense(case):
         dens = gen.density(t)
         sup = classes.exits(classes.values(t))[0]
         tol = 1e-10 * dens.max() * space.total_mass
-        assert np.abs(sup - exit_probabilities(space, dens)[1]).max() <= tol
+        assert np.abs(sup - exit_probabilities(space, dens)[0]).max() <= tol
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5])
+def test_dense_chain_minima_keep_relative_accuracy(seed):
+    # min_x P_t 1_{P minus B}(x) from the dense density of a raw matrix
+    # kernel at small t, against long-double sums of the same products
+    # p_t(x, y) mu(y).  Each value sums fewer than n positive terms, so it
+    # holds n eps relative; the difference of two exit rows near 1 kept only
+    # n eps absolute
+    space, kernel = random_scenario(seed)
+    n = len(space)
+    classes = generator(kernel).pair_classes()
+    for t in (1e-5, 1e-3):
+        values = classes.values(t)
+        heat = (values.reshape(n, n) * space.masses).astype(np.longdouble)
+        want = np.array([(heat[:, p0:b0].sum(axis=1) + heat[:, b1:p1].sum(axis=1)).min()
+                         for b0, b1, p0, p1 in ball_chains(space)[0]])
+        got = classes.exits(values)[1]
+        assert np.all(np.abs(got - want) <= n * np.finfo(float).eps * want)
 
 
 @settings(max_examples=30, deadline=None)

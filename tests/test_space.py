@@ -1,6 +1,7 @@
 """Ball-tree construction, distances, balls, and validation."""
 
 import copy
+import math
 import time
 
 import numpy as np
@@ -20,7 +21,7 @@ from ultraheat.errors import (
 )
 from ultraheat.space import from_distance_csv, strong_triangle_excess, ultrametric_merges
 
-from conftest import S4_SPEC, random_scenario
+from conftest import S4_SPEC, ball_trees, lca_index, random_scenario
 
 
 class TestBuildTree:
@@ -185,7 +186,9 @@ class TestValidation:
         # {a,b} to [0, 3) makes it cross {c,d} = [2, 4)
         space = copy.deepcopy(s4)
         D = space.distance_matrix()
-        space._nodes[1].stop = 3
+        stop = space.tree.stop.copy()
+        stop[1] = 3
+        space.tree = space.tree._replace(stop=stop)
         dichotomy = validate_ultrametric(space, distance_matrix=D).records[1]
         assert dichotomy.status == "fail"
         assert dichotomy.witness == {"spans": [(0, 3), (2, 4)]}
@@ -271,9 +274,11 @@ def _first_crossing(spans):
 def test_dichotomy_scan_matches_the_double_loop(seed, edits):
     space, _ = random_scenario(seed)
     D = space.distance_matrix()
-    for k, stop, value in edits:
-        setattr(space._nodes[k % len(space._nodes)], "stop" if stop else "start", value)
-    spans = [(nd.start, nd.stop) for nd in space._nodes]
+    start, stop = space.tree.start.copy(), space.tree.stop.copy()
+    for k, at_stop, value in edits:
+        (stop if at_stop else start)[k % start.size] = value
+    space.tree = space.tree._replace(start=start, stop=stop)
+    spans = list(zip(start.tolist(), stop.tolist()))
     dichotomy = validate_ultrametric(space, distance_matrix=D).records[1]
     assert dichotomy.witness == _first_crossing(spans)
 
@@ -359,3 +364,31 @@ def test_balls_same_radius_equal_or_disjoint():
             for i, m1 in enumerate(members):
                 for m2 in members[i + 1:]:
                     assert m1 == m2 or not (m1 & m2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ball_trees())
+def test_array_tree_matches_first_principles(case):
+    # single-child chain nodes included: their radius is no distance, but a
+    # ball or partition of that radius is their member set
+    space = case[0]
+    tree, n = space.tree, len(space)
+    lca = lca_index(space)
+    assert np.array_equal(space.lca(*np.indices((n, n))), lca)
+    D = space.distance_matrix()
+    assert np.array_equal(D, tree.radius[lca])
+    for r in sorted({0.0, *tree.radius.tolist(), *(1.2 * tree.radius).tolist()}):
+        for x in range(n):
+            within = np.flatnonzero(D[x] <= r)
+            assert space.ball(space.ids[x], r).indices.tolist() == within.tolist()
+        cells = space.partition(r)
+        assert [c.start for c in cells] == sorted(c.start for c in cells)
+        assert {tuple(c.indices) for c in cells} == {
+            tuple(np.flatnonzero(D[x] <= r)) for x in range(n)}
+    for k in range(tree.parent.size):
+        assert tree.volume[k] == pytest.approx(
+            math.fsum(space.masses[tree.start[k]:tree.stop[k]]), rel=n * np.finfo(float).eps)
+    rebuilt = build_tree(space.to_spec())
+    assert rebuilt.ids == space.ids
+    assert np.array_equal(rebuilt.masses, space.masses)
+    assert all(np.array_equal(a, b) for a, b in zip(rebuilt.tree, space.tree))
