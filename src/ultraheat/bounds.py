@@ -11,8 +11,9 @@ fixed seed):
   * Nash: largest quotient
         ||u||_2^(2+2nu) / ((E_rho(u) + K0 ||u||_2^2) ||u||_1^(2nu))
     over a function family (a family-relative lower estimate of the true
-    constant; the family includes all eigenfunctions, which empirically
-    dominate).
+    constant; the family includes all eigenfunctions and all ball
+    indicators, and for an isotropic kernel both are held in closed form
+    on the ball tree).
 
 Verified implications:
 
@@ -34,11 +35,12 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConditionFailure, NotIsotropic
-from .davies import nash_ratio_batch
+from .davies import nash_quotients, nash_ratio_batch
 from .form import energy_batch
 from .kernel import ExponentConfig, JumpKernel, tj_constant
 from .reporting import CheckRecord, CheckReport, record, vacuous
@@ -163,21 +165,32 @@ def wue_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
 # -- Nash constant -----------------------------------------------------------------
 
 
-def default_function_family(kernel: JumpKernel, rho: float,
-                            seed: int = 0) -> tuple[np.ndarray, list]:
-    """Columns: eigenfunctions of the truncated generator, indicators of
-    all balls and points, seeded random simple functions, and seeded random
+class FunctionFamily(NamedTuple):
+    """A test family of the Nash quotient and the energy difference, in
+    column order: first the members held in closed form on the ball tree
+    (none on the dense path), then the explicit columns of `U`.  For the
+    closed-form members, `energy`, `gap`, `l2sq` and `l1` hold E_rho(u),
+    E(u) - E_rho(u), ||u||_2^2 and ||u||_1; `labels` names every member."""
+
+    labels: list
+    energy: np.ndarray
+    gap: np.ndarray
+    l2sq: np.ndarray
+    l1: np.ndarray
+    U: np.ndarray
+
+    @classmethod
+    def of_columns(cls, U: np.ndarray, labels: list) -> "FunctionFamily":
+        none = np.zeros(0)
+        return cls(labels, none, none, none, none, U)
+
+
+def _random_functions(space, seed: int) -> tuple[np.ndarray, list]:
+    """The seeded columns that close the default family: random simple
+    functions on the partition of a random distance level, then random
     positive vectors."""
-    space = kernel.space
     n = len(space)
     cols, labels = [], []
-    gen = generator(kernel, rho=rho)
-    for lam, phi in gen.eigenpairs():
-        cols.append(phi)
-        labels.append(f"eigen:{lam:.6g}")
-    for ball in space.balls(include_points=True):
-        cols.append(ball.indicator())
-        labels.append(f"ball:{ball.start}:{ball.stop}")
     rng = np.random.default_rng(seed)
     levels = list(space.distance_levels) or [0.0]
     for i in range(N_RANDOM_FUNCTIONS):
@@ -199,13 +212,85 @@ def default_function_family(kernel: JumpKernel, rho: float,
     return np.column_stack(cols), labels
 
 
-def _family_or_default(kernel: JumpKernel, rho: float, family,
-                       seed: int) -> tuple[np.ndarray, list]:
-    """The supplied functions as columns, or the default family."""
-    if family is None:
-        return default_function_family(kernel, rho, seed=seed)
-    U = np.column_stack([np.asarray(u, dtype=float) for u in family])
-    return U, [f"supplied:{i}" for i in range(U.shape[1])]
+def default_function_family(kernel: JumpKernel, rho: float,
+                            seed: int = 0) -> tuple[np.ndarray, list]:
+    """The default family as dense columns: the eigenfunctions of the
+    truncated generator (unit L2(mu) norm, by eigenvalue), the indicators of
+    all balls and points, then `_random_functions`."""
+    cols, labels = [], []
+    for lam, phi in generator(kernel, rho=rho).eigenpairs():
+        cols.append(phi)
+        labels.append(f"eigen:{lam:.6g}")
+    for ball in kernel.space.balls(include_points=True):
+        cols.append(ball.indicator())
+        labels.append(f"ball:{ball.start}:{ball.stop}")
+    U, random_labels = _random_functions(kernel.space, seed)
+    return np.column_stack(cols + [U]), labels + random_labels
+
+
+def tree_function_family(kernel: JumpKernel, rho: float, seed: int = 0) -> FunctionFamily:
+    """The default family of an isotropic kernel, member for member, with
+    its eigenfunctions taken from the Haar basis of the ball tree and every
+    member but the random columns in closed form; raises NotIsotropic.
+
+    The eigenfunctions are the constant of each rho-block (lambda = 0) and,
+    for each node N of radius <= rho and each two consecutive children a, b
+    of N, the function mu(b) 1_a - mu(a) 1_b with the eigenvalue lambda_N
+    of the truncated engine.  As the dense eigenvectors, each has unit
+    L2(mu) norm, so E_rho = lambda, and they are sorted stably by lambda.
+    The indicator of a ball B has E_rho(1_B) = 2 mu(B) J_rho(B), with
+    J_rho(B) the rate of the jumps out of B that the truncated kernel keeps
+    (`jump_rates`).  E - E_rho of a member is 2 ||u||_2^2 times the rate of
+    the jumps that the truncation drops: out of B for the constant or the
+    indicator of B, and out of N for a Haar function of N.
+    """
+    engine = HierarchicalHeatKernel.from_kernel(kernel, rho)
+    space = kernel.space
+    tree = space.tree
+    volume = tree.volume
+    # consecutive children (a, b) of a node of radius <= rho, in preorder
+    kids = np.argsort(tree.parent[1:], kind="stable") + 1
+    a, b = kids[:-1], kids[1:]
+    pair = (tree.parent[a] == tree.parent[b]) & (tree.radius[tree.parent[a]] <= rho)
+    a, b = a[pair], b[pair]
+    blocks = np.array([ball.node for ball in space.partition(rho)], dtype=int)
+    lam = np.concatenate((np.zeros(blocks.size), engine.eigenvalue[tree.parent[a]]))
+    order = np.argsort(lam, kind="stable")
+    lam = lam[order]
+    ma, mb = volume[a], volume[b]
+    l1 = np.concatenate((np.sqrt(volume[blocks]), 2.0 * ma * mb / np.sqrt(ma * mb * (ma + mb))))
+    balls = np.concatenate((np.flatnonzero(tree.children > 0), tree.leaf))
+    # the node whose jump rates give each member's energies
+    node = np.concatenate((np.concatenate((blocks, tree.parent[a]))[order], balls))
+    l2sq = np.concatenate((np.ones(lam.size), volume[balls]))
+    U, random_labels = _random_functions(space, seed)
+    labels = [f"eigen:{x:.6g}" for x in lam.tolist()]
+    labels += [f"ball:{s}:{t}" for s, t in zip(tree.start[balls].tolist(),
+                                                  tree.stop[balls].tolist())]
+    return FunctionFamily(
+        labels + random_labels,
+        np.concatenate((lam, 2.0 * engine.jump_rates(rho)[balls] * volume[balls])),
+        2.0 * engine.jump_rates(rho, above=True)[node] * l2sq,
+        l2sq, np.concatenate((l1[order], volume[balls])), U)
+
+
+def function_family(kernel: JumpKernel, rho: float, family, seed: int,
+                    use: str) -> FunctionFamily:
+    """The supplied functions as columns, or the default family: in closed
+    form on the ball tree when the kernel is isotropic, else as dense
+    columns.  Logs which of the two served `use` at this rho."""
+    if family is not None:
+        U = np.column_stack([np.asarray(u, dtype=float) for u in family])
+        return FunctionFamily.of_columns(U, [f"supplied:{i}" for i in range(U.shape[1])])
+    try:
+        fam = tree_function_family(kernel, rho, seed)
+    except NotIsotropic as exc:
+        log.info("%s rho=%s: dense family (not isotropic: %s)", use, rho, exc)
+        return FunctionFamily.of_columns(*default_function_family(kernel, rho, seed))
+    n = len(kernel.space)  # the Haar basis has one function per point
+    log.info("%s rho=%s: hierarchical family, %d Haar + %d indicators + %d random", use, rho,
+             n, fam.energy.size - n, fam.U.shape[1])
+    return fam
 
 
 def nash_constant(kernel: JumpKernel, rho: float, nu: float, k0: float,
@@ -216,13 +301,14 @@ def nash_constant(kernel: JumpKernel, rho: float, nu: float, k0: float,
     enlarge the family with their own iterates when a downstream check
     fails.
     """
-    U, labels = _family_or_default(kernel, rho, family, seed)
-    ratios = nash_ratio_batch(kernel, rho, nu, k0, U)
+    fam = function_family(kernel, rho, family, seed, "nash")
+    ratios = np.concatenate((nash_quotients(fam.energy, fam.l2sq, fam.l1, nu, k0),
+                             nash_ratio_batch(kernel, rho, nu, k0, fam.U)))
     j = int(np.argmax(ratios))
     return ConditionEstimate(
         "Nash", float(ratios[j]),
-        [{"function": labels[j]}],
-        {"rho": rho, "nu": nu, "K0": k0, "family_size": int(U.shape[1]),
+        [{"function": fam.labels[j]}],
+        {"rho": rho, "nu": nu, "K0": k0, "family_size": len(fam.labels),
          "seed": seed, "note": "family-relative lower estimate"},
     )
 
@@ -232,26 +318,26 @@ def nash_constant(kernel: JumpKernel, rho: float, nu: float, k0: float,
 
 def energy_difference_check(kernel: JumpKernel, rho: float, family=None,
                             seed: int = 0, rtol: float = 1e-12) -> CheckReport:
-    """E(u) - E_rho(u) <= 4 ||u||_2^2 sup_x J(x, B(x,rho)^c) over a family."""
-    U, labels = _family_or_default(kernel, rho, family, seed)
-    mu = kernel.mu
+    """E(u) - E_rho(u) <= 4 ||u||_2^2 sup_x J(x, B(x,rho)^c) over a family:
+    in closed form for the members of `tree_function_family`, and as the
+    difference of the two energies for explicit columns."""
+    fam = function_family(kernel, rho, family, seed, "energy_diff")
+    U, mu = fam.U, kernel.mu
     sup_tail = kernel.tail_sup(rho)
-    full = energy_batch(kernel, U, None)
-    trunc = energy_batch(kernel, U, rho)
-    l2sq = (U * U * mu[:, None]).sum(axis=0)
-    lhs = full - trunc
+    lhs = np.concatenate((fam.gap, energy_batch(kernel, U, None) - energy_batch(kernel, U, rho)))
+    l2sq = np.concatenate((fam.l2sq, (U * U * mu[:, None]).sum(axis=0)))
     rhs = 4.0 * l2sq * sup_tail
     slack = lhs - rhs - rtol * np.maximum(np.abs(rhs), 1.0)
     worst = int(np.argmax(slack))
     report = CheckReport()
     report.add(record(
         "bounds.energy_difference",
-        {"rho": rho, "family_size": int(U.shape[1]), "sup_tail": sup_tail},
+        {"rho": rho, "family_size": len(fam.labels), "sup_tail": sup_tail},
         measured=float(lhs[worst]),
         bound=float(rhs[worst]),
         margin=rtol * max(abs(float(rhs[worst])), 1.0),
         ok=bool(np.all(slack <= 0)),
-        witness={"function": labels[worst]},
+        witness={"function": fam.labels[worst]},
     ))
     return report
 

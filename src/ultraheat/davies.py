@@ -90,10 +90,14 @@ def nash_ratio_batch(kernel: JumpKernel, rho, nu: float, k0: float, U) -> np.nda
     for every column of U; zero columns give 0."""
     U = np.asarray(U, dtype=float)
     mu = kernel.mu
-    e = energy_batch(kernel, U, rho)
-    l2sq = (U * U * mu[:, None]).sum(axis=0)
-    l1 = (np.abs(U) * mu[:, None]).sum(axis=0)
-    out = np.zeros(U.shape[1])
+    return nash_quotients(energy_batch(kernel, U, rho), (U * U * mu[:, None]).sum(axis=0),
+                          (np.abs(U) * mu[:, None]).sum(axis=0), nu, k0)
+
+
+def nash_quotients(e, l2sq, l1, nu: float, k0: float) -> np.ndarray:
+    """The Nash quotient of each function from its E_rho(u) (`e`),
+    ||u||_2^2 and ||u||_1; zero functions give 0."""
+    out = np.zeros(l2sq.size)
     ok = l2sq > 0
     denom = (e[ok] + k0 * l2sq[ok]) * l1[ok] ** (2 * nu)
     out[ok] = l2sq[ok] ** (1 + nu) / denom

@@ -65,9 +65,11 @@ class JumpKernel:
         self.w.setflags(write=False)
         self._pairs = None
         self._profile = None
-        # the whole-space `semigroup.HierarchicalHeatKernel`, built there on
-        # first use
+        # the whole-space `semigroup.HierarchicalHeatKernel`, and the
+        # whole-domain `semigroup.SpectralGenerator` of each rho, built there
+        # on first use
         self._heat = None
+        self._generators = {}
 
     @property
     def n(self) -> int:
@@ -169,15 +171,27 @@ def isotropic_kernel(space: UltrametricSpace, profile, scaling: str = "none") ->
         profile = profile_from_config(profile)
     if scaling not in ("none", "mass"):
         raise ConfigError(f"scaling must be 'none' or 'mass', got {scaling!r}")
-    D = space.distance_matrix()
-    w = np.zeros_like(D)
+    g = {}
     for level in space.distance_levels:
-        g = float(profile(level))
-        if g < 0:
-            raise NegativeProfile(f"profile({level}) = {g} < 0")
-        w[D == level] = g
+        g[level] = float(profile(level))
+        if g[level] < 0:
+            raise NegativeProfile(f"profile({level}) = {g[level]} < 0")
+    n = len(space)
+    w = np.zeros((n, n))
+    # each block in preorder, as `distance_matrix` fills D, so a pair keeps
+    # the profile at the radius of the lowest node over it
+    tree = space.tree
+    for a, b, r, c in zip(tree.start.tolist(), tree.stop.tolist(),
+                          tree.radius.tolist(), tree.children.tolist()):
+        if c >= 2:
+            w[a:b, a:b] = g[r]
+    np.fill_diagonal(w, 0.0)
     if scaling == "mass":
-        w = w * np.outer(space.masses, space.masses)
+        # w(x, y) mu(x) mu(y) row by row: the products of np.outer, with no
+        # n x n temporary
+        mu = space.masses
+        for i in range(n):
+            w[i] *= mu[i] * mu
     w.setflags(write=False)  # handed over: the kernel keeps it without a copy
     return JumpKernel(space, w)
 

@@ -32,10 +32,12 @@ y.  `HierarchicalHeatKernel` evaluates that profile, the exit probabilities
 of every ball and the rho-truncated profile on the preorder arrays of
 `space.tree` in O(nodes * depth) per time, with no n x n matrix.  Its
 `PairClasses` serve the DUE, wUE and chaining scans, the exit-probability
-check and the curves; the switch is automatic (`bounds.heat_pair_classes`:
-hierarchical when `from_kernel` succeeds, dense on `NotIsotropic`), and the
-dense `SpectralGenerator` stays the fallback and the oracle.  All other
-checks evaluate the dense generator.
+check and the curves, and its eigenvalues and `jump_rates` the Nash family
+(`bounds.tree_function_family`); the switch is automatic
+(`bounds.heat_pair_classes` and `bounds.function_family`: hierarchical when
+`from_kernel` succeeds, dense on `NotIsotropic`), and the dense
+`SpectralGenerator` stays the fallback and the oracle.  All other checks
+evaluate the dense generator, built once per (kernel, rho) by `generator`.
 """
 
 import copy
@@ -252,8 +254,15 @@ class SpectralGenerator:
 
 
 def generator(kernel: JumpKernel, rho: float | None = None, omega=None) -> SpectralGenerator:
-    """Generator of the rho-truncated form, optionally killed outside omega."""
-    return SpectralGenerator(kernel, rho=rho, omega=omega)
+    """Generator of the rho-truncated form, optionally killed outside omega.
+    With omega=None it is built once per (kernel, rho) and kept on the
+    kernel; a generator is never changed after it is built."""
+    if omega is not None:
+        return SpectralGenerator(kernel, rho=rho, omega=omega)
+    key = None if rho is None else float(rho)
+    if key not in kernel._generators:
+        kernel._generators[key] = SpectralGenerator(kernel, rho=key)
+    return kernel._generators[key]
 
 
 # -- self checks -----------------------------------------------------------------
@@ -388,8 +397,7 @@ class HierarchicalHeatKernel:
         row, col = self._path_row[keep], self._path_col[keep]
         up = parent[col]
         size = volume.size
-        gain = g[up] * (volume[up] - volume[col])
-        self.eigenvalue = 2.0 * (g * volume + np.bincount(row, gain, minlength=size))
+        self.eigenvalue = 2.0 * (g * volume + self.jump_rates(rho))
         # the dense generator's convention, so that both engines agree
         self.eigenvalue[np.abs(self.eigenvalue) < EIGENVALUE_CLAMP] = 0.0
         # the root of each node's ball of radius <= rho: the ancestor that
@@ -406,6 +414,19 @@ class HierarchicalHeatKernel:
         self._rate = np.where(gap < 0, self.eigenvalue[row], self.eigenvalue[up])
         self._gap, self._sign = np.abs(gap), np.sign(gap)
         self._sibling_mass = volume[up] - volume[col]
+
+    def jump_rates(self, rho: float | None = None, above: bool = False) -> np.ndarray:
+        """J(x, B^c) for the ball B of every node, the same at each point x
+        of B: the sum over the strict ancestors A of B of
+        g(r_A) (mu(A) - mu(A_child)), over the levels r_A <= rho that the
+        rho-truncated kernel keeps (rho=None: all), or with `above` over the
+        levels r_A > rho that it drops."""
+        tree = self.space.tree
+        up = tree.parent[self._path_col]
+        keep = (tree.radius[up] <= (np.inf if rho is None else rho)) != above
+        col, up = self._path_col[keep], up[keep]
+        gain = self._g[up] * (tree.volume[up] - tree.volume[col])
+        return np.bincount(self._path_row[keep], gain, minlength=tree.parent.size)
 
     @classmethod
     def from_kernel(cls, kernel: JumpKernel, rho: float | None = None) -> "HierarchicalHeatKernel":

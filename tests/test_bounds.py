@@ -31,12 +31,14 @@ from ultraheat.bounds import (
     heat_pair_classes,
     log_time_grid,
     scaled_density,
+    tree_function_family,
 )
 from ultraheat.cli import generate_space
-from ultraheat.davies import nash_ratio_batch
+from ultraheat.davies import nash_quotients, nash_ratio_batch
 from ultraheat.errors import NotIsotropic
 from ultraheat.kernel import tj_witness
-from ultraheat.semigroup import ball_chains
+from ultraheat.form import energy_and_scale
+from ultraheat.semigroup import EIGENVALUE_CLAMP, ball_chains
 
 from conftest import ball_trees, exit_probability_slope, lca_index, random_scenario
 
@@ -284,9 +286,95 @@ def test_merged_scans_match_their_building_blocks(seed):
             assert tj_witness(kernel, beta, r0)["constant"] == tj_constant(kernel, beta, r0)
     for rho in space.distance_levels:
         nu, k0 = 0.8, rho ** -1.5 + space.diam ** -1.5
-        U, _ = default_function_family(kernel, rho, seed=seed)
         est = nash_constant(kernel, rho, nu, k0, seed=seed)
-        assert est.constant == nash_ratio_batch(kernel, rho, nu, k0, U).max()
+        if seed % 2 == 0:  # isotropic: the closed-form members, then the random columns
+            fam = tree_function_family(kernel, rho, seed=seed)
+            ratios = np.concatenate((nash_quotients(fam.energy, fam.l2sq, fam.l1, nu, k0),
+                                     nash_ratio_batch(kernel, rho, nu, k0, fam.U)))
+        else:
+            U, _ = default_function_family(kernel, rho, seed=seed)
+            ratios = nash_ratio_batch(kernel, rho, nu, k0, U)
+        assert est.constant == ratios.max()
+
+
+def haar_columns(kernel, rho):
+    """The eigen members of the tree family as explicit columns, built from
+    the tree: the constant of each rho-block, then for each node of radius
+    <= rho in preorder and each two consecutive children a, b the function
+    mu(b) 1_a - mu(a) 1_b, each at unit L2(mu) norm and sorted stably by
+    the engine's eigenvalue; returns (eigenvalues, columns)."""
+    space = kernel.space
+    tree, mu = space.tree, space.masses
+    lam = HierarchicalHeatKernel.from_kernel(kernel, rho).eigenvalue
+    members = [(0.0, ball.indicator()) for ball in space.partition(rho)]
+    for node in np.flatnonzero(tree.radius <= rho).tolist():
+        kids = [k for k in range(tree.parent.size) if tree.parent[k] == node]
+        for a, b in zip(kids, kids[1:]):
+            u = np.zeros(len(space))
+            u[tree.start[a]:tree.stop[a]] = tree.volume[b]
+            u[tree.start[b]:tree.stop[b]] = -tree.volume[a]
+            members.append((float(lam[node]), u))
+    members.sort(key=lambda m: m[0])
+    return ([m[0] for m in members],
+            [u / math.sqrt(float((u * u * mu).sum())) for _, u in members])
+
+
+@settings(max_examples=30, deadline=None)
+@given(ball_trees(max_points=32), st.booleans(), st.floats(0.3, 2.0))
+def test_tree_family_matches_its_columns(case, growing, nu):
+    # decaying and growing profiles; every closed-form member against its
+    # explicit column, the Haar members against the dense generator, and
+    # C_N and the energy-difference statuses against the dense family
+    space, exponent, scale = case
+    kernel = isotropic_kernel(space, power_profile(-exponent if growing else exponent, scale),
+                              scaling="mass")
+    mu = space.masses
+    for rho in space.distance_levels:
+        fam = tree_function_family(kernel, rho)
+        lam, eigen = haar_columns(kernel, rho)
+        # at a point, the dropped jump rate is the kernel's tail beyond rho
+        dropped = HierarchicalHeatKernel.from_kernel(kernel).jump_rates(rho, above=True)
+        assert np.allclose(dropped[space.tree.leaf], kernel.tail_vector(rho), rtol=1e-12, atol=0)
+        balls = space.balls(include_points=True)
+        assert fam.labels[:len(eigen) + len(balls)] == \
+            [f"eigen:{x:.6g}" for x in lam] + [f"ball:{b.start}:{b.stop}" for b in balls]
+        assert fam.energy.size == len(eigen) + len(balls)
+        for k, u in enumerate(eigen + [b.indicator() for b in balls]):
+            e, e_scale = energy_and_scale(kernel, u, u, rho)
+            full, full_scale = energy_and_scale(kernel, u, u)
+            # a Haar function's E_rho is its eigenvalue, clamped to 0 below
+            # EIGENVALUE_CLAMP as in both engines
+            clamp = EIGENVALUE_CLAMP if k < len(eigen) else 0.0
+            assert abs(fam.energy[k] - e) <= 1e-12 * e_scale + clamp
+            assert abs(fam.gap[k] - (full - e)) <= 1e-12 * full_scale
+            assert fam.l2sq[k] == pytest.approx(float((u * u * mu).sum()), rel=1e-12)
+            assert fam.l1[k] == pytest.approx(float((np.abs(u) * mu).sum()), rel=1e-12)
+        # L u = -lambda u, up to rounding and the clamp of tiny eigenvalues
+        L = generator(kernel, rho).matrix
+        for x, u in zip(lam, eigen):
+            tol = max(1e-12 * np.abs(L).sum(axis=1).max(), EIGENVALUE_CLAMP) * np.abs(u).max()
+            assert np.abs(L @ u + x * u).max() <= tol
+
+        # the dense family's quotients, each E_rho of an eigenfunction or
+        # indicator a sum over pairs: `energy_batch` leaves an absolute error
+        # of about eps ||Q|| ||u||^2, which on a constant (E_rho = 0) can
+        # exceed 1e-12 of the quotient when K0 is small; the random columns
+        # are the same on both paths
+        k0 = rho ** -1.5 + space.diam ** -1.5
+        U, labels = default_function_family(kernel, rho)
+        V = U[:, :fam.energy.size]
+        dense = np.concatenate((
+            nash_quotients(np.array([energy_and_scale(kernel, u, u, rho)[0] for u in V.T]),
+                           (V * V * mu[:, None]).sum(axis=0),
+                           (np.abs(V) * mu[:, None]).sum(axis=0), nu, k0),
+            nash_ratio_batch(kernel, rho, nu, k0, fam.U)))
+        c_n = nash_constant(kernel, rho, nu, k0).constant
+        indicators = [j for j, label in enumerate(labels) if label.startswith("ball:")]
+        assert c_n >= dense[indicators].max() * (1 - 1e-12)
+        if labels[int(np.argmax(dense))].startswith("ball:"):
+            assert c_n == pytest.approx(dense.max(), rel=1e-12)
+        assert energy_difference_check(kernel, rho).records[0].status == \
+            energy_difference_check(kernel, rho, family=list(U.T)).records[0].status
 
 
 # -- pair-by-pair oracles -------------------------------------------------------------
@@ -577,8 +665,8 @@ def test_scans_log_the_engine(caplog, k4):
     due_constant(from_matrix(k4.space, raw), 1.0, 2.0, 2.0)
     lines = [r.getMessage() for r in caplog.records if r.name == "ultraheat.bounds"]
     assert [line.split(":")[0] for line in lines] == [
-        "DUE scan", "wUE scan", "chaining scan", "DUE scan"]
+        "DUE scan", "wUE scan", "nash rho=2.0", "chaining scan", "DUE scan"]
     # four points and three nodes with two children
     assert all(line.endswith(": hierarchical heat profile, 7 pair classes")
-               for line in lines[:3])
-    assert lines[3].startswith("DUE scan: dense densities (not isotropic: ")
+               for line in lines[:2] + lines[3:4])
+    assert lines[4].startswith("DUE scan: dense densities (not isotropic: ")

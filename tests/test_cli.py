@@ -622,6 +622,23 @@ def test_tail_and_curves_log_their_engine(tmp_path, caplog, kernel, engine):
     assert all(m.split(": ", 1)[1].startswith(engine) for m in lines)
 
 
+@pytest.mark.parametrize("kernel,family", [
+    ({"isotropic": {"kind": "power", "exponent": 3.0}, "scaling": "none"},
+     "hierarchical family, 4 Haar + 7 indicators + 128 random"),
+    ({"matrix": NOT_ISOTROPIC}, "dense family (not isotropic: "),
+])
+def test_nash_and_energy_diff_log_their_family(tmp_path, caplog, kernel, family):
+    path = write_config(tmp_path, checks=["nash", "energy_diff"], kernel=kernel)
+    with caplog.at_level(logging.INFO, logger="ultraheat.bounds"):
+        assert main(["run", "--config", str(path)]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "ultraheat.bounds"
+             and not r.getMessage().startswith("curves")]
+    # S4 at rho = 1: two blocks and two Haar functions, three balls and four points
+    assert [m.split(": ", 1)[0] for m in lines] == [
+        "nash rho=1.0", "energy_diff rho=1.0", "energy_diff rho=2.0"]
+    assert all(m.split(": ", 1)[1].startswith(family) for m in lines)
+
+
 def test_isotropic_tail_and_curves_evaluate_no_dense_density(tmp_path, monkeypatch):
     path = write_config(tmp_path, checks=["tail"])
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultraheat import isotropic_kernel, from_matrix, power_profile, tj_constant
 from ultraheat.errors import (
@@ -14,7 +16,7 @@ from ultraheat.errors import (
 )
 from ultraheat.kernel import ExponentConfig, JumpKernel, kernel_from_csv
 
-from conftest import kernel_to_csv, random_scenario
+from conftest import ball_trees, kernel_to_csv, random_scenario
 
 
 class TestConstruction:
@@ -147,6 +149,23 @@ class TestTailJumpConstant:
         doubled = from_matrix(k4.space, 2.0 * k4.w)
         assert tj_constant(doubled, 1.0, 2.0) == pytest.approx(
             2.0 * tj_constant(k4, 1.0, 2.0), rel=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ball_trees(), st.booleans(), st.booleans())
+def test_isotropic_weights_are_the_profile_of_each_distance(case, growing, mass):
+    # bitwise against the level masks of the distance matrix, times
+    # np.outer of the masses
+    space, exponent, scale = case
+    profile = power_profile(-exponent if growing else exponent, scale)
+    D = space.distance_matrix()
+    ref = np.zeros_like(D)
+    for level in space.distance_levels:
+        ref[D == level] = profile(level)
+    if mass:
+        ref = ref * np.outer(space.masses, space.masses)
+    w = isotropic_kernel(space, profile, scaling="mass" if mass else "none").w
+    assert w.tobytes() == ref.tobytes()
 
 
 def test_symmetry_over_ball_pairs():

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from ultraheat import (
     HierarchicalHeatKernel,
+    SpectralGenerator,
     energy,
     energy_trunc,
     generator,
@@ -58,6 +59,18 @@ class TestGenerator:
     def test_empty_domain(self, k4):
         with pytest.raises(EmptyDomain):
             generator(k4, omega=[])
+
+    def test_built_once_per_rho(self, k4):
+        # the whole-domain generator of each rho is kept on the kernel, and
+        # equals a fresh build; a killed one is built on every call
+        for rho in (None, 1, 2.0):
+            gen = generator(k4, rho=rho)
+            assert generator(k4, rho=rho) is gen and gen.rho == (None if rho is None else float(rho))
+            fresh = SpectralGenerator(k4, rho=rho)
+            assert np.array_equal(gen.density(0.3), fresh.density(0.3))
+        assert generator(k4, rho=1.0) is generator(k4, rho=1)
+        assert generator(k4, rho=1.0) is not generator(k4, rho=2.0)
+        assert generator(k4, omega=["a"]) is not generator(k4, omega=["a"])
 
     def test_duality_exact(self):
         rng = np.random.default_rng(0)
