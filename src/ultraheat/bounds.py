@@ -31,7 +31,6 @@ Verified implications:
     once per distance level and is one array pass over the pairs per time.
 """
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -43,13 +42,15 @@ from .errors import ConditionFailure, NotIsotropic
 from .davies import nash_quotients, nash_ratio_batch
 from .form import energy_batch
 from .kernel import ExponentConfig, JumpKernel, tj_constant
-from .reporting import CheckRecord, CheckReport, record, vacuous
+from .reporting import IDENTITY_RTOL, CheckRecord, CheckReport, json_text, record, vacuous
 from .semigroup import HierarchicalHeatKernel, PairClasses, ball_chains, generator
 
 
+SCAN_POINTS = 129  # first grid of the DUE and wUE time scans
 SCAN_TOL, SCAN_MAX_ROUNDS = 1e-9, 40  # time scan: gain that ends refinement, most rounds
 N_RANDOM_FUNCTIONS = 64  # random functions of each kind in the default Nash family
 CHAIN_POINTS = 17  # time points of the certificate's chaining scan
+TRUNCATION_FACTOR = 4.0  # the 4 of P_t f <= Q_t f + 4 t sup J ||f||_inf and C_tail = 4 C_TJ
 
 log = logging.getLogger(__name__)
 
@@ -67,10 +68,6 @@ class ConditionEstimate:
     constant: float
     witnesses: list = field(default_factory=list)
     scan: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "constant": self.constant,
-                "witnesses": self.witnesses, "scan": self.scan}
 
 
 # -- heat kernel scans ------------------------------------------------------------
@@ -122,7 +119,7 @@ def heat_pair_classes(kernel: JumpKernel, use: str, rho: float | None = None) ->
 
 
 def _density_scan(kind: str, kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                  off_diagonal: bool, points: int) -> ConditionEstimate:
+                  off_diagonal: bool) -> ConditionEstimate:
     """Minimal C with `scaled_density` <= C over the time range, the distance
     capped at R0 when `off_diagonal`; the witness is the first pair of the
     first maximising class."""
@@ -133,18 +130,17 @@ def _density_scan(kind: str, kernel: JumpKernel, alpha: float, beta: float, r0: 
         return scaled_density(classes.values(t), t, alpha, beta, capped)
 
     best, best_t = _refine_scan(lambda t: float(scaled_at(t).max()),
-                                log_time_grid(r0 ** beta * 1e-4, r0 ** beta, points))
+                                log_time_grid(r0 ** beta * 1e-4, r0 ** beta, SCAN_POINTS))
     c = int(np.argmax(scaled_at(best_t)))
     ids = kernel.space.ids
     return ConditionEstimate(
         kind, best,
         [{"t": best_t, "x": ids[classes.rows[c]], "y": ids[classes.cols[c]]}],
-        {"alpha": alpha, "beta": beta, "R0": r0, "points": points},
+        {"alpha": alpha, "beta": beta, "R0": r0, "points": SCAN_POINTS},
     )
 
 
-def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                 points: int = 129) -> ConditionEstimate:
+def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float) -> ConditionEstimate:
     """Minimal C with p_t(x, y) <= C t^(-alpha/beta) over the time range.
 
     The supremum over the open interval (0, R0^beta) equals the maximum
@@ -152,14 +148,13 @@ def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
     endpoint; the grid is then refined around the maximiser until the
     constant is stable to 1e-9.
     """
-    return _density_scan("DUE", kernel, alpha, beta, r0, False, points)
+    return _density_scan("DUE", kernel, alpha, beta, r0, False)
 
 
-def wue_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                 points: int = 129) -> ConditionEstimate:
+def wue_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float) -> ConditionEstimate:
     """Minimal C for the off-diagonal estimate with factor
     (1 + (d ^ R0) / t^(1/beta))^(-beta)."""
-    return _density_scan("wUE", kernel, alpha, beta, r0, True, points)
+    return _density_scan("wUE", kernel, alpha, beta, r0, True)
 
 
 # -- Nash constant -----------------------------------------------------------------
@@ -317,7 +312,7 @@ def nash_constant(kernel: JumpKernel, rho: float, nu: float, k0: float,
 
 
 def energy_difference_check(kernel: JumpKernel, rho: float, family=None,
-                            seed: int = 0, rtol: float = 1e-12) -> CheckReport:
+                            seed: int = 0) -> CheckReport:
     """E(u) - E_rho(u) <= 4 ||u||_2^2 sup_x J(x, B(x,rho)^c) over a family:
     in closed form for the members of `tree_function_family`, and as the
     difference of the two energies for explicit columns."""
@@ -327,7 +322,7 @@ def energy_difference_check(kernel: JumpKernel, rho: float, family=None,
     lhs = np.concatenate((fam.gap, energy_batch(kernel, U, None) - energy_batch(kernel, U, rho)))
     l2sq = np.concatenate((fam.l2sq, (U * U * mu[:, None]).sum(axis=0)))
     rhs = 4.0 * l2sq * sup_tail
-    slack = lhs - rhs - rtol * np.maximum(np.abs(rhs), 1.0)
+    slack = lhs - rhs - IDENTITY_RTOL * np.maximum(np.abs(rhs), 1.0)
     worst = int(np.argmax(slack))
     report = CheckReport()
     report.add(record(
@@ -335,7 +330,7 @@ def energy_difference_check(kernel: JumpKernel, rho: float, family=None,
         {"rho": rho, "family_size": len(fam.labels), "sup_tail": sup_tail},
         measured=float(lhs[worst]),
         bound=float(rhs[worst]),
-        margin=rtol * max(abs(float(rhs[worst])), 1.0),
+        margin=IDENTITY_RTOL * max(abs(float(rhs[worst])), 1.0),
         ok=bool(np.all(slack <= 0)),
         witness={"function": fam.labels[worst]},
     ))
@@ -343,11 +338,10 @@ def energy_difference_check(kernel: JumpKernel, rho: float, family=None,
 
 
 def truncation_comparison_check(kernel: JumpKernel, rho: float, omega, fs,
-                                time_grid, c_factor: float = 4.0,
-                                rtol: float = 1e-12) -> CheckReport:
+                                time_grid) -> CheckReport:
     """Killed or full semigroup versus its range truncation:
 
-        P_t f <= Q_t f + c_factor * t * sup_x J(x, B(x,rho)^c) * ||f||_inf.
+        P_t f <= Q_t f + TRUNCATION_FACTOR * t * sup_x J(x, B(x,rho)^c) * ||f||_inf.
 
     `fs` holds the functions f as rows (one function is a 1-D array); the
     report has one record per function, in order, and each also reports
@@ -365,15 +359,15 @@ def truncation_comparison_check(kernel: JumpKernel, rho: float, omega, fs,
         empirical = -np.inf
         for t in times:
             diff = full.apply(t, f) - trunc.apply(t, f)
-            envelope = c_factor * t * sup_tail * f_inf
+            envelope = TRUNCATION_FACTOR * t * sup_tail * f_inf
             gap = float(diff.max()) - envelope
-            tol = rtol * max(1.0, envelope, float(np.abs(diff).max()))
+            tol = IDENTITY_RTOL * max(1.0, envelope, float(np.abs(diff).max()))
             if gap - tol > worst:
                 worst = gap - tol
                 witness = {"t": t, "max_diff": float(diff.max()), "envelope": envelope}
             if sup_tail > 0 and f_inf > 0:
                 empirical = max(empirical, float(diff.max()) / (t * sup_tail * f_inf))
-        params = {"rho": rho, "c_factor": c_factor, "sup_tail": sup_tail,
+        params = {"rho": rho, "c_factor": TRUNCATION_FACTOR, "sup_tail": sup_tail,
                   "omega": "all" if omega is None else len(trunc.omega),
                   "empirical_factor": None if empirical == -np.inf else empirical}
         report.add(record("bounds.truncation_comparison", params, worst, 0.0, 0.0,
@@ -392,7 +386,7 @@ def ball_scales(space, r0: float, beta: float) -> np.ndarray:
 
 
 def tail_probability_check(kernel: JumpKernel, beta: float, c_tj: float, r0: float,
-                           time_grid, rtol: float = 1e-12) -> CheckReport:
+                           time_grid) -> CheckReport:
     """Exit-probability bound with the tracked constant C_tail = 4 C_tj.
 
     For every ball of radius label r the whole-ball supremum obeys
@@ -410,7 +404,7 @@ def tail_probability_check(kernel: JumpKernel, beta: float, c_tj: float, r0: flo
     """
     space = kernel.space
     times = [float(t) for t in time_grid]
-    c_tail = 4.0 * c_tj
+    c_tail = TRUNCATION_FACTOR * c_tj
     report = CheckReport()
 
     balls = space.balls()
@@ -428,14 +422,14 @@ def tail_probability_check(kernel: JumpKernel, beta: float, c_tj: float, r0: flo
     for t in times:
         sup, chain_min = classes.exits(classes.values(t))
         bound = c_tail * t / scale
-        excess = sup - bound - rtol * np.maximum(1.0, bound)
+        excess = sup - bound - IDENTITY_RTOL * np.maximum(1.0, bound)
         b = int(np.argmax(excess))
         if excess[b] > worst:
             worst = float(excess[b])
             witness = {"t": t, "ball": list(balls[b].members), "r": balls[b].radius,
                        "exit": float(sup[b]), "bound": float(bound[b])}
         if c_tj > 0:
-            empirical = max(empirical, float((sup * scale / (t * 4 * c_tj)).max()))
+            empirical = max(empirical, float((sup * scale / (t * c_tail)).max()))
         viol = -chain_min
         c = int(np.argmax(viol))
         if viol[c] > worst_mono:
@@ -470,16 +464,13 @@ class WueCertificate:
     checks: list
     status: str
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json_text({
             "inputs": self.inputs,
             "constants": self.constants,
             "checks": [c.to_dict() for c in self.checks],
             "status": self.status,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        })
 
 
 def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
@@ -512,7 +503,7 @@ def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
                      wue_constant(kernel, alpha, beta, r0),
                      nash_constant(kernel, rho=r0, nu=cfg.nu, k0=cfg.k0(r0), seed=seed))
     c_tj, due, wue, nash = estimates
-    c_tail = 4.0 * c_tj
+    c_tail = TRUNCATION_FACTOR * c_tj
     if not all(np.isfinite([c_tj, due.constant, wue.constant, nash.constant])):
         raise ConditionFailure("non-finite measured constant", step="measure")
 

@@ -41,7 +41,7 @@ from .kernel import (
     kernel_from_csv,
     tj_constant,
 )
-from .reporting import FAIL, CheckReport, record
+from .reporting import FAIL, IDENTITY_RTOL, CheckReport, json_text, record
 from .semigroup import generator, semigroup_selfcheck
 from .space import (
     UltrametricSpace,
@@ -58,10 +58,9 @@ ALL_CHECKS = (
     "energy_diff", "p8", "tail", "theorem1",
 )
 
-# The values the checks run at: the identity tolerance, and each setting that
-# differs from the library default.  Sequences keep their literal types, as
-# their entries go into record params as given (DERIVATIVE_P holds ints).
-IDENTITY_RTOL = 1e-12            # form, perturbation, power, energy_diff, p8, tail
+# The values the checks run at where they differ from the library default.
+# Sequences keep their literal types, as their entries go into record params
+# as given (DERIVATIVE_P holds ints).
 N_RANDOM_PAIRS = 5               # perturbation: function pairs per case
 N_POWER_FUNCTIONS = 25           # power: functions per exponent
 DERIVATIVE_P = (1, 2)            # lp_derivative: exponents p
@@ -379,9 +378,8 @@ def _check_ultrametric(ctx):
 
 def _check_form(ctx):
     report = CheckReport()
-    rtol = IDENTITY_RTOL
     for ball in ctx.space.balls(include_points=True):
-        report.add(indicator_energy_check(ctx.kernel, ball, rtol=rtol))
+        report.add(indicator_energy_check(ctx.kernel, ball))
     rng = np.random.default_rng(ctx.seed)
     levels = list(ctx.space.distance_levels)
     worst = -np.inf
@@ -393,7 +391,7 @@ def _check_form(ctx):
             worst = max(worst, prev - val)
             prev = val
         full, _ = energy_and_scale(ctx.kernel, f, f, None)
-        worst = max(worst, prev - full, abs(full - prev) - rtol * max(1.0, abs(full)))
+        worst = max(worst, prev - full, abs(full - prev) - IDENTITY_RTOL * max(1.0, abs(full)))
         clamped = np.clip(f, 0.0, 1.0)
         cl, _ = energy_and_scale(ctx.kernel, clamped, clamped, None)
         worst = max(worst, cl - full)
@@ -415,13 +413,11 @@ def _check_vanishing(ctx):
 
 
 def _check_perturbation(ctx):
-    return davies.perturbation_battery(ctx.kernel, n_pairs=N_RANDOM_PAIRS, seed=ctx.seed,
-                                       rtol=IDENTITY_RTOL)
+    return davies.perturbation_battery(ctx.kernel, n_pairs=N_RANDOM_PAIRS, seed=ctx.seed)
 
 
 def _check_power(ctx):
-    return davies.power_battery(ctx.kernel, n_functions=N_POWER_FUNCTIONS, seed=ctx.seed,
-                                rtol=IDENTITY_RTOL)
+    return davies.power_battery(ctx.kernel, n_functions=N_POWER_FUNCTIONS, seed=ctx.seed)
 
 
 def _check_lp_derivative(ctx):
@@ -484,8 +480,7 @@ def _check_wue(ctx):
 def _check_energy_diff(ctx):
     report = CheckReport()
     for rho in ctx.space.distance_levels:
-        report.extend(bounds_mod.energy_difference_check(
-            ctx.kernel, rho, seed=ctx.seed, rtol=IDENTITY_RTOL))
+        report.extend(bounds_mod.energy_difference_check(ctx.kernel, rho, seed=ctx.seed))
     return report
 
 
@@ -497,15 +492,13 @@ def _check_p8(ctx):
     fs = [np.ones(len(ctx.space)), 1.0 - cells[0].indicator(),
           rng.uniform(0.0, 1.0, len(ctx.space))]
     for rho in ctx.space.distance_levels:
-        report.extend(bounds_mod.truncation_comparison_check(
-            ctx.kernel, rho, None, fs, ctx.grid, rtol=IDENTITY_RTOL))
+        report.extend(bounds_mod.truncation_comparison_check(ctx.kernel, rho, None, fs, ctx.grid))
     return report
 
 
 def _check_tail(ctx):
     return bounds_mod.tail_probability_check(
-        ctx.kernel, ctx.exponents.beta, ctx.c_tj, ctx.exponents.r0, ctx.grid,
-        rtol=IDENTITY_RTOL)
+        ctx.kernel, ctx.exponents.beta, ctx.c_tj, ctx.exponents.r0, ctx.grid)
 
 
 def _check_theorem1(ctx):
@@ -546,35 +539,18 @@ CHECK_REGISTRY = {
 # -- report assembly ---------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
-        return repr(obj)
-    return obj
-
-
 @dataclass
 class VerificationReport:
     records: list
     summary: dict
     environment: dict
 
-    def to_dict(self) -> dict:
-        return _jsonable({
+    def to_json(self) -> str:
+        return json_text({
             "records": [r.to_dict() for r in self.records],
             "summary": self.summary,
             "environment": self.environment,
         })
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def execute_checks(ctx: RunContext, checks) -> VerificationReport:
@@ -698,9 +674,7 @@ def run(cfg: RunConfig) -> int:
         fh.write("\n")
     if "certificate" in ctx.artifacts:
         with open(out_dir / "certificate.json", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_jsonable(ctx.artifacts["certificate"].to_dict()),
-                                indent=2, sort_keys=True))
-            fh.write("\n")
+            fh.write(ctx.artifacts["certificate"].to_json() + "\n")
     failed = any(r.status == FAIL for r in report.records)
     return 1 if failed else 0
 

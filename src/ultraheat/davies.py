@@ -46,7 +46,7 @@ from .errors import (
 )
 from .form import energy_and_scale, energy_batch
 from .kernel import ExponentConfig, JumpKernel
-from .reporting import CheckRecord, CheckReport, record, vacuous
+from .reporting import IDENTITY_RTOL, CheckRecord, CheckReport, record, vacuous
 from .semigroup import SpectralGenerator, generator
 from .space import Ball
 
@@ -59,7 +59,11 @@ REFINE_TOL = 1e-9  # drift of the running sups that ends grid refinement
 MAX_REFINEMENTS = 6  # grid doublings before the iteration gives up
 REL_MARGIN = 1e-8  # relative margin of the iteration and sup-bound verdicts
 ODE_EVAL_POINTS, ODE_RTOL, ODE_ATOL = 128, 1e-10, 1e-14  # ODE comparison integration
+ODE_MARGIN = 1e-8  # log-space margin of the ODE comparison verdict
 ODE_SWEEP_T_MAX = 2.0  # time horizon of the random ODE sweep
+VANISHING_DENSE_TOL = 1e-13  # dense exponential's largest cross-block entry
+BATTERY_LAMBDAS = (-50, -5, 0, 5, 50)  # tilt strengths of the perturbation battery
+BATTERY_P = (1, 1.5, 2, 4, 8)  # exponents p of the power battery and its scalar grid
 
 
 def lp_norms(F, mu, qs) -> np.ndarray:
@@ -138,10 +142,10 @@ def tilted_evolution(gen: SpectralGenerator, psi, f):
 
 
 def perturbation_identity_check(kernel: JumpKernel, rho: float, ball: Ball,
-                                lam: float, f, g, rtol: float = 1e-12) -> CheckRecord:
+                                lam: float, f, g) -> CheckRecord:
     """Tilt invariance of the truncated energy.
 
-    For rho <= radius(B) both sides agree to relative rtol.  For rho >
+    For rho <= radius(B) both sides agree to relative IDENTITY_RTOL.  For rho >
     radius(B) the identity has no reason to hold; the record then reports
     the relative gap as a negative control (status is informational).
     """
@@ -154,13 +158,14 @@ def perturbation_identity_check(kernel: JumpKernel, rho: float, ball: Ball,
     gap = abs(lhs - rhs) / denom
     params = {"rho": rho, "lam": lam, "ball": list(ball.members), "radius": ball.radius}
     if rho <= ball.radius:
-        return record("davies.tilt_identity", params, gap, rtol, 0.0, gap <= rtol)
+        return record("davies.tilt_identity", params, gap, IDENTITY_RTOL, 0.0,
+                      gap <= IDENTITY_RTOL)
     return CheckRecord("davies.tilt_identity_control", params, float(gap), None, 0.0,
                        "pass", witness={"relative_gap": float(gap)})
 
 
 def power_inequality_check(kernel: JumpKernel, rho: float, ball: Ball,
-                           lam: float, f, p: float, rtol: float = 1e-12) -> CheckRecord:
+                           lam: float, f, p: float) -> CheckRecord:
     """E_rho(e^{-psi} f, e^{psi} f^{2p-1}) >= E_rho(f^p) / p for f >= 0."""
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
@@ -171,7 +176,7 @@ def power_inequality_check(kernel: JumpKernel, rho: float, ball: Ball,
     lhs, scale = energy_and_scale(kernel, np.exp(-psi) * f, np.exp(psi) * f ** (2 * p - 1), rho)
     rhs_raw, _ = energy_and_scale(kernel, f ** p, f ** p, rho)
     rhs = rhs_raw / p
-    margin = rtol * max(scale, abs(rhs), 1.0)
+    margin = IDENTITY_RTOL * max(scale, abs(rhs), 1.0)
     return record(
         "davies.power_inequality",
         {"rho": rho, "lam": lam, "p": p, "ball": list(ball.members)},
@@ -182,8 +187,7 @@ def power_inequality_check(kernel: JumpKernel, rho: float, ball: Ball,
     )
 
 
-def scalar_power_inequality_check(a_values, b_values, p_values,
-                             rtol: float = 1e-12) -> CheckRecord:
+def scalar_power_inequality_check(a_values, b_values, p_values) -> CheckRecord:
     """Grid check of (a-b)(a^{2p-1}-b^{2p-1}) >= (a^p-b^p)^2 / p, a, b >= 0."""
     worst = -np.inf
     witness = None
@@ -193,7 +197,7 @@ def scalar_power_inequality_check(a_values, b_values, p_values,
                 lhs = (a - b) * (a ** (2 * p - 1) - b ** (2 * p - 1))
                 rhs = (a ** p - b ** p) ** 2 / p
                 slack = lhs - rhs
-                tol = rtol * max(abs(lhs), abs(rhs), 1.0)
+                tol = IDENTITY_RTOL * max(abs(lhs), abs(rhs), 1.0)
                 if -slack - tol > worst:
                     worst = -slack - tol
                     witness = {"a": a, "b": b, "p": p, "slack": slack}
@@ -501,13 +505,13 @@ def sup_bound_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
 # -- vanishing ----------------------------------------------------------------------
 
 
-def vanishing_check(kernel: JumpKernel, time_grid, dense_tol: float = 1e-13) -> CheckReport:
+def vanishing_check(kernel: JumpKernel, time_grid) -> CheckReport:
     """Exact vanishing of the truncated kernel across range-partition blocks.
 
     For every distance level rho and every t, entries q_t(x, y) with
     d(x, y) > rho must be bitwise zero (they are assembled blockwise), and
     a dense scaling-and-squaring exponential of the same generator must
-    agree to `dense_tol`.
+    agree to VANISHING_DENSE_TOL.
     """
     report = CheckReport()
     space = kernel.space
@@ -531,7 +535,7 @@ def vanishing_check(kernel: JumpKernel, time_grid, dense_tol: float = 1e-13) -> 
             dd = expm(t * gen.matrix) / space.masses[None, :]
             worst_dense = max(worst_dense, float(np.abs(dd[cross]).max()))
         report.add(record("davies.vanishing_dense", params, worst_dense,
-                          dense_tol, 0.0, worst_dense <= dense_tol))
+                          VANISHING_DENSE_TOL, 0.0, worst_dense <= VANISHING_DENSE_TOL))
     return report
 
 
@@ -565,14 +569,13 @@ class OdeComparisonParams:
         return 1.0 if self.w is None else float(self.w(t))
 
 
-def ode_comparison_check(params: OdeComparisonParams, t_max: float,
-                         margin: float = 1e-8) -> CheckRecord:
+def ode_comparison_check(params: OdeComparisonParams, t_max: float) -> CheckRecord:
     """Integrate the extremal decay ODE and compare with the closed bound.
 
     u' = -b t^{p-2} w(t)^{-theta} u^{1+theta} + K u is integrated with an
     adaptive Runge-Kutta 5(4) scheme; the solution must stay below
     (2 p^a/(theta b))^{1/theta} t^{-(p-1)/theta} e^{K p^-a t} w(t), compared
-    in log space with the integrator margin.
+    in log space with the integrator margin ODE_MARGIN.
     """
     b, p, theta, K, a = params.b, params.p, params.theta, params.k, params.a
     w = params.weight
@@ -611,8 +614,8 @@ def ode_comparison_check(params: OdeComparisonParams, t_max: float,
          "t_max": t_max},
         measured=worst,
         bound=0.0,
-        margin=margin,
-        ok=worst <= margin,
+        margin=ODE_MARGIN,
+        ok=worst <= ODE_MARGIN,
         witness={"t": float(sol.t[j]), "u": float(u[j])},
     )
 
@@ -620,16 +623,14 @@ def ode_comparison_check(params: OdeComparisonParams, t_max: float,
 # -- batteries ----------------------------------------------------------------------
 
 
-def perturbation_battery(kernel: JumpKernel, lambdas=(-50, -5, 0, 5, 50),
-                         n_pairs: int = 20, seed: int = 0,
-                         rtol: float = 1e-12) -> CheckReport:
+def perturbation_battery(kernel: JumpKernel, n_pairs: int = 20, seed: int = 0) -> CheckReport:
     """Exhaustive tilt-identity sweep plus negative controls.
 
     Identity cases run over every ball, every truncation level within the
-    ball radius, every lambda, and `n_pairs` seeded function pairs.
-    Controls take the truncation beyond the ball radius (where cross pairs
-    carry weight); their gap is generically nonzero, and the aggregate
-    record requires at least 90% of them to show one.
+    ball radius, every lambda of BATTERY_LAMBDAS, and `n_pairs` seeded
+    function pairs.  Controls take the truncation beyond the ball radius
+    (where cross pairs carry weight); their gap is generically nonzero, and
+    the aggregate record requires at least 90% of them to show one.
     """
     space = kernel.space
     n = len(space)
@@ -644,12 +645,11 @@ def perturbation_battery(kernel: JumpKernel, lambdas=(-50, -5, 0, 5, 50),
         for rho in levels:
             if rho > ball.radius:
                 continue
-            for lam in lambdas:
+            for lam in BATTERY_LAMBDAS:
                 for _ in range(n_pairs):
                     f = rng.normal(size=n)
                     g = rng.normal(size=n)
-                    report.add(perturbation_identity_check(
-                        kernel, rho, ball, lam, f, g, rtol=rtol))
+                    report.add(perturbation_identity_check(kernel, rho, ball, lam, f, g))
 
     controls = 0
     nonzero = 0
@@ -663,17 +663,16 @@ def perturbation_battery(kernel: JumpKernel, lambdas=(-50, -5, 0, 5, 50),
             cross = np.outer(ind, ~ind) & (D <= rho)
             if kernel.w[cross].sum() == 0:
                 continue
-            for lam in lambdas:
+            for lam in BATTERY_LAMBDAS:
                 if lam == 0:
                     continue
                 for _ in range(max(1, n_pairs // 4)):
                     f = rng.normal(size=n)
                     g = rng.normal(size=n)
-                    rec = perturbation_identity_check(kernel, rho, ball, lam, f, g,
-                                                      rtol=rtol)
+                    rec = perturbation_identity_check(kernel, rho, ball, lam, f, g)
                     report.add(rec)
                     controls += 1
-                    if rec.measured is not None and rec.measured > rtol:
+                    if rec.measured is not None and rec.measured > IDENTITY_RTOL:
                         nonzero += 1
     if controls:
         rate = nonzero / controls
@@ -683,25 +682,23 @@ def perturbation_battery(kernel: JumpKernel, lambdas=(-50, -5, 0, 5, 50),
     return report
 
 
-def power_battery(kernel: JumpKernel, p_values=(1, 1.5, 2, 4, 8),
-                  n_functions: int = 100, seed: int = 0,
-                  rtol: float = 1e-12) -> CheckReport:
-    """Seeded sweep of the power inequality, with the p = 1 equality case
-    and the scalar inequality grid."""
+def power_battery(kernel: JumpKernel, n_functions: int = 100, seed: int = 0) -> CheckReport:
+    """Seeded sweep of the power inequality over BATTERY_P, with the p = 1
+    equality case and the scalar inequality grid."""
     space = kernel.space
     n = len(space)
     rng = np.random.default_rng(seed)
     balls = [b for b in space.balls() if b.radius > 0]
     levels = space.distance_levels
     report = CheckReport()
-    for p in p_values:
+    for p in BATTERY_P:
         for _ in range(n_functions):
             ball = balls[rng.integers(0, len(balls))]
             ok_levels = [r for r in levels if r <= ball.radius]
             rho = ok_levels[rng.integers(0, len(ok_levels))]
             lam = float(rng.uniform(-5, 5))
             f = rng.uniform(0.0, 2.0, size=n)
-            rec = power_inequality_check(kernel, rho, ball, lam, f, p, rtol=rtol)
+            rec = power_inequality_check(kernel, rho, ball, lam, f, p)
             report.add(rec)
             if p == 1:
                 gap = abs(rec.measured - rec.bound)
@@ -712,13 +709,12 @@ def power_battery(kernel: JumpKernel, p_values=(1, 1.5, 2, 4, 8),
     report.add(scalar_power_inequality_check(
         a_values=np.linspace(0.0, 2.0, 9),
         b_values=np.linspace(0.0, 2.0, 9),
-        p_values=(1, 1.5, 2, 4, 8),
-        rtol=rtol,
+        p_values=BATTERY_P,
     ))
     return report
 
 
-def ode_sweep(n_samples: int = 200, seed: int = 0, margin: float = 1e-8) -> CheckReport:
+def ode_sweep(n_samples: int = 200, seed: int = 0) -> CheckReport:
     """Seeded random sweep of the comparison inequality over
     (b, p, theta, K, a) in [0.1,10] x (1,4] x (0,3] x (0,5] x [1,3], with
     constant and affine weights."""
@@ -735,5 +731,5 @@ def ode_sweep(n_samples: int = 200, seed: int = 0, margin: float = 1e-8) -> Chec
             w=weights[i % 2],
             u0=float(np.exp(rng.uniform(math.log(0.1), math.log(10.0)))),
         )
-        report.add(ode_comparison_check(params, t_max=ODE_SWEEP_T_MAX, margin=margin))
+        report.add(ode_comparison_check(params, t_max=ODE_SWEEP_T_MAX))
     return report

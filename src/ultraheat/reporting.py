@@ -5,11 +5,18 @@ Every check emits records of the shape
 ordered collection of records with pass/fail bookkeeping.
 """
 
+import json
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 PASS = "pass"
 FAIL = "fail"
 VACUOUS = "vacuous"
+
+# relative tolerance of every exact identity the checks verify
+IDENTITY_RTOL = 1e-12
 
 
 @dataclass
@@ -79,3 +86,25 @@ class CheckReport:
         for r in self.records:
             out[r.status] = out.get(r.status, 0) + 1
         return out
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
+        return repr(obj)
+    return obj
+
+
+def json_text(obj) -> str:
+    """`obj` as the written artifacts hold it: indented JSON with sorted keys,
+    numpy values as plain ones, and a non-finite float as its repr string."""
+    plain = _jsonable(obj)
+    del obj  # a temporary of the caller need not outlive its conversion
+    return json.dumps(plain, indent=2, sort_keys=True)

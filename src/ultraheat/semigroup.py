@@ -177,10 +177,6 @@ class SpectralGenerator:
     def size(self) -> int:
         return self.omega.size
 
-    def eigenvalues(self) -> np.ndarray:
-        """All rate eigenvalues of -L in ascending order."""
-        return np.sort(np.concatenate([lam for lam, _ in self._eigs]))
-
     def eigenpairs(self) -> list[tuple[float, np.ndarray]]:
         """(lambda_k, phi_k) with phi_k orthonormal in L2(mu), zero-padded
         outside the component that carries them."""

@@ -169,16 +169,8 @@ class UltrametricSpace:
         return len(self.ids)
 
     @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    @property
     def diam(self) -> float:
         return float(self.tree.radius[0])
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.tree.volume[0])
 
     def index(self, point_id) -> int:
         key = str(point_id)

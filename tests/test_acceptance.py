@@ -71,7 +71,7 @@ def test_vanishing_criterion():
     grid = np.exp(np.linspace(math.log(1e-3), math.log(1e3), 7))
     for seed in range(50):
         _, kernel = random_scenario(seed, max_points=64)
-        report = vanishing_check(kernel, grid, dense_tol=1e-13)
+        report = vanishing_check(kernel, grid)
         assert report.passed, (seed, report.failures())
         for rec in report.records:
             if rec.name == "davies.vanishing" and rec.status == "pass":
@@ -92,8 +92,7 @@ def test_perturbation_identity_criterion():
         spaces.append(kernel)
     control_rates = []
     for kernel in spaces:
-        report = perturbation_battery(kernel, lambdas=(-50, -5, 0, 5, 50),
-                                      n_pairs=20, seed=1)
+        report = perturbation_battery(kernel, n_pairs=20, seed=1)
         assert report.passed, report.failures()[:1]
         for rec in report.records:
             if rec.name == "davies.tilt_identity":
@@ -109,8 +108,7 @@ def test_power_inequality_criterion():
     # p in {1, 1.5, 2, 4, 8}, 100 random nonnegative functions per space,
     # equality at p = 1 within 1e-12, and the scalar inequality grid
     for name, kernel in canonical_scenarios()[1:5]:
-        report = power_battery(kernel, p_values=(1, 1.5, 2, 4, 8),
-                               n_functions=100, seed=2)
+        report = power_battery(kernel, n_functions=100, seed=2)
         assert report.passed, (name, report.failures()[:1])
     print("PASS: power inequality and scalar bound, 100 functions per space")
 
@@ -179,7 +177,7 @@ def test_ode_comparison_criterion():
     # 200-point random sweep over (b, p, theta, K, a) in
     # [0.1,10] x (1,4] x (0,3] x (0,5] x [1,3], weights {1, 1+t},
     # no violation beyond 1e-8
-    report = ode_sweep(n_samples=200, seed=11, margin=1e-8)
+    report = ode_sweep(n_samples=200, seed=11)
     assert report.passed, report.failures()[:1]
     worst = max(r.measured for r in report.records)
     print(f"PASS: ODE comparison sweep, worst log-excess {worst:.2e}")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ultraheat import (
     HierarchicalHeatKernel,
+    bounds,
     build_tree,
     due_constant,
     energy_difference_check,
@@ -67,9 +68,11 @@ class TestOnDiagonalConstant:
         b = due_constant(k4, 1.0, 2.0, 2.0)
         assert a.constant == b.constant
 
-    def test_refinement_stability(self, k4):
-        coarse = due_constant(k4, 1.0, 2.0, 2.0, points=65)
-        fine = due_constant(k4, 1.0, 2.0, 2.0, points=257)
+    def test_refinement_stability(self, k4, monkeypatch):
+        monkeypatch.setattr(bounds, "SCAN_POINTS", 65)
+        coarse = due_constant(k4, 1.0, 2.0, 2.0)
+        monkeypatch.setattr(bounds, "SCAN_POINTS", 257)
+        fine = due_constant(k4, 1.0, 2.0, 2.0)
         assert fine.constant >= coarse.constant - 1e-9
         assert abs(fine.constant - coarse.constant) <= 1e-8 * max(1.0, fine.constant)
 
@@ -571,7 +574,7 @@ def test_closed_form_chain_minima_match_dense(case, sign):
     dense = gen.pair_classes()
     for t in np.geomspace(1e-4, 1e4, 9) / -np.diagonal(gen.matrix).min():
         values = dense.values(t)
-        tol = 1e-10 * values.max() * space.total_mass
+        tol = 1e-10 * values.max() * space.tree.volume[0]
         got, want = fast.exits(fast.values(t))[1], dense.exits(values)[1]
         assert got.shape == want.shape
         assert np.abs(got - want).max(initial=0.0) <= tol
@@ -633,12 +636,15 @@ def test_scans_agree_across_engines(case, alpha, beta, data):
         capped = min(D[i, j], r0) if est.kind == "wUE" else 0.0
         return scaled_density(density(t)[i, j], t, alpha, beta, capped)
 
-    with dense_engine():
-        dense = [scan(kernel, alpha, beta, r0, points=17) for scan in (due_constant, wue_constant)]
-        dense_chain = _chaining(kernel, alpha, beta, r0, *dense)
+    # a 17-point first grid keeps the example fast
+    with mock.patch.object(bounds, "SCAN_POINTS", 17):
+        with dense_engine():
+            dense = [scan(kernel, alpha, beta, r0) for scan in (due_constant, wue_constant)]
+            dense_chain = _chaining(kernel, alpha, beta, r0, *dense)
+        fast = {a.kind: a for a in (due_constant(kernel, alpha, beta, r0),
+                                    wue_constant(kernel, alpha, beta, r0))}
     for b in dense:
-        a = (due_constant if b.kind == "DUE" else wue_constant)(kernel, alpha, beta, r0,
-                                                                points=17)
+        a = fast[b.kind]
         assert abs(a.constant - b.constant) <= 1e-10 * b.constant
         wit = a.witnesses[0]
         # the constant is the scaled density at its own witness

@@ -116,7 +116,7 @@ class TestRun:
 
     def test_failed_check_exits_one(self, tmp_path, monkeypatch):
         # an unattainable identity tolerance forces honest failures
-        monkeypatch.setattr(cli, "IDENTITY_RTOL", 1e-30)
+        monkeypatch.setattr(davies, "IDENTITY_RTOL", 1e-30)
         path = write_config(tmp_path, checks=["perturbation"])
         assert main(["run", "--config", str(path)]) == 1
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -335,6 +335,7 @@ def _file(path, text):
 # each case: config overrides (built in a temporary directory) and a phrase
 # of the one-line error it must produce
 BAD_INPUTS = {
+    "unread options section": (lambda tmp: {"options": {}}, "unknown config keys ['options']"),
     "distance csv short of rows": (
         lambda tmp: {"space": {"file": _file(tmp / "d.csv", "a,b,c\n0,1,2\n1,0,2\n")}},
         "distance CSV needs"),

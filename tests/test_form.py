@@ -1,16 +1,27 @@
 """Energy form, truncation, and simple functions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultraheat import energy, energy_trunc, indicator_energy_check, simple_function
+from ultraheat import (
+    build_tree,
+    energy,
+    energy_trunc,
+    indicator_energy_check,
+    isotropic_kernel,
+    power_profile,
+    simple_function,
+)
+from ultraheat.davies import nash_quotients, nash_ratio_batch
 from ultraheat.errors import DimensionMismatch, OverlappingBalls
-from ultraheat.form import energy_and_scale
+from ultraheat.form import energy_and_scale, energy_batch
 from ultraheat.kernel import JumpKernel
 
-from conftest import random_scenario
+from conftest import ball_trees, random_scenario
 
 
 def brute_energy(kernel, f, g, rho=None):
@@ -103,6 +114,54 @@ def test_zero_weights_give_oracle_values():
     f, g = rng.normal(size=n), rng.normal(size=n)
     for rho in (None,) + space.distance_levels:
         _assert_matches_oracle(sparse, f, g, rho)
+
+
+def test_constant_column_has_zero_energy_and_exact_nash_quotient():
+    # p0 beside a radius-243 ball {p1, p2, p3}, at radius 729, growing
+    # profile 0.5 r^3: the quadratic operator's rounding used to give a
+    # constant a signed energy of up to 1e-5 and so a wrong Nash quotient
+    rng = np.random.default_rng(0)
+    nu, k0 = 0.3, 2 * 729.0 ** -1.5
+    for _ in range(200):
+        m = rng.uniform(0.1, 10.0, 4)
+        space = build_tree({"radius": 729, "children": [
+            {"id": "p0", "mass": m[0]},
+            {"radius": 243, "children": [{"id": f"p{i}", "mass": m[i]} for i in (1, 2, 3)]}]})
+        kernel = isotropic_kernel(space, power_profile(-3.0, 0.5), scaling="mass")
+        ones = np.ones((4, 1))
+        for rho in (None, 243.0, 729.0):
+            assert energy_batch(kernel, ones, rho).tolist() == [0.0]
+        # ||1||_2^2 = ||1||_1 = mu(X), and E_rho(1) = 0
+        mass = space.masses[:, None].sum(axis=0)
+        exact = nash_quotients(np.zeros(1), mass, mass, nu, k0)
+        assert nash_ratio_batch(kernel, 729.0, nu, k0, ones).tolist() == exact.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ball_trees(max_points=32), st.integers(0, 2 ** 32 - 1))
+def test_energy_batch_against_pair_sums(case, seed):
+    # columns constant on every rho-block, the same plus small noise, and
+    # plain random ones: the first get exactly 0, none is negative, and each
+    # agrees with the exact sum of its pair terms
+    space, exponent, scale = case
+    kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+    rng = np.random.default_rng(seed)
+    n = len(space)
+    D = space.distance_matrix()
+    for rho in (None,) + space.distance_levels:
+        sizes = [len(b) for b in (space.partition(rho) if rho is not None else [space])]
+        steps = np.column_stack([np.repeat(rng.normal(size=len(sizes)), sizes)
+                                 * 10.0 ** rng.uniform(-3, 3) for _ in range(3)])
+        U = np.column_stack((steps, steps + 1e-3 * rng.normal(size=(n, 3)),
+                             rng.normal(size=(n, 3))))
+        e = energy_batch(kernel, U, rho)
+        assert e[:3].tolist() == [0.0] * 3
+        assert np.all(e >= 0.0)
+        kept = (D <= rho if rho is not None else np.ones((n, n), dtype=bool)) \
+            & ~np.eye(n, dtype=bool)
+        for k, u in enumerate(U.T):
+            exact = math.fsum(((u[:, None] - u[None, :]) ** 2 * kernel.w)[kept].tolist())
+            assert abs(e[k] - exact) <= 1e-12 * exact
 
 
 class TestEnergy:

@@ -32,7 +32,7 @@ class TestBuildTree:
 
     def test_two_leaves(self, s2):
         assert s2.distance("0", "1") == 1.0
-        assert s2.total_mass == 2.0
+        assert s2.tree.volume[0] == 2.0
 
     def test_child_radius_above_parent_rejected(self):
         with pytest.raises(NonDecreasingRadii):
@@ -60,7 +60,7 @@ class TestBuildTree:
     def test_leaves_synonym(self):
         space = build_tree({"radius": 1, "leaves": [{"id": "x", "mass": 2},
                                                     {"id": "y", "mass": 3}]})
-        assert space.total_mass == 5.0
+        assert space.tree.volume[0] == 5.0
 
     def test_singleton_leaf_spec(self):
         space = build_tree({"id": "only", "mass": 1.5})
