@@ -15,17 +15,10 @@ from .kernel import (  # noqa: F401
     ExponentConfig,
     JumpKernel,
     isotropic_kernel,
-    from_matrix,
     power_profile,
     tj_constant,
 )
-from .form import (  # noqa: F401
-    SimpleFunction,
-    energy,
-    energy_trunc,
-    indicator_energy_check,
-    simple_function,
-)
+from .form import energy, indicator_energy_check  # noqa: F401
 from .semigroup import (  # noqa: F401
     HierarchicalHeatKernel,
     SpectralGenerator,

@@ -505,7 +505,7 @@ def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
     c_tj, due, wue, nash = estimates
     c_tail = TRUNCATION_FACTOR * c_tj
     if not all(np.isfinite([c_tj, due.constant, wue.constant, nash.constant])):
-        raise ConditionFailure("non-finite measured constant", step="measure")
+        raise ConditionFailure("non-finite measured constant")
 
     classes = heat_pair_classes(kernel, "chaining scan")
     levels, level_of = np.unique(classes.dist, return_inverse=True)

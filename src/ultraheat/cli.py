@@ -39,6 +39,7 @@ from .kernel import (
     JumpKernel,
     isotropic_kernel,
     kernel_from_csv,
+    profile_from_config,
     tj_constant,
 )
 from .reporting import FAIL, IDENTITY_RTOL, CheckReport, json_text, record
@@ -94,7 +95,6 @@ class RunConfig:
     grid_min: float = 1e-3
     grid_max: float = 1.0
     grid_points: int = 17
-    grid_scale: str = "log"
     checks: tuple = ALL_CHECKS
     output_dir: str = "."
     seed: int = 0
@@ -118,9 +118,9 @@ class RunConfig:
             raise ConfigError("time grid max must be >= min")
         points = _in_range("time_grid.points", _number(grid, "points", 17, "time_grid", int),
                            2, MAX_GRID_POINTS)
-        scale = grid.get("scale", "log")
-        if scale not in ("log", "linear"):
-            raise ConfigError(f"unknown time grid scale {scale!r}")
+        # the one grid; the key stays so that configs may name it
+        if grid.get("scale", "log") != "log":
+            raise ConfigError(f"unknown time grid scale {grid['scale']!r}; known: log")
         # an empty list is tolerated here so that `curves` can run without
         # checks; `run` itself insists on a nonempty selection
         checks = _check_names(raw.get("checks", ALL_CHECKS))
@@ -136,7 +136,6 @@ class RunConfig:
             grid_min=gmin,
             grid_max=gmax,
             grid_points=points,
-            grid_scale=scale,
             checks=checks,
             output_dir=output_dir,
             seed=_in_range("seed", _number(raw, "seed", 0, "config", int), 0),
@@ -233,15 +232,13 @@ def build_kernel(space: UltrametricSpace, section: dict) -> JumpKernel:
             return kernel_from_csv(space, str(section["file"]))
         if source == "matrix":
             return JumpKernel(space, np.asarray(section["matrix"], dtype=float))
-        return isotropic_kernel(space, _section(section, "isotropic"),
+        return isotropic_kernel(space, profile_from_config(_section(section, "isotropic")),
                                 scaling=section.get("scaling", "none"))
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"kernel: {exc}") from exc
 
 
 def time_grid_of(cfg: RunConfig) -> np.ndarray:
-    if cfg.grid_scale == "linear":
-        return np.linspace(cfg.grid_min, cfg.grid_max, cfg.grid_points)
     return bounds_mod.log_time_grid(cfg.grid_min, cfg.grid_max, cfg.grid_points)
 
 

@@ -74,10 +74,6 @@ class DimensionMismatch(FormError):
     """A function vector or a matrix does not match the point count."""
 
 
-class OverlappingBalls(FormError):
-    """Simple-function balls must be pairwise disjoint."""
-
-
 # -- semigroup ----------------------------------------------------------------
 
 class EmptyDomain(UltraheatError, ValueError):
@@ -109,15 +105,7 @@ class IntegratorFailure(UltraheatError, RuntimeError):
 # -- bounds -------------------------------------------------------------------
 
 class ConditionFailure(UltraheatError, RuntimeError):
-    """A step of the constant-tracking pipeline failed.
-
-    `step` names the failing stage; `witness` carries the offending tuple.
-    """
-
-    def __init__(self, message: str, step: str = "", witness=None):
-        super().__init__(message)
-        self.step = step
-        self.witness = witness
+    """A step of the constant-tracking pipeline failed."""
 
 
 # -- cli ----------------------------------------------------------------------

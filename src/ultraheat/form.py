@@ -1,5 +1,5 @@
 """
-The quadratic jump energy, its range truncation, and simple functions.
+The quadratic jump energy and its range truncation.
 
 The energy of a pair of functions is the sum over ordered pairs of
 distinct points
@@ -18,11 +18,9 @@ sorted by distance, so E_rho is a sum over a prefix of it.  `energy_batch`
 uses the dense quadratic operator instead.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, OverlappingBalls
+from .errors import DimensionMismatch
 from .kernel import JumpKernel
 from .reporting import IDENTITY_RTOL, CheckRecord, record
 from .space import Ball
@@ -55,13 +53,6 @@ def energy_and_scale(kernel: JumpKernel, f, g, rho=None) -> tuple[float, float]:
 def energy(kernel: JumpKernel, f, g) -> float:
     """Bilinear energy E(f, g) over all ordered off-diagonal pairs."""
     return energy_and_scale(kernel, f, g, None)[0]
-
-
-def energy_trunc(kernel: JumpKernel, f, g, rho: float) -> float:
-    """Truncated energy: pairs restricted to jump lengths d(x, y) <= rho."""
-    if rho <= 0:
-        raise ValueError(f"truncation range must be > 0, got {rho}")
-    return energy_and_scale(kernel, f, g, rho)[0]
 
 
 def quadratic_operator(kernel: JumpKernel, rho=None) -> np.ndarray:
@@ -103,36 +94,3 @@ def indicator_energy_check(kernel: JumpKernel, ball: Ball) -> CheckRecord:
         margin=margin,
         ok=abs(lhs - rhs) <= margin,
     )
-
-
-@dataclass(frozen=True)
-class SimpleFunction:
-    """Finite linear combination of indicators of pairwise disjoint balls."""
-
-    coefficients: tuple
-    balls: tuple
-
-    def __post_init__(self):
-        spans = sorted((b.start, b.stop) for b in self.balls)
-        for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
-            if b0 < a1:
-                raise OverlappingBalls(f"balls overlap on leaf span [{b0}, {min(a1, b1)})")
-        if len(self.coefficients) != len(self.balls):
-            raise DimensionMismatch(
-                f"{len(self.coefficients)} coefficients for {len(self.balls)} balls"
-            )
-
-    def values(self) -> np.ndarray:
-        space = self.balls[0].space
-        out = np.zeros(len(space))
-        for c, b in zip(self.coefficients, self.balls):
-            out[b.start:b.stop] = c
-        return out
-
-    def __call__(self, point_id) -> float:
-        return float(self.values()[self.balls[0].space.index(point_id)])
-
-
-def simple_function(coefficients, balls) -> SimpleFunction:
-    """Validated simple function f = sum_i c_i 1_{B_i} on disjoint balls."""
-    return SimpleFunction(tuple(float(c) for c in coefficients), tuple(balls))

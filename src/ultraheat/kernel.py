@@ -164,11 +164,9 @@ def profile_from_config(cfg: dict):
 def isotropic_kernel(space: UltrametricSpace, profile, scaling: str = "none") -> JumpKernel:
     """Kernel w(x, y) = profile(d(x, y)), optionally scaled by mu(x) mu(y).
 
-    `profile` is a callable on distances or a power-profile config dict.
-    Mass scaling is the canonical family for the fast hierarchical solver.
+    `profile` is a callable on distances.  Mass scaling is the canonical
+    family for the fast hierarchical solver.
     """
-    if isinstance(profile, dict):
-        profile = profile_from_config(profile)
     if scaling not in ("none", "mass"):
         raise ConfigError(f"scaling must be 'none' or 'mass', got {scaling!r}")
     g = {}
@@ -194,11 +192,6 @@ def isotropic_kernel(space: UltrametricSpace, profile, scaling: str = "none") ->
             w[i] *= mu[i] * mu
     w.setflags(write=False)  # handed over: the kernel keeps it without a copy
     return JumpKernel(space, w)
-
-
-def from_matrix(space: UltrametricSpace, weights) -> JumpKernel:
-    """Validated kernel from an explicit weight matrix."""
-    return JumpKernel(space, weights)
 
 
 def kernel_from_csv(space: UltrametricSpace, path) -> JumpKernel:

@@ -54,9 +54,9 @@ def record(name, params, measured, bound, margin, ok, witness=None) -> CheckReco
     )
 
 
-def vacuous(name, params, witness=None) -> CheckRecord:
+def vacuous(name, params) -> CheckRecord:
     """Record for a check whose hypothesis is empty on this input."""
-    return CheckRecord(name, params, None, None, 0.0, VACUOUS, witness)
+    return CheckRecord(name, params, None, None, 0.0, VACUOUS)
 
 
 @dataclass
@@ -67,11 +67,8 @@ class CheckReport:
         self.records.append(rec)
         return rec
 
-    def extend(self, other) -> "CheckReport":
-        if isinstance(other, CheckReport):
-            self.records.extend(other.records)
-        else:
-            self.records.extend(other)
+    def extend(self, other: "CheckReport") -> "CheckReport":
+        self.records.extend(other.records)
         return self
 
     @property

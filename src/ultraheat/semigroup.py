@@ -52,7 +52,7 @@ from .errors import DimensionMismatch, EmptyDomain
 from .form import energy_and_scale
 from .kernel import JumpKernel
 from .reporting import CheckReport, record
-from .space import Ball, UltrametricSpace
+from .space import UltrametricSpace
 
 # Eigenvalues within this of zero are clamped to exactly zero.
 EIGENVALUE_CLAMP = 1e-12
@@ -135,8 +135,6 @@ class SpectralGenerator:
         self.rho = None if rho is None else float(rho)
         if omega is None:
             idx = np.arange(n)
-        elif isinstance(omega, Ball):
-            idx = omega.indices
         else:
             idx = np.array(sorted({space.index(p) for p in omega}))
         if idx.size == 0:
@@ -206,18 +204,16 @@ class SpectralGenerator:
         return self.density(t) * self._mu
 
     def pair_classes(self) -> PairClasses:
-        """Every ordered pair of the domain as its own class, in row-major
-        order, with the values of `density(t)`; `exits` reads
-        `exit_probabilities`, so it needs the whole space."""
-        m = self.size
-        rows, cols = np.divmod(np.arange(m * m), m)
-        dist = self.space.distance_matrix()[np.ix_(self.omega, self.omega)].ravel()
-        at = np.full(len(self.space), -1)
-        at[self.omega] = np.arange(m)
-        return PairClasses(dist, self.omega[rows], self.omega[cols],
+        """Every ordered pair of points as its own class, in row-major order,
+        with the values of `density(t)`.  The generator must be a
+        whole-domain one: `exits` reads `exit_probabilities`, which needs the
+        whole space."""
+        n = self.size
+        rows, cols = np.divmod(np.arange(n * n), n)
+        return PairClasses(self.space.distance_matrix().ravel(), rows, cols,
                            lambda t: self.density(t).ravel(),
-                           lambda i, j: at[np.asarray(i)] * m + at[np.asarray(j)],
-                           lambda values: exit_probabilities(self.space, values.reshape(m, m)))
+                           lambda i, j: np.asarray(i) * n + np.asarray(j),
+                           lambda values: exit_probabilities(self.space, values.reshape(n, n)))
 
     def apply(self, t: float, f) -> np.ndarray:
         """e^{tL} f; full-length input, full-length output (zero off-domain)."""

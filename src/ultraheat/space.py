@@ -63,9 +63,8 @@ class BallTree(NamedTuple):
 class Ball:
     """A closed ball of the space: a tree node viewed as a point set.
 
-    Equality and hashing are by member set (leaf slice), so two nodes of a
-    single-child chain describing the same set compare equal.
-    """
+    Balls compare by identity: compare `start` and `stop` to compare point
+    sets."""
 
     __slots__ = ("space", "node", "start", "stop")
 
@@ -86,10 +85,6 @@ class Ball:
     def members(self) -> tuple:
         return self.space.ids[self.start:self.stop]
 
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(self.start, self.stop)
-
     def indicator(self) -> np.ndarray:
         out = np.zeros(len(self.space))
         out[self.start:self.stop] = 1.0
@@ -97,17 +92,6 @@ class Ball:
 
     def __len__(self) -> int:
         return self.stop - self.start
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Ball)
-            and self.space is other.space
-            and self.start == other.start
-            and self.stop == other.stop
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.space), self.start, self.stop))
 
     def __repr__(self):
         return f"Ball(r={self.radius}, members={list(self.members)})"
@@ -189,10 +173,6 @@ class UltrametricSpace:
             a, b = np.where(a > b, parent[a], a), np.where(b > a, parent[b], b)
         return a
 
-    def distance(self, x, y) -> float:
-        """Radius of the lowest common ancestor ball; 0 iff x == y."""
-        return float(self.tree.radius[self.lca(self.index(x), self.index(y))])
-
     def distance_matrix(self) -> np.ndarray:
         """Full pairwise distance matrix in canonical point order (cached)."""
         if self._dmat is None:
@@ -272,7 +252,7 @@ class UltrametricSpace:
 
 
 _LEAF_KEYS = frozenset(("id", "mass"))
-_NODE_KEYS = frozenset(("radius", "children", "leaves"))
+_NODE_KEYS = frozenset(("radius", "children"))
 
 
 def build_tree(spec: dict) -> UltrametricSpace:
@@ -280,9 +260,8 @@ def build_tree(spec: dict) -> UltrametricSpace:
 
     `spec` is a dict {"radius": R, "children": [...]} whose children are
     either further ball dicts or leaf dicts {"id": s, "mass": m} with s a
-    non-empty string; the key "leaves" is accepted as a synonym for an
-    all-leaf children list.  A bare leaf dict describes a singleton space.
-    Any other key, or a node with both "children" and "leaves", is an error.
+    non-empty string.  A bare leaf dict describes a singleton space.  Any
+    other key is an error.
     """
     ids: list = []
     masses: list = []
@@ -292,9 +271,9 @@ def build_tree(spec: dict) -> UltrametricSpace:
         if not isinstance(obj, dict):
             raise SpaceError(f"tree entry must be an object, got {obj!r}")
         known = _LEAF_KEYS if "id" in obj else _NODE_KEYS
-        if not obj.keys() <= known or _NODE_KEYS <= obj.keys():
+        if not obj.keys() <= known:
             raise SpaceError(f"tree entry keys {sorted(obj)} must be id and mass, or radius "
-                             f"and one of children, leaves")
+                             f"and children")
         if "id" in obj:
             if not isinstance(obj["id"], str) or not obj["id"]:
                 raise SpaceError(f"leaf id must be a non-empty string, got {obj['id']!r}")
@@ -307,7 +286,7 @@ def build_tree(spec: dict) -> UltrametricSpace:
         radius = float(obj["radius"])
         if not 0 < radius < np.inf:
             raise NonDecreasingRadii(f"ball radius must be finite and > 0, got {radius}")
-        entries = obj.get("children", obj.get("leaves"))
+        entries = obj.get("children")
         if not entries:
             raise EmptySpace("ball with no children")
         node = [parent, len(ids), 0, radius, 0.0, len(entries)]

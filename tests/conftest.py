@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ultraheat import build_tree, generator, isotropic_kernel, power_profile
 from ultraheat.cli import generate_space
-from ultraheat.kernel import ExponentConfig, from_matrix
+from ultraheat.kernel import ExponentConfig, JumpKernel
 
 S4_SPEC = {
     "radius": 2,
@@ -65,7 +65,7 @@ def random_scenario(seed: int, max_points: int = 24, mass_law: str = "uniform"):
         w = rng.uniform(0, 1, (len(space), len(space)))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.0)
-        kernel = from_matrix(space, w)
+        kernel = JumpKernel(space, w)
     return space, kernel
 
 

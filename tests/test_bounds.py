@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from ultraheat import (
     HierarchicalHeatKernel,
+    JumpKernel,
     bounds,
     build_tree,
     due_constant,
     energy_difference_check,
-    from_matrix,
     generator,
     isotropic_kernel,
     nash_constant,
@@ -160,7 +160,7 @@ class TestTruncationComparison:
 
     def test_restricted_domain(self, s4, k4):
         report = truncation_comparison_check(
-            k4, 1.0, s4.ball("a", 1), np.array([1.0, 0.5, 0, 0]), [0.1, 1.0])
+            k4, 1.0, s4.ball("a", 1).members, np.array([1.0, 0.5, 0, 0]), [0.1, 1.0])
         assert report.passed
 
     def test_random_batches(self):
@@ -231,7 +231,7 @@ class TestCertificate:
         # a uniform kernel ignores distance, so its tail constant blows up
         # with the range; the pipeline constants grow but stay valid
         w = np.ones((8, 8)) - np.eye(8)
-        heavy = from_matrix(dyadic8, w)
+        heavy = JumpKernel(dyadic8, w)
         light = isotropic_kernel(dyadic8, power_profile(3.0), scaling="mass")
         c_heavy = tj_constant(heavy, 2.0, dyadic8.diam)
         c_light = tj_constant(light, 2.0, dyadic8.diam)
@@ -263,7 +263,7 @@ class TestScalingCovariance:
         scaled_space = build_tree(spec)
         base_space = build_tree(S4_SPEC)
         k_base = isotropic_kernel(base_space, power_profile(3.0), scaling="none")
-        k_scaled = from_matrix(scaled_space, c * k_base.w)
+        k_scaled = JumpKernel(scaled_space, c * k_base.w)
         for t in (0.1, 1.0):
             a = generator(k_base).density(t)
             b = generator(k_scaled).density(t)
@@ -668,7 +668,7 @@ def test_scans_log_the_engine(caplog, k4):
     wue_certificate(k4, 1.0, 2.0, 2.0)
     raw = np.array(k4.w)
     raw[0, 2] = raw[2, 0] = 0.3
-    due_constant(from_matrix(k4.space, raw), 1.0, 2.0, 2.0)
+    due_constant(JumpKernel(k4.space, raw), 1.0, 2.0, 2.0)
     lines = [r.getMessage() for r in caplog.records if r.name == "ultraheat.bounds"]
     assert [line.split(":")[0] for line in lines] == [
         "DUE scan", "wUE scan", "nash rho=2.0", "chaining scan", "DUE scan"]

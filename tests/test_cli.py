@@ -163,7 +163,7 @@ class TestGenerate:
         })
         ctx = build_context(cfg)
         assert ctx.space.ids == ("a", "b", "c")
-        assert ctx.space.distance("a", "c") == 2.0
+        assert ctx.space.tree.radius[ctx.space.lca(0, 2)] == 2.0
 
     def test_random_respects_cap(self):
         for seed in range(20):
@@ -422,6 +422,12 @@ BAD_INPUTS = {
         lambda tmp: {"space": {"inline": {"radius": 1, "children": [{"id": "a"}],
                                           "leaves": [{"id": "b"}]}}},
         "space: tree entry keys ['children', 'leaves', 'radius'] must be"),
+    "node listing its points under leaves": (
+        lambda tmp: {"space": {"inline": {"radius": 1, "leaves": [{"id": "a"}, {"id": "b"}]}}},
+        "space: tree entry keys ['leaves', 'radius'] must be id and mass, or radius and children"),
+    "linear time grid": (
+        lambda tmp: {"time_grid": {"min": 1e-3, "max": 1.0, "points": 9, "scale": "linear"}},
+        "unknown time grid scale 'linear'; known: log"),
     "tree entry not an object": (
         lambda tmp: {"space": {"inline": {"radius": 1, "children": ["a", "b"]}}},
         "space: tree entry must be an object, got 'a'"),

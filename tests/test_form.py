@@ -1,4 +1,4 @@
-"""Energy form, truncation, and simple functions."""
+"""Energy form and its truncation."""
 
 import math
 
@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 from ultraheat import (
     build_tree,
     energy,
-    energy_trunc,
     indicator_energy_check,
     isotropic_kernel,
     power_profile,
-    simple_function,
 )
 from ultraheat.davies import nash_quotients, nash_ratio_batch
-from ultraheat.errors import DimensionMismatch, OverlappingBalls
+from ultraheat.errors import DimensionMismatch
 from ultraheat.form import energy_and_scale, energy_batch
 from ultraheat.kernel import JumpKernel
 
@@ -171,7 +169,7 @@ class TestEnergy:
 
     def test_truncated_block_constant(self, s4, k4):
         ind = s4.ball("a", 1).indicator()
-        assert energy_trunc(k4, ind, ind, 1.0) == 0.0
+        assert energy_and_scale(k4, ind, ind, 1.0)[0] == 0.0
 
     def test_constant_has_zero_energy(self, k4):
         c = np.full(4, 3.7)
@@ -187,7 +185,7 @@ class TestEnergy:
             assert energy(kernel, f, g) == pytest.approx(
                 brute_energy(kernel, f, g), rel=1e-12, abs=1e-12)
             for rho in kernel.space.distance_levels:
-                assert energy_trunc(kernel, f, g, rho) == pytest.approx(
+                assert energy_and_scale(kernel, f, g, rho)[0] == pytest.approx(
                     brute_energy(kernel, f, g, rho), rel=1e-12, abs=1e-12)
 
     def test_dimension_mismatch(self, k4):
@@ -207,7 +205,7 @@ class TestTruncationMonotonicity:
         for seed in range(5):
             _, kernel = random_scenario(seed)
             f = rng.normal(size=len(kernel.space))
-            vals = [energy_trunc(kernel, f, f, rho)
+            vals = [energy_and_scale(kernel, f, f, rho)[0]
                     for rho in kernel.space.distance_levels]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
             assert vals[-1] == pytest.approx(energy(kernel, f, f), rel=1e-12)
@@ -221,7 +219,7 @@ class TestTruncationMonotonicity:
             for rho in kernel.space.distance_levels:
                 for _ in range(20):
                     u = rng.normal(size=len(kernel.space))
-                    lhs = energy(kernel, u, u) - energy_trunc(kernel, u, u, rho)
+                    lhs = energy(kernel, u, u) - energy_and_scale(kernel, u, u, rho)[0]
                     rhs = 4.0 * float((u * u * mu).sum()) * kernel.tail_sup(rho)
                     assert lhs <= rhs * (1 + 1e-12) + 1e-12
 
@@ -256,21 +254,6 @@ class TestIndicatorEnergyIdentity:
             space, kernel = random_scenario(seed)
             for ball in space.balls(include_points=True):
                 assert indicator_energy_check(kernel, ball).status == "pass"
-
-
-class TestSimpleFunction:
-    def test_evaluation(self, s4):
-        f = simple_function([1.0, 2.0], [s4.ball("a", 1), s4.ball("c", 1)])
-        assert f("a") == 1.0 and f("b") == 1.0 and f("c") == 2.0
-        assert np.array_equal(f.values(), [1.0, 1.0, 2.0, 2.0])
-
-    def test_overlap_rejected(self, s4):
-        with pytest.raises(OverlappingBalls):
-            simple_function([1.0, 2.0], [s4.ball("a", 1), s4.ball("a", 0)])
-
-    def test_zero_function(self, s4):
-        f = simple_function([0.0], [s4.ball("a", 1)])
-        assert np.array_equal(f.values(), [0.0, 0.0, 0.0, 0.0])
 
 
 def test_energy_scale_bounds_value(k4):

@@ -8,9 +8,9 @@ from scipy.linalg import expm
 
 from ultraheat import (
     HierarchicalHeatKernel,
+    JumpKernel,
     SpectralGenerator,
     energy,
-    energy_trunc,
     generator,
     isotropic_kernel,
     power_profile,
@@ -18,6 +18,7 @@ from ultraheat import (
     tilted_evolution,
 )
 from ultraheat.errors import EmptyDomain, NotIsotropic
+from ultraheat.form import energy_and_scale
 from ultraheat.cli import generate_space
 from ultraheat.semigroup import ball_chains, exit_probabilities
 
@@ -45,7 +46,7 @@ class TestGenerator:
             space, kernel = random_scenario(seed)
             inner = [b for b in space.balls() if 0 < b.radius < space.diam]
             for rho in (None,) + space.distance_levels:
-                for omega in [None] + inner[:2]:
+                for omega in [None] + [b.members for b in inner[:2]]:
                     gen = generator(kernel, rho=rho, omega=omega)
                     firsts = [int(b[0]) for b in gen.blocks]
                     assert firsts == sorted(firsts)
@@ -84,7 +85,7 @@ class TestGenerator:
                     g = rng.normal(size=len(kernel.space))
                     lhs = -float((g * mu) @ (gen.matrix @ f))
                     rhs = energy(kernel, f, g) if rho is None else \
-                        energy_trunc(kernel, f, g, rho)
+                        energy_and_scale(kernel, f, g, rho)[0]
                     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_eigen_residual_small(self):
@@ -300,9 +301,8 @@ class TestFastIsotropicPath:
         w = rng.uniform(0.1, 1.0, (4, 4))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.0)
-        from ultraheat import from_matrix
         with pytest.raises(NotIsotropic):
-            HierarchicalHeatKernel.from_kernel(from_matrix(s4, w))
+            HierarchicalHeatKernel.from_kernel(JumpKernel(s4, w))
 
     def test_engine_is_built_once_per_kernel(self, k8):
         # truncated engines are derived from the kept whole-space engine
@@ -392,6 +392,54 @@ def test_hierarchical_profile_matches_dense(case, c):
         assert np.abs(values[lca] - dens).max() <= tol
         # p_t(c w) = p_{ct}(w)
         assert np.abs(faster.node_values(t / c)[lca] - values[lca]).max() <= tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(ball_trees(max_points=16))
+def test_engine_matches_exact_oracle(case):
+    # node_values, exits and chain_minima within 32 eps relative of p_t from
+    # one 50-digit eigendecomposition of the symmetrised generator, taken on
+    # the float weights and masses of the kernel; a non-growing profile
+    # keeps every term of the engine's sums nonnegative
+    mp = pytest.importorskip("mpmath")
+    space, exponent, scale = case
+    kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+    engine = HierarchicalHeatKernel.from_kernel(kernel)
+    n, tree = len(space), space.tree
+    lca = lca_index(space)
+    spans = list(zip(tree.start.tolist(), tree.stop.tolist()))
+    eps32 = 32 * np.finfo(float).eps
+    with mp.workdps(50):
+        mu = [mp.mpf(float(m)) for m in space.masses]
+        root = [mp.sqrt(m) for m in mu]
+        a = mp.matrix(n, n)
+        for i in range(n):
+            a[i, i] = 2 * mp.fsum(mp.mpf(float(v)) for v in kernel.w[i]) / mu[i]
+            for j in range(i):
+                a[i, j] = a[j, i] = -2 * mp.mpf(float(kernel.w[i, j])) / (root[i] * root[j])
+        lam, vec = mp.eigsy(a)
+        # the clamp of both engines zeroes eigenvalues below EIGENVALUE_CLAMP
+        assume(sorted(lam)[1] >= 1e-9)
+        phi = [[vec[x, k] / root[x] for k in range(n)] for x in range(n)]
+
+        def holds(got, want):
+            return all(abs(mp.mpf(float(g)) - w) <= eps32 * w for g, w in zip(got, want))
+
+        for t in ENGINE_TIMES:
+            decay = [mp.exp(-lam[k] * mp.mpf(float(t))) for k in range(n)]
+            p = [[mp.fsum(phi[x][k] * phi[y][k] * decay[k] for k in range(n))
+                  for y in range(n)] for x in range(n)]
+            values = engine.node_values(t)
+            assert holds(values[lca].ravel(), [v for row in p for v in row])
+            def heat(x, ys):  # P_t 1_S(x) = sum_{y in S} p_t(x, y) mu(y)
+                return mp.fsum(p[x][y] * mu[y] for y in ys)
+
+            exits = [max(heat(x, [y for y in range(n) if not b0 <= y < b1])
+                         for x in range(b0, b1)) for b0, b1 in spans]
+            assert holds(engine.exits(values), exits)
+            minima = [min(heat(x, [*range(p0, b0), *range(b1, p1)]) for x in range(n))
+                      for b0, b1, p0, p1 in ball_chains(space)[0]]
+            assert holds(engine.chain_minima(values), minima)
 
 
 @settings(max_examples=40, deadline=None)

@@ -28,10 +28,10 @@ class TestBuildTree:
     def test_s4_by_construction(self, s4):
         assert s4.ids == ("a", "b", "c", "d")
         assert s4.diam == 2.0
-        assert sorted({s4.distance(x, y) for x in s4.ids for y in s4.ids}) == [0.0, 1.0, 2.0]
+        assert sorted(set(s4.tree.radius[s4.lca(*np.indices((4, 4)))].flat)) == [0.0, 1.0, 2.0]
 
     def test_two_leaves(self, s2):
-        assert s2.distance("0", "1") == 1.0
+        assert s2.tree.radius[s2.lca(0, 1)] == 1.0
         assert s2.tree.volume[0] == 2.0
 
     def test_child_radius_above_parent_rejected(self):
@@ -57,11 +57,6 @@ class TestBuildTree:
         with pytest.raises(EmptySpace):
             build_tree({"radius": 1, "children": []})
 
-    def test_leaves_synonym(self):
-        space = build_tree({"radius": 1, "leaves": [{"id": "x", "mass": 2},
-                                                    {"id": "y", "mass": 3}]})
-        assert space.tree.volume[0] == 5.0
-
     def test_singleton_leaf_spec(self):
         space = build_tree({"id": "only", "mass": 1.5})
         assert len(space) == 1 and space.diam == 0.0
@@ -69,23 +64,23 @@ class TestBuildTree:
 
 class TestDistance:
     def test_siblings(self, s4):
-        assert s4.distance("a", "b") == 1.0
+        assert s4.tree.radius[s4.lca(s4.index("a"), s4.index("b"))] == 1.0
 
     def test_across_root(self, s4):
-        assert s4.distance("a", "c") == 2.0
+        assert s4.tree.radius[s4.lca(s4.index("a"), s4.index("c"))] == 2.0
 
     def test_identity(self, s4):
-        assert s4.distance("a", "a") == 0.0
+        assert s4.tree.radius[s4.lca(s4.index("a"), s4.index("a"))] == 0.0
 
     def test_unknown_point(self, s4):
         with pytest.raises(UnknownPoint):
-            s4.distance("a", "nope")
+            s4.index("nope")
 
     def test_matrix_matches_pairwise(self, s4):
         D = s4.distance_matrix()
-        for i, x in enumerate(s4.ids):
-            for j, y in enumerate(s4.ids):
-                assert D[i, j] == s4.distance(x, y)
+        for i in range(len(s4)):
+            for j in range(len(s4)):
+                assert D[i, j] == s4.tree.radius[s4.lca(i, j)]
 
 
 class TestBalls:
@@ -380,10 +375,11 @@ def test_array_tree_matches_first_principles(case):
     for r in sorted({0.0, *tree.radius.tolist(), *(1.2 * tree.radius).tolist()}):
         for x in range(n):
             within = np.flatnonzero(D[x] <= r)
-            assert space.ball(space.ids[x], r).indices.tolist() == within.tolist()
+            ball = space.ball(space.ids[x], r)
+            assert np.arange(ball.start, ball.stop).tolist() == within.tolist()
         cells = space.partition(r)
         assert [c.start for c in cells] == sorted(c.start for c in cells)
-        assert {tuple(c.indices) for c in cells} == {
+        assert {tuple(range(c.start, c.stop)) for c in cells} == {
             tuple(np.flatnonzero(D[x] <= r)) for x in range(n)}
     for k in range(tree.parent.size):
         assert tree.volume[k] == pytest.approx(
