@@ -31,20 +31,22 @@ over it, and the check runs once more before failure is declared.
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint
 from scipy.linalg import expm
 from scipy.special import logsumexp
 
 from .errors import (
+    DimensionMismatch,
     GridRefinementFailed,
     IntegratorFailure,
     NegativeInput,
     StepTooCoarse,
 )
-from .form import energy_and_scale, energy_batch
+from .form import energy_and_scale, energy_batch, pair_terms
 from .kernel import ExponentConfig, JumpKernel
 from .reporting import IDENTITY_RTOL, CheckRecord, CheckReport, record, vacuous
 from .semigroup import SpectralGenerator, generator
@@ -60,6 +62,7 @@ MAX_REFINEMENTS = 6  # grid doublings before the iteration gives up
 REL_MARGIN = 1e-8  # relative margin of the iteration and sup-bound verdicts
 ODE_EVAL_POINTS, ODE_RTOL, ODE_ATOL = 128, 1e-10, 1e-14  # ODE comparison integration
 ODE_MARGIN = 1e-8  # log-space margin of the ODE comparison verdict
+ODE_MAX_STEPS = 100_000  # LSODA step budget of one ODE comparison integration
 ODE_SWEEP_T_MAX = 2.0  # time horizon of the random ODE sweep
 VANISHING_DENSE_TOL = 1e-13  # dense exponential's largest cross-block entry
 BATTERY_LAMBDAS = (-50, -5, 0, 5, 50)  # tilt strengths of the perturbation battery
@@ -143,25 +146,49 @@ def tilted_evolution(gen: SpectralGenerator, psi, f):
 
 def perturbation_identity_check(kernel: JumpKernel, rho: float, ball: Ball,
                                 lam: float, f, g) -> CheckRecord:
-    """Tilt invariance of the truncated energy.
+    """Tilt invariance of the truncated energy for one pair (f, g): the
+    one-pair case of `perturbation_identity_batch`."""
+    return perturbation_identity_batch(kernel, rho, ball, lam, [f], [g])[0]
+
+
+def perturbation_identity_batch(kernel: JumpKernel, rho: float, ball: Ball,
+                                lam: float, F, G) -> list[CheckRecord]:
+    """Tilt invariance of the truncated energy for each pair of rows (f, g)
+    of F and G, one record per pair.
 
     For rho <= radius(B) both sides agree to relative IDENTITY_RTOL.  For rho >
     radius(B) the identity has no reason to hold; the record then reports
     the relative gap as a negative control (status is informational).
     """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
+    F = np.asarray(F, dtype=float)
+    G = np.asarray(G, dtype=float)
+    if F.ndim != 2 or F.shape != G.shape or F.shape[1] != kernel.n:
+        raise DimensionMismatch(f"expected two m x {kernel.n} arrays, got shapes "
+                                f"{F.shape} and {G.shape}")
+    i, j, w2 = kernel.kept_pairs(rho)
+    plain = pair_terms(F, G, i, j, w2)
+    # psi = lam 1_B is 0 off B, where e^{-0.0} f == f exactly: only the pairs
+    # with an endpoint in B see the tilt
     psi = lam * ball.indicator()
-    lhs, scale_l = energy_and_scale(kernel, np.exp(-psi) * f, np.exp(psi) * g, rho)
-    rhs, scale_r = energy_and_scale(kernel, f, g, rho)
-    denom = max(abs(rhs), scale_l, scale_r, 1e-300)
-    gap = abs(lhs - rhs) / denom
-    params = {"rho": rho, "lam": lam, "ball": list(ball.members), "radius": ball.radius}
-    if rho <= ball.radius:
-        return record("davies.tilt_identity", params, gap, IDENTITY_RTOL, 0.0,
-                      gap <= IDENTITY_RTOL)
-    return CheckRecord("davies.tilt_identity_control", params, float(gap), None, 0.0,
-                       "pass", witness={"relative_gap": float(gap)})
+    touched = np.flatnonzero(((i >= ball.start) & (i < ball.stop))
+                             | ((j >= ball.start) & (j < ball.stop)))
+    tilted = plain.copy()
+    tilted[:, touched] = pair_terms(np.exp(-psi) * F, np.exp(psi) * G,
+                                    i[touched], j[touched], w2[touched])
+    records = []
+    for lhs, scale_l, rhs, scale_r in zip(tilted.sum(axis=1).tolist(),
+                                          np.abs(tilted).sum(axis=1).tolist(),
+                                          plain.sum(axis=1).tolist(),
+                                          np.abs(plain).sum(axis=1).tolist()):
+        gap = abs(lhs - rhs) / max(abs(rhs), scale_l, scale_r, 1e-300)
+        params = {"rho": rho, "lam": lam, "ball": list(ball.members), "radius": ball.radius}
+        if rho <= ball.radius:
+            records.append(record("davies.tilt_identity", params, gap, IDENTITY_RTOL, 0.0,
+                                  gap <= IDENTITY_RTOL))
+        else:
+            records.append(CheckRecord("davies.tilt_identity_control", params, float(gap),
+                                       None, 0.0, "pass", witness={"relative_gap": float(gap)}))
+    return records
 
 
 def power_inequality_check(kernel: JumpKernel, rho: float, ball: Ball,
@@ -569,15 +596,13 @@ class OdeComparisonParams:
         return 1.0 if self.w is None else float(self.w(t))
 
 
-def ode_comparison_check(params: OdeComparisonParams, t_max: float) -> CheckRecord:
-    """Integrate the extremal decay ODE and compare with the closed bound.
-
-    u' = -b t^{p-2} w(t)^{-theta} u^{1+theta} + K u is integrated with an
-    adaptive Runge-Kutta 5(4) scheme; the solution must stay below
-    (2 p^a/(theta b))^{1/theta} t^{-(p-1)/theta} e^{K p^-a t} w(t), compared
-    in log space with the integrator margin ODE_MARGIN.
-    """
-    b, p, theta, K, a = params.b, params.p, params.theta, params.k, params.a
+def solve_comparison_ode(params: OdeComparisonParams,
+                         t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """(t_eval, u) of the extremal decay ODE
+    u' = -b t^{p-2} w(t)^{-theta} u^{1+theta} + K u, integrated by LSODA
+    (`odeint`) and reported at ODE_EVAL_POINTS log-spaced times over
+    [t_max 10^-6, t_max]."""
+    b, p, theta, K = params.b, params.p, params.theta, params.k
     w = params.weight
     probe = [w(t_max * s) for s in (1e-6, 0.25, 0.5, 1.0)]
     if not all(np.isfinite(v) and v > 0 for v in probe):
@@ -592,19 +617,43 @@ def ode_comparison_check(params: OdeComparisonParams, t_max: float) -> CheckReco
     # only removes decay, which is the conservative direction for the bound
     t_start = 0.0 if p >= 2 else t_max * 1e-9
     t_eval = np.exp(np.linspace(math.log(t_max * 1e-6), math.log(t_max), ODE_EVAL_POINTS))
-    sol = solve_ivp(rhs, (t_start, t_max), [params.u0], method="RK45",
-                    rtol=ODE_RTOL, atol=ODE_ATOL, t_eval=t_eval)
+    # odeint warns on failure even with full_output; the message is raised below
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)
+        y, info = odeint(rhs, [params.u0], np.concatenate(([t_start], t_eval)),
+                         rtol=ODE_RTOL, atol=ODE_ATOL, mxstep=ODE_MAX_STEPS,
+                         full_output=True, tfirst=True)
+    if info["message"] != "Integration successful.":
+        raise IntegratorFailure(f"integration failed: {info['message']}")
+    u = y[1:, 0]
+    for failed, test in ((~np.isfinite(u), "non-finite"),
+                         (u < -100.0 * ODE_ATOL, f"below -100 ODE_ATOL = {-100.0 * ODE_ATOL}")):
+        if failed.any():
+            j = int(np.argmax(failed))
+            raise IntegratorFailure(
+                f"integration output {test} first at t = {float(t_eval[j])!r} "
+                f"(u = {float(u[j])!r})")
+    return t_eval, u
+
+
+def ode_comparison_check(params: OdeComparisonParams, t_max: float) -> CheckRecord:
+    """Integrate the extremal decay ODE and compare with the closed bound.
+
+    u' = -b t^{p-2} w(t)^{-theta} u^{1+theta} + K u is integrated with
+    LSODA (`solve_comparison_ode`); the solution must stay below
+    (2 p^a/(theta b))^{1/theta} t^{-(p-1)/theta} e^{K p^-a t} w(t), compared
+    in log space with the integrator margin ODE_MARGIN.
+    """
+    b, p, theta, K, a = params.b, params.p, params.theta, params.k, params.a
+    t, u = solve_comparison_ode(params, t_max)
     noise_floor = 10.0 * ODE_ATOL
-    if not sol.success or not np.all(np.isfinite(sol.y)) \
-            or float(sol.y.min()) < -100.0 * ODE_ATOL:
-        raise IntegratorFailure(f"integration failed: {sol.message}")
 
     log_const = (math.log(2) + a * math.log(p) - math.log(theta) - math.log(b)) / theta
     # solutions that decay below the integrator's resolution are clamped to
     # its noise floor; the bound never comes near that floor on sane inputs
-    u = np.maximum(sol.y[0], noise_floor)
-    log_bound = log_const - ((p - 1) / theta) * np.log(sol.t) \
-        + K * p ** (-a) * sol.t + np.log([w(t) for t in sol.t])
+    u = np.maximum(u, noise_floor)
+    log_bound = log_const - ((p - 1) / theta) * np.log(t) \
+        + K * p ** (-a) * t + np.log([params.weight(s) for s in t])
     excess = np.log(u) - log_bound
     worst = float(excess.max())
     j = int(np.argmax(excess))
@@ -616,7 +665,7 @@ def ode_comparison_check(params: OdeComparisonParams, t_max: float) -> CheckReco
         bound=0.0,
         margin=ODE_MARGIN,
         ok=worst <= ODE_MARGIN,
-        witness={"t": float(sol.t[j]), "u": float(u[j])},
+        witness={"t": float(t[j]), "u": float(u[j])},
     )
 
 
@@ -646,10 +695,11 @@ def perturbation_battery(kernel: JumpKernel, n_pairs: int = 20, seed: int = 0) -
             if rho > ball.radius:
                 continue
             for lam in BATTERY_LAMBDAS:
-                for _ in range(n_pairs):
-                    f = rng.normal(size=n)
-                    g = rng.normal(size=n)
-                    report.add(perturbation_identity_check(kernel, rho, ball, lam, f, g))
+                # one draw per cell: the same stream as n_pairs draws of f, g
+                X = rng.normal(size=(n_pairs, 2, n))
+                for rec in perturbation_identity_batch(kernel, rho, ball, lam,
+                                                       X[:, 0], X[:, 1]):
+                    report.add(rec)
 
     controls = 0
     nonzero = 0
@@ -666,10 +716,9 @@ def perturbation_battery(kernel: JumpKernel, n_pairs: int = 20, seed: int = 0) -
             for lam in BATTERY_LAMBDAS:
                 if lam == 0:
                     continue
-                for _ in range(max(1, n_pairs // 4)):
-                    f = rng.normal(size=n)
-                    g = rng.normal(size=n)
-                    rec = perturbation_identity_check(kernel, rho, ball, lam, f, g)
+                X = rng.normal(size=(max(1, n_pairs // 4), 2, n))
+                for rec in perturbation_identity_batch(kernel, rho, ball, lam,
+                                                       X[:, 0], X[:, 1]):
                     report.add(rec)
                     controls += 1
                     if rec.measured is not None and rec.measured > IDENTITY_RTOL:
@@ -714,22 +763,26 @@ def power_battery(kernel: JumpKernel, n_functions: int = 100, seed: int = 0) -> 
     return report
 
 
-def ode_sweep(n_samples: int = 200, seed: int = 0) -> CheckReport:
-    """Seeded random sweep of the comparison inequality over
-    (b, p, theta, K, a) in [0.1,10] x (1,4] x (0,3] x (0,5] x [1,3], with
-    constant and affine weights."""
+def ode_sweep_params(n_samples: int, seed: int) -> list:
+    """Seeded random comparison data over (b, p, theta, K, a) in
+    [0.1,10] x (1,4] x (0,3] x (0,5] x [1,3], alternating constant and
+    affine weights."""
     rng = np.random.default_rng(seed)
-    report = CheckReport()
     weights = [None, lambda t: 1.0 + t]
-    for i in range(n_samples):
-        params = OdeComparisonParams(
-            b=float(rng.uniform(0.1, 10.0)),
-            p=max(float(rng.uniform(1.0, 4.0)), 1.0 + 1e-9),
-            theta=max(float(rng.uniform(0.0, 3.0)), 1e-6),
-            k=max(float(rng.uniform(0.0, 5.0)), 1e-6),
-            a=float(rng.uniform(1.0, 3.0)),
-            w=weights[i % 2],
-            u0=float(np.exp(rng.uniform(math.log(0.1), math.log(10.0)))),
-        )
+    return [OdeComparisonParams(
+        b=float(rng.uniform(0.1, 10.0)),
+        p=max(float(rng.uniform(1.0, 4.0)), 1.0 + 1e-9),
+        theta=max(float(rng.uniform(0.0, 3.0)), 1e-6),
+        k=max(float(rng.uniform(0.0, 5.0)), 1e-6),
+        a=float(rng.uniform(1.0, 3.0)),
+        w=weights[i % 2],
+        u0=float(np.exp(rng.uniform(math.log(0.1), math.log(10.0)))),
+    ) for i in range(n_samples)]
+
+
+def ode_sweep(n_samples: int = 200, seed: int = 0) -> CheckReport:
+    """The comparison inequality on every sample of `ode_sweep_params`."""
+    report = CheckReport()
+    for params in ode_sweep_params(n_samples, seed):
         report.add(ode_comparison_check(params, t_max=ODE_SWEEP_T_MAX))
     return report

@@ -40,14 +40,18 @@ def energy_and_scale(kernel: JumpKernel, f, g, rho=None) -> tuple[float, float]:
     signed sum contains; relative tolerances downstream are taken against
     it so that near-zero energies are not tested against rounding noise.
     """
-    fv = _as_vector(kernel, f)
-    gv = _as_vector(kernel, g)
-    i, j, w2 = kernel.kept_pairs(rho)
-    # the indices are in range by construction; "clip" skips the bounds check
-    df = fv.take(i, mode="clip") - fv.take(j, mode="clip")
-    dg = gv.take(i, mode="clip") - gv.take(j, mode="clip")
-    terms = df * dg * w2
+    terms = pair_terms(_as_vector(kernel, f), _as_vector(kernel, g), *kernel.kept_pairs(rho))
     return float(terms.sum()), float(np.abs(terms).sum())
+
+
+def pair_terms(f, g, i, j, w2) -> np.ndarray:
+    """(f(i) - f(j)) (g(i) - g(j)) w2 for the pairs (i, j) of `kept_pairs`,
+    along the last axis of f and g.  The rows of the result are
+    C-contiguous, so each one sums in the same order as a single function's."""
+    # the indices are in range by construction; "clip" skips the bounds check
+    df = f.take(i, axis=-1, mode="clip") - f.take(j, axis=-1, mode="clip")
+    dg = g.take(i, axis=-1, mode="clip") - g.take(j, axis=-1, mode="clip")
+    return df * dg * w2
 
 
 def energy(kernel: JumpKernel, f, g) -> float:

@@ -5,8 +5,11 @@ import logging
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
@@ -33,6 +36,7 @@ from ultraheat.davies import (
     power_battery,
     scalar_power_inequality_check,
 )
+from ultraheat.form import energy_and_scale
 from ultraheat.errors import (
     GridRefinementFailed,
     IntegratorFailure,
@@ -42,7 +46,7 @@ from ultraheat.errors import (
 from ultraheat.kernel import ExponentConfig
 from ultraheat.bounds import nash_constant
 
-from conftest import random_scenario, tilt_scenario
+from conftest import ball_trees, random_scenario, tilt_scenario
 
 
 class TestTiltIdentity:
@@ -101,6 +105,57 @@ class TestTiltIdentity:
         assert report.passed
         rates = [r for r in report.records if r.name == "davies.tilt_control_rate"]
         assert rates and rates[0].measured >= 0.9
+
+
+def per_pair_battery(kernel, n_pairs, seed):
+    """(name, rho, lam, ball start, gap) of every tilt record of the
+    perturbation battery, computed one drawn pair (f, g) and two
+    `energy_and_scale` calls at a time."""
+    space = kernel.space
+    rng = np.random.default_rng(seed)
+    D = space.distance_matrix()
+    out = []
+
+    def gap(rho, ball, lam):
+        f = rng.normal(size=len(space))
+        g = rng.normal(size=len(space))
+        psi = lam * ball.indicator()
+        lhs, scale_l = energy_and_scale(kernel, np.exp(-psi) * f, np.exp(psi) * g, rho)
+        rhs, scale_r = energy_and_scale(kernel, f, g, rho)
+        return abs(lhs - rhs) / max(abs(rhs), scale_l, scale_r, 1e-300)
+
+    for ball in space.balls():
+        for rho in space.distance_levels:
+            if 0 < ball.radius and rho <= ball.radius:
+                for lam in davies.BATTERY_LAMBDAS:
+                    out += [("davies.tilt_identity", rho, lam, ball.start, gap(rho, ball, lam))
+                            for _ in range(n_pairs)]
+    for ball in space.balls():
+        ind = ball.indicator() > 0
+        for rho in space.distance_levels:
+            if not 0 < ball.radius < rho or ball.radius >= space.diam \
+                    or kernel.w[np.outer(ind, ~ind) & (D <= rho)].sum() == 0:
+                continue
+            for lam in davies.BATTERY_LAMBDAS:
+                if lam != 0:
+                    out += [("davies.tilt_identity_control", rho, lam, ball.start,
+                             gap(rho, ball, lam)) for _ in range(max(1, n_pairs // 4))]
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(ball_trees(max_points=24, max_levels=4), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_battery_equals_the_per_pair_loop(case, n_pairs, seed):
+    # one normal draw and one set of pair terms per cell give the very
+    # records of a draw and two energies per pair, bit for bit
+    space, exponent, scale = case
+    kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+    records = perturbation_battery(kernel, n_pairs=n_pairs, seed=seed).records
+    tilts = [r for r in records if r.name != "davies.tilt_control_rate"]
+    starts = {b.members: b.start for b in space.balls()}
+    got = [(r.name, r.params["rho"], r.params["lam"], starts[tuple(r.params["ball"])],
+            r.measured) for r in tilts]
+    assert got == per_pair_battery(kernel, n_pairs, seed)
 
 
 class TestPowerInequality:
@@ -391,21 +446,40 @@ class TestOdeComparison:
         assert 4 * math.exp(0.5) == pytest.approx(6.5948850828, rel=1e-9)
         assert u1 < 4 * math.exp(0.5)
 
-    def test_integration_matches_oracle(self):
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            params = OdeComparisonParams(
-                b=float(rng.uniform(0.5, 5)), p=float(rng.uniform(2, 4)),
-                theta=float(rng.uniform(0.5, 2)), k=float(rng.uniform(0.5, 3)),
-                a=float(rng.uniform(1, 2)), u0=float(rng.uniform(0.2, 3)))
-            from scipy.integrate import solve_ivp
-            sol = solve_ivp(
-                lambda t, u: -params.b * t ** (params.p - 2) * u[0]
-                * abs(u[0]) ** params.theta + params.k * u[0],
-                (0.0, 1.5), [params.u0], method="RK45", rtol=1e-10, atol=1e-14,
-                t_eval=[0.5, 1.0, 1.5])
-            for t, u in zip(sol.t, sol.y[0]):
-                assert u == pytest.approx(bernoulli_oracle(params, t), rel=1e-7)
+    def test_solver_matches_bernoulli_closed_form(self):
+        # v = u^-theta solves the linear v' = theta b t^{p-2} w^-theta - theta K v,
+        # so v(t) e^{theta K t} = v(t0) e^{theta K t0}
+        #                         + theta b int_t0^t s^{p-2} w(s)^-theta e^{theta K s} ds,
+        # summed here by mpmath quadrature between consecutive output times.
+        # The samples are sweep draws: p < 2 and p >= 2 with w = 1 and
+        # w = 1 + t.  On sample 15, RK45 5(4) at the same tolerances is off
+        # by 1.6e-7, so this bound separates integrators.
+        t_max = davies.ODE_SWEEP_T_MAX
+        sweep = davies.ode_sweep_params(20, seed=1)
+        with mpmath.workdps(20):
+            for i in (1, 2, 10, 14, 15, 19):
+                params = sweep[i]
+                times, u = davies.solve_comparison_ode(params, t_max)
+                b, p, theta, K = (mpmath.mpf(v) for v in
+                                  (params.b, params.p, params.theta, params.k))
+                affine = params.w is not None
+
+                def integrand(s):
+                    w = 1 + s if affine else 1
+                    return s ** (p - 2) * w ** (-theta) * mpmath.exp(theta * K * s)
+
+                # the check's start: t = 0, or t_max 1e-9 past the singularity
+                t0 = mpmath.mpf(0.0 if params.p >= 2 else t_max * 1e-9)
+                v = mpmath.exp(theta * K * t0) * mpmath.mpf(params.u0) ** (-theta)
+                prev, exact = t0, []
+                for t in times:
+                    v += theta * b * mpmath.quad(integrand, [prev, t])
+                    prev = mpmath.mpf(t)
+                    exact.append(float(-mpmath.log(mpmath.exp(-theta * K * t) * v) / theta))
+                # every output is above the noise floor, so the bound holds at all
+                assert u.min() > 10.0 * davies.ODE_ATOL, i
+                err = np.abs(np.log(u) - exact).max()
+                assert err <= davies.ODE_MARGIN, (i, err)
 
     def test_start_independence(self):
         # the bound does not involve u0
@@ -427,6 +501,28 @@ class TestOdeComparison:
                                      w=lambda t: float("nan"), u0=1.0)
         with pytest.raises(IntegratorFailure):
             ode_comparison_check(params, t_max=1.0)
+
+    def test_step_budget_failure_is_an_integrator_failure(self, monkeypatch, capfd):
+        # odeint warns on failure; the check raises instead, and prints nothing
+        monkeypatch.setattr(davies, "ODE_MAX_STEPS", 3)
+        params = OdeComparisonParams(b=1.0, p=2.0, theta=1.0, k=1.0, a=1.0)
+        with pytest.raises(IntegratorFailure, match="Excess work done"):
+            ode_comparison_check(params, t_max=1.0)
+        assert capfd.readouterr() == ("", "")
+
+    def test_bad_output_names_the_failed_test(self):
+        # the solver reports success, but the weight is NaN on (0.3, 0.4),
+        # which the four probe times miss
+        params = OdeComparisonParams(b=1.0, p=2.0, theta=1.0, k=1.0, a=1.0, u0=1.0,
+                                     w=lambda t: float("nan") if 0.3 < t < 0.4 else 1.0)
+        with pytest.raises(IntegratorFailure) as info:
+            ode_comparison_check(params, t_max=1.0)
+        message = str(info.value)
+        assert message.startswith("integration output non-finite first at t = ")
+        assert "successful" not in message
+        t_bad = float(message.split("t = ")[1].split(" ")[0])
+        times = np.exp(np.linspace(math.log(1e-6), 0.0, davies.ODE_EVAL_POINTS))
+        assert t_bad in times and t_bad < 0.4
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
