@@ -179,6 +179,8 @@ def _source(section: dict, where: str, sources: tuple, extra: tuple = ()) -> str
 def _number(section: dict, key: str, default, where: str, kind=float):
     value = section.get(key, default)
     try:
+        if isinstance(value, (bool, str)):  # kind() takes JSON true and "3"
+            raise TypeError(f"{type(value).__name__} is not a number")
         out = kind(value)
         finite = math.isfinite(out)  # an int beyond float range overflows here
     except (TypeError, ValueError, OverflowError) as exc:
@@ -236,10 +238,6 @@ def build_kernel(space: UltrametricSpace, section: dict) -> JumpKernel:
                                 scaling=section.get("scaling", "none"))
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"kernel: {exc}") from exc
-
-
-def time_grid_of(cfg: RunConfig) -> np.ndarray:
-    return bounds_mod.log_time_grid(cfg.grid_min, cfg.grid_max, cfg.grid_points)
 
 
 # -- generators ----------------------------------------------------------------------
@@ -651,7 +649,7 @@ def build_context(cfg: RunConfig) -> RunContext:
         space=space,
         kernel=kernel,
         exponents=exponents,
-        grid=time_grid_of(cfg),
+        grid=bounds_mod.log_time_grid(cfg.grid_min, cfg.grid_max, cfg.grid_points),
         seed=cfg.seed,
     )
 

@@ -685,7 +685,6 @@ def perturbation_battery(kernel: JumpKernel, n_pairs: int = 20, seed: int = 0) -
     n = len(space)
     rng = np.random.default_rng(seed)
     levels = space.distance_levels
-    D = space.distance_matrix()
     report = CheckReport()
 
     for ball in space.balls():
@@ -706,13 +705,12 @@ def perturbation_battery(kernel: JumpKernel, n_pairs: int = 20, seed: int = 0) -
     for ball in space.balls():
         if ball.radius <= 0 or ball.radius >= space.diam:
             continue
-        ind = ball.indicator() > 0
         for rho in levels:
             if rho <= ball.radius:
                 continue
-            cross = np.outer(ind, ~ind) & (D <= rho)
-            if kernel.w[cross].sum() == 0:
-                continue
+            rows = kernel.truncated(rho)[ball.start:ball.stop]
+            if not (rows[:, :ball.start].any() or rows[:, ball.stop:].any()):
+                continue  # no kept jump leaves the ball
             for lam in BATTERY_LAMBDAS:
                 if lam == 0:
                     continue

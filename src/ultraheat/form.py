@@ -8,14 +8,14 @@ distinct points
 
 which matches the double integral over the product space minus the
 diagonal; indicator energies then satisfy E(1_B) = 2 j(B, B^c) with no
-extra factor.  The rho-truncation keeps the pairs with d(x, y) <= rho
-(closed ball convention, as everywhere in the package).
+extra factor.  The rho-truncation keeps the pairs with d(x, y) <= rho, the
+weights of `JumpKernel.truncated(rho)`.
 
 The energy stays defined over ordered pairs, but `energy_and_scale` computes
 it as twice the sum over the unordered pairs x < y with w(x, y) > 0, read
 from the kernel's cached pair list (`JumpKernel.kept_pairs`).  That list is
 sorted by distance, so E_rho is a sum over a prefix of it.  `energy_batch`
-uses the dense quadratic operator instead.
+uses the dense quadratic operator of `JumpKernel.truncated(rho)` instead.
 """
 
 import numpy as np
@@ -59,15 +59,6 @@ def energy(kernel: JumpKernel, f, g) -> float:
     return energy_and_scale(kernel, f, g, None)[0]
 
 
-def quadratic_operator(kernel: JumpKernel, rho=None) -> np.ndarray:
-    """Symmetric matrix Q with f^T Q g = E_rho(f, g); used for fast batches."""
-    w = kernel.w if rho is None else \
-        np.where(kernel.space.distance_matrix() <= rho, kernel.w, 0.0)
-    q = -2.0 * w
-    np.fill_diagonal(q, 2.0 * w.sum(axis=1))
-    return q
-
-
 def energy_batch(kernel: JumpKernel, functions: np.ndarray, rho=None) -> np.ndarray:
     """E_rho(u, u) for every column of `functions` (n x m).
 
@@ -75,7 +66,10 @@ def energy_batch(kernel: JumpKernel, functions: np.ndarray, rho=None) -> np.ndar
     so each column is shifted by its value at the first point of its block:
     a column constant on every block gets exactly 0, not a signed rounding
     error of about eps ||Q|| ||u||^2."""
-    q = quadratic_operator(kernel, rho)
+    w = kernel.truncated(rho)
+    q = -2.0 * w  # the symmetric Q with f^T Q g = E_rho(f, g)
+    np.fill_diagonal(q, 2.0 * w.sum(axis=1))
+    del w  # not kept beside q through the n x m products below
     blocks = kernel.space.partition(kernel.space.diam if rho is None else rho)
     v = functions[np.repeat([b.start for b in blocks], [len(b) for b in blocks])]
     np.subtract(functions, v, out=v)  # in place: one n x m temporary, not two

@@ -8,6 +8,8 @@ measure on off-diagonal pairs.  The associated transition function is
     J(x, A) = sum_{y in A} w(x, y) / mu(x),
 
 and `tail(x, r) = J(x, {y : d(x, y) > r})` is its tail beyond radius r.
+The rho-truncated kernel keeps the pairs with d(x, y) <= rho; the tail, the
+truncated energy and the truncated generator read `JumpKernel.truncated`.
 
 `tj_constant` returns the smallest C with r^beta * tail(x, r) <= C for all
 points x and all r in (0, R0).  Tails are piecewise constant in r with
@@ -101,10 +103,17 @@ class JumpKernel:
         stop = len(i) if rho is None else ends[np.count_nonzero(levels <= rho)]
         return i[:stop], j[:stop], w2[:stop]
 
+    def truncated(self, rho=None) -> np.ndarray:
+        """Weights w(x, y) 1{d(x, y) <= rho} of the rho-truncated kernel:
+        w on the blocks of `space.partition(rho)` and 0 across them.  The one
+        statement of the closed-ball rule; rho=None returns w itself."""
+        return self.w if rho is None else np.where(self.space.distance_matrix() <= rho, self.w, 0.0)
+
     def tail_vector(self, r: float) -> np.ndarray:
         """J(x, B(x, r)^c) = sum_{d(x,y) > r} w(x, y) / mu(x) for every point x."""
-        D = self.space.distance_matrix()
-        return np.where(D > r, self.w, 0.0).sum(axis=1) / self.mu
+        far = self.truncated(r)
+        np.subtract(self.w, far, out=far)  # in place: one n x n temporary
+        return far.sum(axis=1) / self.mu
 
     def tail_sup(self, r: float) -> float:
         return float(self.tail_vector(r).max())
@@ -156,7 +165,10 @@ def profile_from_config(cfg: dict):
     if cfg.get("kind") != "power":
         raise ConfigError(f"unknown profile kind {cfg.get('kind')!r}")
     try:
-        return power_profile(float(cfg["exponent"]), float(cfg.get("scale", 1.0)))
+        values = cfg["exponent"], cfg.get("scale", 1.0)
+        if any(isinstance(v, (bool, str)) for v in values):  # float() takes true and "3"
+            raise TypeError(f"not a JSON number in {values}")
+        return power_profile(*map(float, values))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"power profile needs a numeric exponent and scale: {exc!r}") from exc
 

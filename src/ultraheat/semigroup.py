@@ -9,11 +9,11 @@ jump rate:
 
 All constants downstream are stated under this convention.
 
-Block exactness.  Range-truncated and domain-restricted generators are
-assembled per connected component of the retained pair graph, and each
-component is exponentiated separately.  Entries of the heat kernel across
-components are exact zeros by construction, never the result of rounding a
-dense exponential.
+Block exactness.  Range-truncated generators (`JumpKernel.truncated`) and
+domain-restricted ones are assembled per connected component of the
+retained pair graph, and each component is exponentiated separately.
+Entries of the heat kernel across components are exact zeros by
+construction, never the result of rounding a dense exponential.
 
 Heat kernels are densities with respect to mu:
 p_t(x, y) = (e^{tL})_{xy} / mu(y), symmetric and conservative on the full
@@ -142,10 +142,7 @@ class SpectralGenerator:
         self.omega = idx
         self.is_whole = idx.size == n
 
-        D = space.distance_matrix()
-        keep = np.ones((n, n), dtype=bool) if self.rho is None else (D <= self.rho)
-        np.fill_diagonal(keep, False)
-        w_eff = np.where(keep, kernel.w, 0.0)
+        w_eff = kernel.truncated(self.rho)
 
         mu = space.masses
         # full-row rates: jumps leaving the domain still drain mass

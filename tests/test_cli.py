@@ -453,6 +453,26 @@ BAD_INPUTS = {
     "time grid points above the limit": (
         lambda tmp: {"time_grid": {"min": 1e-3, "max": 1.0, "points": 10 ** 9}},
         f"time_grid.points must be in [2, {cli.MAX_GRID_POINTS}]"),
+    # JSON true and "3" are no numbers, though int() and float() take them
+    "exponent true": (
+        lambda tmp: {"exponents": {"alpha": True, "beta": 2.0}},
+        "exponents.alpha must be a number, got True"),
+    "seed a string": (lambda tmp: {"seed": "3"}, "config.seed must be a number, got '3'"),
+    "time grid points a string": (
+        lambda tmp: {"time_grid": {"min": 1e-3, "max": 1.0, "points": "9"}},
+        "time_grid.points must be a number, got '9'"),
+    "time grid points true": (
+        lambda tmp: {"time_grid": {"min": 1e-3, "max": 1.0, "points": True}},
+        "time_grid.points must be a number, got True"),
+    "profile exponent true": (
+        lambda tmp: {"kernel": {"isotropic": {"kind": "power", "exponent": True}}},
+        "kernel: power profile needs a numeric exponent and scale"),
+    "profile exponent a string": (
+        lambda tmp: {"kernel": {"isotropic": {"kind": "power", "exponent": "3"}}},
+        "kernel: power profile needs a numeric exponent and scale"),
+    "profile scale a string": (
+        lambda tmp: {"kernel": {"isotropic": {"kind": "power", "exponent": 3.0, "scale": "1"}}},
+        "kernel: power profile needs a numeric exponent and scale"),
     **{f"leaf id {label}": (
         lambda tmp, leaf_id=leaf_id: {"space": {"inline": {"radius": 1, "children": [
             {"id": "a"}, {"id": leaf_id}]}}},

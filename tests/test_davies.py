@@ -43,7 +43,8 @@ from ultraheat.errors import (
     NegativeInput,
     StepTooCoarse,
 )
-from ultraheat.kernel import ExponentConfig
+from ultraheat.kernel import ExponentConfig, JumpKernel
+from ultraheat.space import Ball
 from ultraheat.bounds import nash_constant
 
 from conftest import ball_trees, random_scenario, tilt_scenario
@@ -156,6 +157,37 @@ def test_battery_equals_the_per_pair_loop(case, n_pairs, seed):
     got = [(r.name, r.params["rho"], r.params["lam"], starts[tuple(r.params["ball"])],
             r.measured) for r in tilts]
     assert got == per_pair_battery(kernel, n_pairs, seed)
+
+
+def test_battery_skips_the_controls_whose_ball_keeps_no_jump_out():
+    # a raw kernel with no weight between a ball and the rest of its parent
+    # ball: at the parent's radius no kept jump leaves the ball, so that
+    # control cell is skipped; one pair per cell makes the record count the
+    # cell count
+    space, kernel = random_scenario(5, max_points=24)
+    ball = next(b for b in space.balls() if 0 < b.radius < space.diam)
+    parent = Ball(space, int(space.tree.parent[ball.node]))
+    w = kernel.w.copy()
+    inside, rest = ball.indicator() > 0, parent.indicator() > ball.indicator()
+    w[np.outer(inside, rest) | np.outer(rest, inside)] = 0.0
+    kernel = JumpKernel(space, w)
+    report = perturbation_battery(kernel, n_pairs=4, seed=2)
+    controls = next(r for r in report.records
+                    if r.name == "davies.tilt_control_rate").params["controls"]
+    D = space.distance_matrix()
+    cells = kept = 0
+    for b in space.balls():
+        ind = b.indicator() > 0
+        for rho in space.distance_levels:
+            if 0 < b.radius < rho and b.radius < space.diam:
+                cells += 1
+                kept += kernel.w[np.outer(ind, ~ind) & (D <= rho)].sum() != 0
+    lams = sum(lam != 0 for lam in davies.BATTERY_LAMBDAS)
+    assert controls == kept * lams < cells * lams
+    starts = {b.members: b.start for b in space.balls()}
+    records = [(r.name, r.params["rho"], r.params["lam"], starts[tuple(r.params["ball"])],
+                r.measured) for r in report.records if r.name != "davies.tilt_control_rate"]
+    assert records == per_pair_battery(kernel, 4, 2)
 
 
 class TestPowerInequality:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultraheat import JumpKernel, isotropic_kernel, power_profile, tj_constant
+from ultraheat import JumpKernel, generator, isotropic_kernel, power_profile, tj_constant
 from ultraheat.errors import (
     Asymmetric,
     MalformedCsv,
@@ -166,6 +166,49 @@ def test_isotropic_weights_are_the_profile_of_each_distance(case, growing, mass)
         ref = ref * np.outer(space.masses, space.masses)
     w = isotropic_kernel(space, profile, scaling="mass" if mass else "none").w
     assert w.tobytes() == ref.tobytes()
+
+
+@st.composite
+def truncation_cases(draw):
+    """A kernel with some of its pairs at weight zero: the isotropic kernel
+    of a ball tree (chain nodes included) or the raw kernel of an odd-seed
+    `random_scenario`, which is not isotropic."""
+    if draw(st.booleans()):
+        space, exponent, scale = draw(ball_trees(max_points=40))
+        w = isotropic_kernel(space, power_profile(exponent, scale),
+                             scaling="mass" if draw(st.booleans()) else "none").w
+    else:
+        space, kernel = random_scenario(2 * draw(st.integers(0, 15)) + 1)
+        w = kernel.w
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zero = rng.random(w.shape) < draw(st.sampled_from([0.0, 0.3, 0.8]))
+    return JumpKernel(space, np.where(zero | zero.T, 0.0, w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(truncation_cases())
+def test_truncation_is_the_closed_ball_mask_bit_for_bit(kernel):
+    # the reference is the mask each site wrote before `truncated` held it
+    space, w, mu = kernel.space, kernel.w, kernel.mu
+    D = space.distance_matrix()
+    levels = list(space.distance_levels)
+    mids = [(a + b) / 2 for a, b in zip([0.0] + levels, levels)]
+    assert kernel.truncated(None) is w
+    for rho in [0.0, *levels, *mids, space.diam, 2 * space.diam]:
+        cut = kernel.truncated(rho)
+        assert np.array_equal(cut, np.where(D <= rho, w, 0.0))
+        assert np.array_equal(kernel.tail_vector(rho),
+                              np.where(D > rho, w, 0.0).sum(axis=1) / mu)
+        keep = D <= rho
+        np.fill_diagonal(keep, False)
+        w_eff = np.where(keep, w, 0.0)
+        old = 2.0 * w_eff / mu[:, None]
+        np.fill_diagonal(old, -(2.0 * w_eff.sum(axis=1) / mu))
+        assert np.array_equal(generator(kernel, rho).matrix, old)
+        # zero across the blocks of the rho-partition
+        blocks = space.partition(rho)
+        label = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        assert not cut[label[:, None] != label[None, :]].any()
 
 
 def test_symmetry_over_ball_pairs():
