@@ -23,7 +23,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -537,31 +537,32 @@ CHECK_REGISTRY = {
 @dataclass
 class VerificationReport:
     records: list
+    checks: list  # the check of each record, written into its params
     summary: dict
     environment: dict
 
     def to_json(self) -> str:
         return json_text({
-            "records": [r.to_dict() for r in self.records],
+            "records": [r.to_dict(check=c) for r, c in zip(self.records, self.checks)],
             "summary": self.summary,
             "environment": self.environment,
         })
 
 
 def execute_checks(ctx: RunContext, checks) -> VerificationReport:
-    merged = CheckReport()
+    # the records are kept as the checks wrote them: some are shared with
+    # artifacts such as the certificate, which must read without the tag
+    records, names = [], []
     for name in checks:
         start = time.perf_counter()
-        records = CHECK_REGISTRY[name](ctx).records
+        found = CHECK_REGISTRY[name](ctx).records
         log.info("check %s took %.3f s", name, time.perf_counter() - start)
-        for rec in records:
-            # tag a copy: records can be shared with artifacts such as the
-            # certificate, which must read as the library wrote them
-            merged.add(replace(rec, params={**rec.params, "check": name}))
-    counts = merged.counts()
+        records.extend(found)
+        names.extend([name] * len(found))
     return VerificationReport(
-        records=merged.records,
-        summary=counts,
+        records=records,
+        checks=names,
+        summary=CheckReport(records).counts(),
         environment={"version": __version__, "seed": ctx.seed},
     )
 
@@ -686,9 +687,7 @@ def generate_files(kind: str, out_dir, **params) -> tuple[Path, Path]:
     space_path = out / "space.json"
     kernel_path = out / "kernel.json"
     save_space(space, space_path)
-    with open(kernel_path, "w", encoding="utf-8") as fh:
-        json.dump(kernel_spec, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    kernel_path.write_text(json_text(kernel_spec) + "\n", encoding="utf-8")
     return space_path, kernel_path
 
 

@@ -32,6 +32,9 @@ from .errors import (
 )
 from .space import UltrametricSpace, read_id_matrix
 
+# entries of the temporary that mass scaling multiplies into w at a time
+MASS_BLOCK = 1 << 16
+
 
 class JumpKernel:
     """Symmetric nonnegative weight matrix over point pairs, zero diagonal.
@@ -197,11 +200,12 @@ def isotropic_kernel(space: UltrametricSpace, profile, scaling: str = "none") ->
             w[a:b, a:b] = g[r]
     np.fill_diagonal(w, 0.0)
     if scaling == "mass":
-        # w(x, y) mu(x) mu(y) row by row: the products of np.outer, with no
-        # n x n temporary
+        # w(x, y) mu(x) mu(y) in blocks of rows: the products of np.outer,
+        # with a temporary of at most MASS_BLOCK entries (and no more than w)
         mu = space.masses
-        for i in range(n):
-            w[i] *= mu[i] * mu
+        rows = max(1, MASS_BLOCK // n)
+        for a in range(0, n, rows):
+            w[a:a + rows] *= np.outer(mu[a:a + rows], mu)
     w.setflags(write=False)  # handed over: the kernel keeps it without a copy
     return JumpKernel(space, w)
 

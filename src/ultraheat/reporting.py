@@ -5,9 +5,9 @@ Every check emits records of the shape
 ordered collection of records with pass/fail bookkeeping.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -29,10 +29,11 @@ class CheckRecord:
     status: str
     witness: dict | None = None
 
-    def to_dict(self) -> dict:
+    def to_dict(self, check: str | None = None) -> dict:
+        """The record as written; a `check` is added to a copy of its params."""
         return {
             "name": self.name,
-            "params": self.params,
+            "params": self.params if check is None else {**self.params, "check": check},
             "measured": self.measured,
             "bound": self.bound,
             "margin": self.margin,
@@ -85,23 +86,81 @@ class CheckReport:
         return out
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
-        return repr(obj)
-    return obj
-
-
 def json_text(obj) -> str:
-    """`obj` as the written artifacts hold it: indented JSON with sorted keys,
-    numpy values as plain ones, and a non-finite float as its repr string."""
-    plain = _jsonable(obj)
-    del obj  # a temporary of the caller need not outlive its conversion
-    return json.dumps(plain, indent=2, sort_keys=True)
+    """`obj` as the written artifacts hold it, the bytes of
+    `json.dumps(obj, indent=2, sort_keys=True)` after two conversions: a
+    numpy scalar or array becomes the plain value or nested list, and a
+    non-finite float (numpy or not) its repr string ("nan", "inf", "-inf").
+    A key that is not a str is written as its str.  Any other type, a 0-d
+    array or `np.bool_` among them, raises TypeError.
+
+    One recursive pass: each container returns its own string."""
+    return _emit(obj, "\n")
+
+
+def _emit(obj, nl: str) -> str:
+    """`obj` at the indent that `nl` (a newline and the indent) opens."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is float:
+        return _float(obj)
+    if kind is dict:
+        return _dict(obj, nl)
+    if obj is None:
+        return "null"
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is list or kind is tuple:
+        return _list(obj, nl)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    # subclasses, numpy values, and the rest
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        return _dict(obj, nl)
+    if isinstance(obj, (list, tuple)):
+        return _list(obj, nl)
+    if isinstance(obj, np.ndarray) and obj.ndim:
+        return _list(obj.tolist(), nl)
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float):
+        return _float(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else _quote(repr(value))
+
+
+def _dict(obj: dict, nl: str) -> str:
+    if not obj:
+        return "{}"
+    try:
+        items = sorted(obj.items())
+        plain = type(items[0][0]) is str  # sorted, so all keys are str
+    except TypeError:  # keys of types that do not compare
+        plain = False
+    if not plain:
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+    inner = nl + "  "
+    return ("{" + inner + ("," + inner).join([_quote(k) + ": " + _emit(v, inner)
+                                               for k, v in items]) + nl + "}")
+
+
+def _list(obj, nl: str) -> str:
+    if not obj:
+        return "[]"
+    inner = nl + "  "
+    if type(obj[0]) is str:
+        try:
+            return "[" + inner + ("," + inner).join(map(_quote, obj)) + nl + "]"
+        except TypeError:  # not all str
+            pass
+    return "[" + inner + ("," + inner).join([_emit(v, inner) for v in obj]) + nl + "]"

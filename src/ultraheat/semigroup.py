@@ -313,6 +313,21 @@ def semigroup_selfcheck(gen: SpectralGenerator, time_grid, seed: int = 0) -> Che
 # -- fast hierarchical path --------------------------------------------------------
 
 
+def _sibling_volumes(tree) -> np.ndarray:
+    """mu(P minus B) for the ball B of every node and its parent P (0.0 at
+    the root): the volumes of B's siblings before it plus those after it,
+    each side summed in order, so that a small mass is not the difference of
+    two large ones."""
+    parent, volume = tree.parent.tolist(), tree.volume.tolist()
+    rest = [0.0] * len(parent)
+    for nodes in (range(1, len(parent)), range(len(parent) - 1, 0, -1)):
+        run = [0.0] * len(parent)  # per parent: its children's volumes seen so far
+        for k in nodes:
+            rest[k] += run[parent[k]]
+            run[parent[k]] += volume[k]
+    return np.array(rest)
+
+
 class HierarchicalHeatKernel:
     """Heat kernel of an isotropic mass-scaled kernel, one value per tree node.
 
@@ -374,6 +389,7 @@ class HierarchicalHeatKernel:
         self._g = np.zeros(tree.parent.size)
         radii, level_of = np.unique(tree.radius[branch], return_inverse=True)
         self._g[branch] = np.array([float(profile(float(r))) for r in radii])[level_of]
+        self._rest = _sibling_volumes(tree)
         self._set_range(None)
 
     def _set_range(self, rho: float | None) -> None:
@@ -402,7 +418,7 @@ class HierarchicalHeatKernel:
         gap = np.where(self._at_leaf, 0.0, self.eigenvalue[row] - self.eigenvalue[up])
         self._rate = np.where(gap < 0, self.eigenvalue[row], self.eigenvalue[up])
         self._gap, self._sign = np.abs(gap), np.sign(gap)
-        self._sibling_mass = volume[up] - volume[col]
+        self._sibling_mass = self._rest[col]
 
     def jump_rates(self, rho: float | None = None, above: bool = False) -> np.ndarray:
         """J(x, B^c) for the ball B of every node, the same at each point x
@@ -451,8 +467,8 @@ class HierarchicalHeatKernel:
 
     @cached_property
     def _chains(self):
-        """For each chain (B, P) of `ball_chains`, in order: mu(P) - mu(B),
-        and the nodes whose p_t P_t 1_{P minus B} takes, times mu(P) - mu(B),
+        """For each chain (B, P) of `ball_chains`, in order: mu(P minus B),
+        and the nodes whose p_t P_t 1_{P minus B} takes, times mu(P minus B),
         off the siblings of B (P, and each strict ancestor of P with two
         children or more), as arrays (starts, weight, meet) with the nodes of
         chain c from meet[starts[c]] on."""
@@ -461,7 +477,7 @@ class HierarchicalHeatKernel:
         for b in ball_chains(self.space)[1].tolist():
             p = tree.parent[b]
             starts.append(len(meet))
-            weight.append(tree.volume[p] - tree.volume[b])
+            weight.append(self._rest[b])
             meet.append(p)
             a = tree.parent[p]
             while a >= 0:
@@ -473,8 +489,8 @@ class HierarchicalHeatKernel:
 
     def chain_minima(self, values: np.ndarray) -> np.ndarray:
         """min_x P_t 1_{P minus B}(x) on each chain (B, P) of `ball_chains`,
-        from `node_values(t)`.  The function is p_t(P)(mu(P) - mu(B)) on B
-        and p_t(A)(mu(P) - mu(B)) where x meets P at A; on a sibling C of B
+        from `node_values(t)`.  The function is p_t(P) mu(P minus B) on B
+        and p_t(A) mu(P minus B) where x meets P at A; on a sibling C of B
         it exceeds its value on B by e^{-lambda_P t}, the evolution of the
         Haar function 1_C - (mu(C)/mu(P)) 1_P, so C never holds the
         minimum."""

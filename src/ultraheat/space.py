@@ -24,6 +24,7 @@ package use the strict inequality d > r.
 
 import csv
 import json
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +41,7 @@ from .errors import (
     SpaceError,
     UnknownPoint,
 )
-from .reporting import CheckReport, record
+from .reporting import CheckReport, json_text, record
 
 # Nested radius labels must drop by at least this much to stay unambiguous.
 RADIUS_GAP = 1e-12
@@ -404,9 +405,7 @@ def load_space(path) -> UltrametricSpace:
 
 
 def save_space(space: UltrametricSpace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space.to_spec(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(json_text(space.to_spec()) + "\n", encoding="utf-8")
 
 
 # -- validation ------------------------------------------------------------------

@@ -3,11 +3,17 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from ultraheat import build_tree, generator, isotropic_kernel, power_profile
 from ultraheat.cli import generate_space
 from ultraheat.kernel import ExponentConfig, JumpKernel
+
+# a failing draw prints the blob that `@reproduce_failure` replays, so that a
+# failure seen once, in CI say, can be run again
+settings.register_profile("ultraheat", print_blob=True)
+settings.load_profile("ultraheat")
 
 S4_SPEC = {
     "radius": 2,

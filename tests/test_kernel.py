@@ -1,5 +1,7 @@
 """Jump kernels: tails, the tail-jump constant, and validation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from ultraheat.errors import (
     NonzeroDiagonal,
     NotIsotropic,
 )
+from ultraheat import kernel as kernel_mod
+from ultraheat.cli import generate_space
 from ultraheat.kernel import ExponentConfig, JumpKernel, kernel_from_csv
 
 from conftest import ball_trees, kernel_to_csv, random_scenario
@@ -165,6 +169,24 @@ def test_isotropic_weights_are_the_profile_of_each_distance(case, growing, mass)
     if mass:
         ref = ref * np.outer(space.masses, space.masses)
     w = isotropic_kernel(space, profile, scaling="mass" if mass else "none").w
+    assert w.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("dyadic", {"depth": 9, "mass_law": "uniform"}),
+    ("random", {"seed": 3, "max_points": 192, "depth": 6, "mass_law": "loguniform"}),
+])
+@pytest.mark.parametrize("block", [1, 1000, kernel_mod.MASS_BLOCK, 1 << 20])
+def test_mass_scaling_blocks_keep_every_bit(kind, params, block):
+    # any block of rows, one row to all, gives the bits of the row-by-row
+    # products w[i] * (mu[i] * mu), on spaces of the bench workloads' sizes
+    space, _ = generate_space(kind, **params)
+    mu = space.masses
+    ref = isotropic_kernel(space, power_profile(3.0)).w.copy()
+    for i in range(len(space)):
+        ref[i] *= mu[i] * mu
+    with mock.patch.object(kernel_mod, "MASS_BLOCK", block):
+        w = isotropic_kernel(space, power_profile(3.0), scaling="mass").w
     assert w.tobytes() == ref.tobytes()
 
 

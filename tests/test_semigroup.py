@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -10,6 +10,7 @@ from ultraheat import (
     HierarchicalHeatKernel,
     JumpKernel,
     SpectralGenerator,
+    build_tree,
     energy,
     generator,
     isotropic_kernel,
@@ -394,8 +395,29 @@ def test_hierarchical_profile_matches_dense(case, c):
         assert np.abs(faster.node_values(t / c)[lca] - values[lca]).max() <= tol
 
 
+def _leaves(masses, first=0):
+    return [{"id": f"p{first + k}", "mass": m} for k, m in enumerate(masses)]
+
+
+# chain B = [13, 16) in P = [12, 16): mu(P minus B) = mu(p12) is 0.15 of
+# mu(P) = 16.1, so mu(P) - mu(B) was 42 eps off it and failed the oracle
+SMALL_REST_TREE = {"radius": 5.0625, "children": [{"radius": 3.375, "children": [
+    {"radius": 2.25, "children": [
+        {"radius": 1.5, "children": _leaves([2.404452815968807, 1.6921438169453047])},
+        {"radius": 1.5, "children": _leaves([3.5420528242525005, 1.3640690766148231], 2)},
+        {"radius": 1.5, "children": _leaves([8.047919991733158, 6.957807017802052,
+                                             9.311901865663788, 8.230506862170449], 4)},
+        {"radius": 1.5, "children": _leaves([7.555669496997293, 0.9581460503773919,
+                                             3.322390928421227, 8.481137794685539], 8)}]},
+    {"radius": 2.25, "children": [
+        *_leaves([0.1514825791705331], 12),
+        {"radius": 1.5, "children": _leaves([7.342583192520725, 1.6017505155609275,
+                                             7.017397258044614], 13)}]}]}]}
+
+
 @settings(max_examples=25, deadline=None)
 @given(ball_trees(max_points=16))
+@example((build_tree(SMALL_REST_TREE), 1.0, 1.0))
 def test_engine_matches_exact_oracle(case):
     # node_values, exits and chain_minima within 32 eps relative of p_t from
     # one 50-digit eigendecomposition of the symmetrised generator, taken on
