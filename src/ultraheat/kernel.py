@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     Asymmetric,
-    ConfigError,
     MalformedCsv,
     NegativeProfile,
     NegativeWeight,
@@ -121,8 +120,11 @@ class JumpKernel:
     def tail_sup(self, r: float) -> float:
         return float(self.tail_vector(r).max())
 
-    def isotropy_profile(self) -> dict:
-        """Return {distance level: profile value} for w = g(d) mu(x) mu(y).
+    def node_profile(self) -> np.ndarray:
+        """The profile of w(x, y) = g(N) mu(x) mu(y), N the lowest common
+        ancestor of x and y, as a read-only array over the nodes of
+        `space.tree`: g(N) at each node with two children or more, where
+        pairs meet, and 0.0 at the others.
 
         Raises NotIsotropic when the mass-scaled weights vary on a distance
         level by more than 1e-12 relative.  The scan runs once per kernel;
@@ -132,20 +134,22 @@ class JumpKernel:
             self._profile = self._scan_profile()
         if isinstance(self._profile, str):
             raise NotIsotropic(self._profile)
-        return dict(self._profile)
+        return self._profile
 
     def _scan_profile(self):
-        """The profile dict, or the message of the level it fails on."""
+        """The node profile, or the message of the level it fails on."""
         D = self.space.distance_matrix()
         mu = self.mu
         scaled = self.w / np.outer(mu, mu)
-        out = {}
+        by_level = {}
         for level in self.space.distance_levels:
             vals = scaled[D == level]
             lo, hi = float(vals.min()), float(vals.max())
             if hi - lo > 1e-12 * max(abs(hi), 1e-300):
                 return f"mass-scaled weights vary on level {level}: [{lo}, {hi}]"
-            out[level] = 0.5 * (lo + hi)
+            by_level[level] = 0.5 * (lo + hi)
+        out = np.array(_node_values(self.space, by_level))
+        out.setflags(write=False)
         return out
 
     def __repr__(self):
@@ -159,46 +163,29 @@ def power_profile(exponent: float, scale: float = 1.0):
     return profile
 
 
-def profile_from_config(cfg: dict):
-    """Profile callable from {"kind": "power", "exponent": s, "scale": c}."""
-    unknown = sorted(set(cfg) - {"kind", "exponent", "scale"})
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown} in isotropic; "
-                          f"known: kind, exponent, scale")
-    if cfg.get("kind") != "power":
-        raise ConfigError(f"unknown profile kind {cfg.get('kind')!r}")
-    try:
-        values = cfg["exponent"], cfg.get("scale", 1.0)
-        if any(isinstance(v, (bool, str)) for v in values):  # float() takes true and "3"
-            raise TypeError(f"not a JSON number in {values}")
-        return power_profile(*map(float, values))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"power profile needs a numeric exponent and scale: {exc!r}") from exc
+def _node_values(space: UltrametricSpace, by_level: dict) -> list:
+    """by_level[r_N] at each node N of `space.tree` with two children or
+    more, whose radius is a distance level, and 0.0 at the others."""
+    tree = space.tree
+    return [by_level[r] if c >= 2 else 0.0
+            for r, c in zip(tree.radius.tolist(), tree.children.tolist())]
 
 
 def isotropic_kernel(space: UltrametricSpace, profile, scaling: str = "none") -> JumpKernel:
     """Kernel w(x, y) = profile(d(x, y)), optionally scaled by mu(x) mu(y).
 
-    `profile` is a callable on distances.  Mass scaling is the canonical
-    family for the fast hierarchical solver.
+    `profile` is a callable on distances, evaluated once per distance level.
+    Mass scaling is the canonical family for the fast hierarchical solver.
     """
     if scaling not in ("none", "mass"):
-        raise ConfigError(f"scaling must be 'none' or 'mass', got {scaling!r}")
+        raise ValueError(f"scaling must be 'none' or 'mass', got {scaling!r}")
     g = {}
     for level in space.distance_levels:
         g[level] = float(profile(level))
         if g[level] < 0:
             raise NegativeProfile(f"profile({level}) = {g[level]} < 0")
+    w = space.lca_matrix(_node_values(space, g))
     n = len(space)
-    w = np.zeros((n, n))
-    # each block in preorder, as `distance_matrix` fills D, so a pair keeps
-    # the profile at the radius of the lowest node over it
-    tree = space.tree
-    for a, b, r, c in zip(tree.start.tolist(), tree.stop.tolist(),
-                          tree.radius.tolist(), tree.children.tolist()):
-        if c >= 2:
-            w[a:b, a:b] = g[r]
-    np.fill_diagonal(w, 0.0)
     if scaling == "mass":
         # w(x, y) mu(x) mu(y) in blocks of rows: the products of np.outer,
         # with a temporary of at most MASS_BLOCK entries (and no more than w)

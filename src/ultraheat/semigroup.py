@@ -25,19 +25,20 @@ Evaluation.  A `SpectralGenerator` is the one way into the semigroup: its
 Davies tilt e^{psi} e^{tL} e^{-psi} is `davies.tilted_evolution`, built on
 `apply_grid`.
 
-Fast isotropic path.  For kernels w(x, y) = g(d(x, y)) mu(x) mu(y) the
-Haar basis of the ball tree diagonalises the semigroup, so p_t(x, x) depends
-only on x and p_t(x, y), x != y, only on the lowest common ancestor of x and
-y.  `HierarchicalHeatKernel` evaluates that profile, the exit probabilities
-of every ball and the rho-truncated profile on the preorder arrays of
-`space.tree` in O(nodes * depth) per time, with no n x n matrix.  Its
-`PairClasses` serve the DUE, wUE and chaining scans, the exit-probability
-check and the curves, and its eigenvalues and `jump_rates` the Nash family
-(`bounds.tree_function_family`); the switch is automatic
-(`bounds.heat_pair_classes` and `bounds.function_family`: hierarchical when
-`from_kernel` succeeds, dense on `NotIsotropic`), and the dense
-`SpectralGenerator` stays the fallback and the oracle.  All other checks
-evaluate the dense generator, built once per (kernel, rho) by `generator`.
+Fast isotropic path.  For kernels w(x, y) = g(N) mu(x) mu(y), N the lowest
+common ancestor of x and y (`JumpKernel.node_profile`), the Haar basis of
+the ball tree diagonalises the semigroup, so p_t(x, x) depends only on x
+and p_t(x, y), x != y, only on N.  `HierarchicalHeatKernel` evaluates that
+profile, the exit probabilities of every ball and the rho-truncated profile
+on the preorder arrays of `space.tree` in O(nodes * depth) per time, with
+no n x n matrix.  Its `PairClasses` serve the DUE, wUE and chaining scans,
+the exit-probability check and the curves, and its eigenvalues and
+`jump_rates` the Nash family (`bounds.tree_function_family`); the switch
+is automatic (`bounds.heat_pair_classes` and `bounds.function_family`:
+hierarchical when `from_kernel` succeeds, dense on `NotIsotropic`), and the
+dense `SpectralGenerator` stays the fallback and the oracle.  All other
+checks evaluate the dense generator, built once per (kernel, rho) by
+`generator`.
 """
 
 import copy
@@ -214,16 +215,16 @@ class SpectralGenerator:
 
     def apply(self, t: float, f) -> np.ndarray:
         """e^{tL} f; full-length input, full-length output (zero off-domain)."""
+        return self.apply_grid([t], f)[:, 0]
+
+    def apply_grid(self, times, f) -> np.ndarray:
+        """e^{tL} f for every t in `times`; returns (n, len(times)).  `f` is
+        a full-length vector (DimensionMismatch otherwise)."""
         v = np.asarray(f, dtype=float)
         if v.shape != (len(self.space),):
             raise DimensionMismatch(
                 f"expected vector of length {len(self.space)}, got shape {v.shape}"
             )
-        return self.apply_grid([t], v)[:, 0]
-
-    def apply_grid(self, times, f) -> np.ndarray:
-        """e^{tL} f for every t in `times`; returns (n, len(times))."""
-        v = np.asarray(f, dtype=float)
         ts = np.asarray(times, dtype=float)
         if (ts < 0).any():
             raise ValueError(f"times must be >= 0, got {ts.min()}")
@@ -331,11 +332,13 @@ def _sibling_volumes(tree) -> np.ndarray:
 class HierarchicalHeatKernel:
     """Heat kernel of an isotropic mass-scaled kernel, one value per tree node.
 
-    For w(x, y) = g(d(x, y)) mu(x) mu(y), functions that are supported on a
-    ball, constant on each of its children, and mean-zero are eigenfunctions
-    (the Haar basis of the ball tree); the eigenvalue of ball N is
+    For w(x, y) = g(N) mu(x) mu(y), N the lowest common ancestor of x and y
+    and g the node array of `JumpKernel.node_profile`, functions that are
+    supported on a ball, constant on each of its children, and mean-zero
+    are eigenfunctions (the Haar basis of the ball tree); the eigenvalue of
+    ball N is
 
-        lambda_N = 2 [ g(r_N) mu(N) + sum_{A above N} g(r_A) (mu(A) - mu(A_child)) ]
+        lambda_N = 2 [ g(N) mu(N) + sum_{A above N} g(A) (mu(A) - mu(A_child)) ]
 
     with A_child the child of A on the path to N.  So p_t(x, x) depends only
     on the leaf x, and p_t(x, y) for x != y only on their lowest common
@@ -355,7 +358,7 @@ class HierarchicalHeatKernel:
 
         P_t 1_{B^c} = sum_{A strictly above B} p_t(A) (mu(A) - mu(A_child)).
 
-    The rho-truncated kernel has the profile g 1_{r <= rho}.  Each largest
+    The rho-truncated kernel has the profile g(N) 1_{r_N <= rho}.  Each largest
     ball of radius <= rho is then a space of its own: the sums restart at
     its root R, mu(X) becomes mu(R), and a node above rho has p_t = 0.0 by
     construction.
@@ -367,7 +370,7 @@ class HierarchicalHeatKernel:
     `node_values(t)[space.lca(i, j)]` for the points i, j of x, y.
     """
 
-    def __init__(self, space: UltrametricSpace, profile):
+    def __init__(self, space: UltrametricSpace, g):
         self.space = space
         tree = space.tree
         # the pairs (k, j) with j a non-root node on the path from the root to
@@ -383,12 +386,7 @@ class HierarchicalHeatKernel:
         order = np.lexsort((cols, rows))
         self._path_row, self._path_col = rows[order], cols[order]
 
-        # nodes whose pairs meet there; a single-child chain node has none,
-        # its projector is zero and its radius need not be a profile level
-        branch = np.flatnonzero(tree.children >= 2)
-        self._g = np.zeros(tree.parent.size)
-        radii, level_of = np.unique(tree.radius[branch], return_inverse=True)
-        self._g[branch] = np.array([float(profile(float(r))) for r in radii])[level_of]
+        self._g = np.asarray(g, dtype=float)
         self._rest = _sibling_volumes(tree)
         self._set_range(None)
 
@@ -423,7 +421,7 @@ class HierarchicalHeatKernel:
     def jump_rates(self, rho: float | None = None, above: bool = False) -> np.ndarray:
         """J(x, B^c) for the ball B of every node, the same at each point x
         of B: the sum over the strict ancestors A of B of
-        g(r_A) (mu(A) - mu(A_child)), over the levels r_A <= rho that the
+        g(A) (mu(A) - mu(A_child)), over the levels r_A <= rho that the
         rho-truncated kernel keeps (rho=None: all), or with `above` over the
         levels r_A > rho that it drops."""
         tree = self.space.tree
@@ -440,7 +438,7 @@ class HierarchicalHeatKernel:
         whole-space engine is built once per kernel and kept on it; a
         truncated one is derived from its arrays."""
         if kernel._heat is None:
-            kernel._heat = cls(kernel.space, kernel.isotropy_profile().__getitem__)
+            kernel._heat = cls(kernel.space, kernel.node_profile())
         return kernel._heat if rho is None else kernel._heat.truncated(rho)
 
     def truncated(self, rho: float) -> "HierarchicalHeatKernel":

@@ -174,21 +174,26 @@ class UltrametricSpace:
             a, b = np.where(a > b, parent[a], a), np.where(b > a, parent[b], b)
         return a
 
+    def lca_matrix(self, values: list) -> np.ndarray:
+        """The n x n matrix of values[lca(x, y)] for a list of floats
+        `values` over the nodes of `tree`, 0.0 on the diagonal.  Each node
+        with two children or more fills its block in preorder, so that a
+        pair keeps the value of the lowest node over it."""
+        n = len(self.ids)
+        out = np.zeros((n, n))
+        tree = self.tree
+        for a, b, v, c in zip(tree.start.tolist(), tree.stop.tolist(), values,
+                              tree.children.tolist()):
+            if c >= 2:
+                out[a:b, a:b] = v
+        np.fill_diagonal(out, 0.0)
+        return out
+
     def distance_matrix(self) -> np.ndarray:
         """Full pairwise distance matrix in canonical point order (cached)."""
         if self._dmat is None:
-            n = len(self.ids)
-            D = np.zeros((n, n))
-            # each block in preorder, so a pair keeps the radius of the
-            # lowest node over it
-            tree = self.tree
-            for a, b, r, c in zip(tree.start.tolist(), tree.stop.tolist(),
-                                  tree.radius.tolist(), tree.children.tolist()):
-                if c >= 2:
-                    D[a:b, a:b] = r
-            np.fill_diagonal(D, 0.0)
-            D.setflags(write=False)
-            self._dmat = D
+            self._dmat = self.lca_matrix(self.tree.radius.tolist())
+            self._dmat.setflags(write=False)
         return self._dmat
 
     @property
@@ -256,13 +261,21 @@ _LEAF_KEYS = frozenset(("id", "mass"))
 _NODE_KEYS = frozenset(("radius", "children"))
 
 
+def json_number(value, what: str) -> float:
+    """`value` as a float.  JSON true and false and strings are no numbers,
+    though `float` takes them (SpaceError); numpy numbers are."""
+    if isinstance(value, (bool, str)):
+        raise SpaceError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def build_tree(spec: dict) -> UltrametricSpace:
     """Build a space from a nested ball description.
 
     `spec` is a dict {"radius": R, "children": [...]} whose children are
     either further ball dicts or leaf dicts {"id": s, "mass": m} with s a
-    non-empty string.  A bare leaf dict describes a singleton space.  Any
-    other key is an error.
+    non-empty string and R and m numbers (`json_number`).  A bare leaf dict
+    describes a singleton space.  Any other key is an error.
     """
     ids: list = []
     masses: list = []
@@ -279,12 +292,12 @@ def build_tree(spec: dict) -> UltrametricSpace:
             if not isinstance(obj["id"], str) or not obj["id"]:
                 raise SpaceError(f"leaf id must be a non-empty string, got {obj['id']!r}")
             ids.append(obj["id"])
-            masses.append(float(obj.get("mass", 1.0)))
+            masses.append(json_number(obj.get("mass", 1.0), "leaf mass"))
             nodes.append([parent, len(ids) - 1, len(ids), 0.0, masses[-1], 0])
             return nodes[-1]
         if "radius" not in obj:
             raise EmptySpace(f"node needs 'radius' or 'id': {obj!r}")
-        radius = float(obj["radius"])
+        radius = json_number(obj["radius"], "ball radius")
         if not 0 < radius < np.inf:
             raise NonDecreasingRadii(f"ball radius must be finite and > 0, got {radius}")
         entries = obj.get("children")

@@ -90,6 +90,19 @@ def tilt_scenario(seed: int, max_points: int = 24):
     return kernel, cfg, ball, rho, lam, f
 
 
+def profile_nodes(space, profile) -> np.ndarray:
+    """The node array of `HierarchicalHeatKernel` for a profile callable on
+    distances: profile(r_N) at each node N with two children or more, one
+    evaluation per distinct radius, and 0.0 at the others.  A single-child
+    chain node has no pair, so its radius need not be a profile level."""
+    tree = space.tree
+    branch = np.flatnonzero(tree.children >= 2)
+    g = np.zeros(tree.parent.size)
+    radii, level_of = np.unique(tree.radius[branch], return_inverse=True)
+    g[branch] = np.array([float(profile(float(r))) for r in radii])[level_of]
+    return g
+
+
 def kernel_to_csv(kernel) -> str:
     """The weight matrix as CSV text that `kernel_from_csv` reads back: a
     header of point ids, then one row of exact float reprs per point."""

@@ -42,6 +42,7 @@ from conftest import (
     S2_SPEC,
     S4_SPEC,
     exit_probability_slope,
+    profile_nodes,
     random_scenario,
     tilt_scenario,
 )
@@ -261,7 +262,7 @@ def test_fast_isotropic_criterion():
     big, _ = generate_space("dyadic", depth=12, q=2.0)
     assert len(big) == 4096
     start = time.monotonic()
-    fast = HierarchicalHeatKernel(big, power_profile(3.0))
+    fast = HierarchicalHeatKernel(big, profile_nodes(big, power_profile(3.0)))
     diag = fast.node_values(1.0)[big.tree.leaf]
     fast_time = time.monotonic() - start
     assert fast_time < 1.0

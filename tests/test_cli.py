@@ -332,6 +332,27 @@ def _file(path, text):
     return str(path)
 
 
+def _tree_source(tmp, where: str, tree: dict) -> dict:
+    """A space section holding `tree` inline, or naming a space file of it."""
+    if where == "inline":
+        return {"inline": tree}
+    return {"file": _file(tmp / "space.json", json.dumps(tree))}
+
+
+# trees whose radius or mass is no JSON number, each inline and in a space
+# file; `float` takes each of these values
+NON_NUMBER_TREES = {
+    "mass a string": ({"radius": 2, "children": [{"id": "a", "mass": "2"}, {"id": "b"}]},
+                      "leaf mass must be a number, got '2'"),
+    "mass true": ({"radius": 2, "children": [{"id": "a", "mass": True}, {"id": "b"}]},
+                  "leaf mass must be a number, got True"),
+    "radius a string": ({"radius": "2", "children": [{"id": "a"}, {"id": "b"}]},
+                        "ball radius must be a number, got '2'"),
+    "radius true": ({"radius": True, "children": [{"id": "a"}, {"id": "b"}]},
+                    "ball radius must be a number, got True"),
+}
+
+
 # each case: config overrides (built in a temporary directory) and a phrase
 # of the one-line error it must produce
 BAD_INPUTS = {
@@ -354,7 +375,7 @@ BAD_INPUTS = {
         lambda tmp: {"space": {"file": str(tmp / "missing.json")}}, "No such file"),
     "non-numeric radius": (
         lambda tmp: {"space": {"inline": {"radius": "x", "children": [{"id": "a"}]}}},
-        "space: could not convert"),
+        "space: ball radius must be a number, got 'x'"),
     "non-numeric generator depth": (
         lambda tmp: {"space": {"generator": {"kind": "dyadic", "depth": "x"}}}, "space: "),
     "generator depth beyond the point cap": (
@@ -377,7 +398,8 @@ BAD_INPUTS = {
     "kernel file true": (
         lambda tmp: {"kernel": {"file": True}}, "kernel: [Errno 2] No such file"),
     "non-numeric kernel matrix entry": (
-        lambda tmp: {"kernel": {"matrix": [[0, "x"], [1, 0]]}}, "kernel: could not convert"),
+        lambda tmp: {"kernel": {"matrix": [[0, "x"], [1, 0]]}},
+        "kernel: matrix entry must be a number, got 'x'"),
     # a knob of the deleted `options` and `tolerances` sections, under a key
     # or at a value those sections refused; the section is now an unknown key
     **{label: (lambda tmp, section=section, knob=knob: {section: knob},
@@ -466,13 +488,22 @@ BAD_INPUTS = {
         "time_grid.points must be a number, got True"),
     "profile exponent true": (
         lambda tmp: {"kernel": {"isotropic": {"kind": "power", "exponent": True}}},
-        "kernel: power profile needs a numeric exponent and scale"),
+        "kernel: isotropic.exponent must be a number, got True"),
     "profile exponent a string": (
         lambda tmp: {"kernel": {"isotropic": {"kind": "power", "exponent": "3"}}},
-        "kernel: power profile needs a numeric exponent and scale"),
+        "kernel: isotropic.exponent must be a number, got '3'"),
     "profile scale a string": (
         lambda tmp: {"kernel": {"isotropic": {"kind": "power", "exponent": 3.0, "scale": "1"}}},
-        "kernel: power profile needs a numeric exponent and scale"),
+        "kernel: isotropic.scale must be a number, got '1'"),
+    **{f"tree {label} {where}": (
+        lambda tmp, tree=tree, where=where: {"space": _tree_source(tmp, where, tree)},
+        f"space: {phrase}")
+       for label, (tree, phrase) in NON_NUMBER_TREES.items() for where in ("inline", "file")},
+    **{f"kernel matrix entry {label}": (
+        lambda tmp, value=value: {"kernel": {"matrix": [[0 if i == j else value for j in range(4)]
+                                                        for i in range(4)]}},
+        f"kernel: matrix entry must be a number, got {value!r}")
+       for label, value in (("true", True), ("a string", "1"))},
     **{f"leaf id {label}": (
         lambda tmp, leaf_id=leaf_id: {"space": {"inline": {"radius": 1, "children": [
             {"id": "a"}, {"id": leaf_id}]}}},

@@ -32,6 +32,18 @@ CHAIN = {"space": {"inline": {"radius": 4, "children": [
                                         {"id": "e", "mass": 0.5}]}]}},
          "exponents": {"alpha": 1.0, "beta": 2.0}}
 
+# a single point: no pair and no distance level, so R0 must be given, and the
+# scenario checks, the power sweep and the exit check write vacuous records
+SINGLETON = {"space": {"inline": {"id": "a", "mass": 1}}, "exponents": {"R0": 1.0}}
+# a one-point ball of radius 3 beside a point, at distance 4: no distance
+# level lies at or below the ball's radius, so the power sweep skips it
+LONE_BALL = {"space": {"inline": {"radius": 4, "children": [
+                 {"radius": 3, "children": [{"id": "a", "mass": 1}]}, {"id": "b", "mass": 2}]}},
+             "exponents": {"alpha": 1.0, "beta": 2.0}}
+# the all-zero kernel of S4: no jumps, so p_t is 1/mu on the diagonal
+ZERO = {"kernel": {"isotropic": {"kind": "power", "exponent": 3.0, "scale": 0.0},
+                   "scaling": "none"}}
+
 
 def s4_config(tmp_path, name: str, **overrides) -> str:
     path = tmp_path / f"{name}.json"
@@ -43,7 +55,8 @@ def supremum_lines(out: Path) -> int:
     return len((out / "curves" / "supremum.csv").read_text().splitlines())
 
 
-@pytest.mark.parametrize("overrides", [{}, DENSE, CHAIN], ids=["s4", "dense", "chain"])
+@pytest.mark.parametrize("overrides", [{}, DENSE, CHAIN, SINGLETON, LONE_BALL, ZERO],
+                         ids=["s4", "dense", "chain", "singleton", "lone_ball", "zero"])
 def test_run_and_curves(tmp_path, overrides):
     path = s4_config(tmp_path, "config", **overrides)
     for command in ("run", "curves"):

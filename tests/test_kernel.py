@@ -247,30 +247,38 @@ def test_symmetry_over_ball_pairs():
                 kernel.w[np.ix_(i2, i1)].sum(), rel=1e-13, abs=1e-300)
 
 
+# the S4 nodes in preorder: the root (radius 2), a radius-1 ball, its leaves
+# a and b, the other radius-1 ball, its leaves c and d
+S4_NODE_PROFILE = [0.125, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+
+
 def test_isotropy_profile_detection(s4, k4):
-    levels = k4.isotropy_profile()
-    assert levels[1.0] == 1.0 and levels[2.0] == 0.125
+    profile = k4.node_profile()
+    radius = s4.tree.radius
+    assert set(profile[radius == 1.0]) == {1.0} and set(profile[radius == 2.0]) == {0.125}
     w = k4.w.copy()
     w[0, 2] = w[2, 0] = 0.3  # break level constancy
     with pytest.raises(NotIsotropic):
-        JumpKernel(s4, w).isotropy_profile()
+        JumpKernel(s4, w).node_profile()
 
 
 def test_isotropy_scan_runs_once_per_kernel(s4, k4, monkeypatch):
-    # the profile, or the reason there is none, is kept; callers get copies
+    # the profile, or the reason there is none, is kept; callers get a
+    # read-only view of it
     calls = []
     scan = JumpKernel._scan_profile
     monkeypatch.setattr(JumpKernel, "_scan_profile",
                         lambda self: calls.append(self) or scan(self))
-    first = k4.isotropy_profile()
-    first[1.0] = 7.0
-    assert k4.isotropy_profile() == {1.0: 1.0, 2.0: 0.125}
+    first = k4.node_profile()
+    with pytest.raises(ValueError, match="read-only"):
+        first[1] = 7.0
+    assert k4.node_profile().tolist() == S4_NODE_PROFILE
     w = k4.w.copy()
     w[0, 2] = w[2, 0] = 0.3
     raw = JumpKernel(s4, w)
     for _ in range(2):
         with pytest.raises(NotIsotropic, match="vary on level 2.0"):
-            raw.isotropy_profile()
+            raw.node_profile()
     assert calls == [k4, raw]
 
 

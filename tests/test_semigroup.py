@@ -18,12 +18,12 @@ from ultraheat import (
     semigroup_selfcheck,
     tilted_evolution,
 )
-from ultraheat.errors import EmptyDomain, NotIsotropic
+from ultraheat.errors import DimensionMismatch, EmptyDomain, NotIsotropic
 from ultraheat.form import energy_and_scale
 from ultraheat.cli import generate_space
 from ultraheat.semigroup import ball_chains, exit_probabilities
 
-from conftest import ball_trees, lca_index, random_scenario
+from conftest import ball_trees, lca_index, profile_nodes, random_scenario
 
 
 class TestGenerator:
@@ -175,6 +175,14 @@ class TestHeatKernel:
         with pytest.raises(ValueError):
             gen.apply_grid([0.5, -1e-9], np.ones(4))
 
+    def test_wrong_length_rejected(self, k4):
+        # n + 3 and n - 1 entries: neither the grid nor one time reads a prefix
+        gen = generator(k4)
+        for f in (np.arange(7.0), np.arange(3.0)):
+            for evolve in (lambda: gen.apply_grid([0.5], f), lambda: gen.apply(0.5, f)):
+                with pytest.raises(DimensionMismatch):
+                    evolve()
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=1e-4, max_value=1e3))
@@ -293,7 +301,7 @@ class TestFastIsotropicPath:
     def test_function_entry_point(self, s4):
         k = isotropic_kernel(s4, power_profile(3.0), scaling="mass")
         dens = generator(k).density(0.3)
-        fast = HierarchicalHeatKernel(s4, power_profile(3.0))
+        fast = HierarchicalHeatKernel(s4, profile_nodes(s4, power_profile(3.0)))
         vals = fast.node_values(0.3)[s4.lca([0, 0, 3], [1, 2, 3])].tolist()
         assert vals == pytest.approx([dens[0, 1], dens[0, 2], dens[3, 3]], rel=1e-12)
 
@@ -313,12 +321,12 @@ class TestFastIsotropicPath:
         trunc = HierarchicalHeatKernel.from_kernel(k8, rho)
         assert trunc is not full and trunc._path_row is full._path_row
         assert np.array_equal(trunc.node_values(0.3),
-                              HierarchicalHeatKernel(k8.space, k8.isotropy_profile().__getitem__)
+                              HierarchicalHeatKernel(k8.space, k8.node_profile())
                               .truncated(rho).node_values(0.3))
 
     def test_trace_identity(self):
         space, _ = generate_space("dyadic", depth=8, seed=0)
-        fast = HierarchicalHeatKernel(space, power_profile(3.0))
+        fast = HierarchicalHeatKernel(space, profile_nodes(space, power_profile(3.0)))
         for t in (0.1, 1.0):
             diag_trace = float((fast.node_values(t)[space.tree.leaf] * space.masses).sum())
             assert diag_trace == pytest.approx(engine_trace(fast, t), rel=1e-12)
@@ -380,7 +388,8 @@ def test_hierarchical_profile_matches_dense(case, c):
     space, exponent, scale = case
     kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
     fast = HierarchicalHeatKernel.from_kernel(kernel)
-    faster = HierarchicalHeatKernel(space, power_profile(exponent, c * scale))
+    faster = HierarchicalHeatKernel(space,
+                                    profile_nodes(space, power_profile(exponent, c * scale)))
     # p_t(c w) = p_{ct}(w) holds unless c moves an eigenvalue across the
     # clamp to zero below EIGENVALUE_CLAMP, a convention of both engines
     assume(np.array_equal(fast.eigenvalue == 0, faster.eigenvalue == 0))
@@ -393,6 +402,28 @@ def test_hierarchical_profile_matches_dense(case, c):
         assert np.abs(values[lca] - dens).max() <= tol
         # p_t(c w) = p_{ct}(w)
         assert np.abs(faster.node_values(t / c)[lca] - values[lca]).max() <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(ball_trees())
+def test_node_profile_engine_matches_level_evaluation(case):
+    # the engine of `node_profile` against the reference: the mass-scaled
+    # weights averaged on each distance level, evaluated at each distinct
+    # radius of the nodes that branch (`profile_nodes`); bit for bit, also
+    # truncated
+    space, exponent, scale = case
+    kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+    D, mu = space.distance_matrix(), space.masses
+    scaled = kernel.w / np.outer(mu, mu)
+    by_level = {r: 0.5 * (float(scaled[D == r].min()) + float(scaled[D == r].max()))
+                for r in space.distance_levels}
+    reference = HierarchicalHeatKernel(space, profile_nodes(space, by_level.__getitem__))
+    rho = space.distance_levels[0]
+    for engine, want in ((HierarchicalHeatKernel.from_kernel(kernel), reference),
+                         (HierarchicalHeatKernel.from_kernel(kernel, rho),
+                          reference.truncated(rho))):
+        for t in ENGINE_TIMES:
+            assert np.array_equal(engine.node_values(t), want.node_values(t))
 
 
 def _leaves(masses, first=0):
@@ -470,7 +501,7 @@ def test_pair_classes_hold_their_first_pairs(case):
     # classes sorted by first pair; each first pair is the row-major-first
     # pair of its class, whose value is that of its point or node
     space, exponent, scale = case
-    fast = HierarchicalHeatKernel(space, power_profile(exponent, scale))
+    fast = HierarchicalHeatKernel(space, profile_nodes(space, power_profile(exponent, scale)))
     classes = fast.pair_classes()
     n = len(space)
     key = classes.rows * n + classes.cols
