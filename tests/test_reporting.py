@@ -86,7 +86,7 @@ def test_non_finite_floats_are_written_as_their_repr_string(value):
     np.array(1.5), np.array(3), np.array("ab"), np.bool_(True), [np.bool_(False)],
     {"a": np.array(2.0)}, {1, 2}, 1j, np.complex128(1), b"x", object(),
     np.longdouble(1.0),
-], ids=repr)
+], ids=lambda v: "object()" if type(v) is object else repr(v))
 def test_unsupported_types_raise_type_error(value):
     with pytest.raises(TypeError):
         json_text(value)
