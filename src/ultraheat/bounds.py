@@ -73,10 +73,9 @@ class ConditionEstimate:
 # -- heat kernel scans ------------------------------------------------------------
 
 
-def _refine_scan(values_at, grid):
-    """Maximise a smooth scalar over times by local log-grid refinement."""
-    grid = np.asarray(grid, dtype=float)
-    vals = np.array([values_at(t) for t in grid])
+def _refine_scan(values_at, grid, vals):
+    """Maximise a smooth scalar over times by local log-grid refinement,
+    from its values `vals` on `grid`."""
     best_t = float(grid[np.argmax(vals)])
     best = float(vals.max())
     lo = grid[max(0, int(np.argmax(vals)) - 1)]
@@ -118,19 +117,39 @@ def heat_pair_classes(kernel: JumpKernel, use: str, rho: float | None = None) ->
     return classes
 
 
+def _scan_grid(classes: PairClasses, alpha: float, beta: float,
+               r0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first grid of the DUE and wUE scans, and at each of its times
+    the maxima over `classes` of `scaled_density` with the distance 0 (row
+    0) and capped at R0 (row 1): one evaluation of the classes per time for
+    both scans."""
+    grid = log_time_grid(r0 ** beta * 1e-4, r0 ** beta, SCAN_POINTS)
+    capped = np.minimum(classes.dist, r0)
+    maxima = np.empty((2, grid.size))
+    for k, t in enumerate(grid):
+        values = classes.values(t)
+        maxima[:, k] = [float(scaled_density(values, t, alpha, beta, c).max())
+                        for c in (0.0, capped)]
+    return grid, maxima
+
+
 def _density_scan(kind: str, kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                  off_diagonal: bool) -> ConditionEstimate:
+                  off_diagonal: bool, start: dict | None) -> ConditionEstimate:
     """Minimal C with `scaled_density` <= C over the time range, the distance
     capped at R0 when `off_diagonal`; the witness is the first pair of the
-    first maximising class."""
+    first maximising class.  The first grid is read from `start`, or
+    evaluated and stored there when it holds none."""
     classes = heat_pair_classes(kernel, f"{kind} scan")
     capped = np.minimum(classes.dist, r0) if off_diagonal else 0.0
 
     def scaled_at(t):
         return scaled_density(classes.values(t), t, alpha, beta, capped)
 
-    best, best_t = _refine_scan(lambda t: float(scaled_at(t).max()),
-                                log_time_grid(r0 ** beta * 1e-4, r0 ** beta, SCAN_POINTS))
+    start = {} if start is None else start
+    if not start:
+        start["grid"], start["maxima"] = _scan_grid(classes, alpha, beta, r0)
+    best, best_t = _refine_scan(lambda t: float(scaled_at(t).max()), start["grid"],
+                                start["maxima"][int(off_diagonal)])
     c = int(np.argmax(scaled_at(best_t)))
     ids = kernel.space.ids
     return ConditionEstimate(
@@ -140,21 +159,26 @@ def _density_scan(kind: str, kernel: JumpKernel, alpha: float, beta: float, r0: 
     )
 
 
-def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float) -> ConditionEstimate:
+def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
+                 start: dict | None = None) -> ConditionEstimate:
     """Minimal C with p_t(x, y) <= C t^(-alpha/beta) over the time range.
 
     The supremum over the open interval (0, R0^beta) equals the maximum
     over its closure by continuity, so the scan grid includes the right
     endpoint; the grid is then refined around the maximiser until the
-    constant is stable to 1e-9.
+    constant is stable to 1e-9.  A `start` dict shared with a
+    `wue_constant` call of the same arguments makes the two scans evaluate
+    their common first grid once: the first call fills it, the second reads
+    it.
     """
-    return _density_scan("DUE", kernel, alpha, beta, r0, False)
+    return _density_scan("DUE", kernel, alpha, beta, r0, False, start)
 
 
-def wue_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float) -> ConditionEstimate:
+def wue_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
+                 start: dict | None = None) -> ConditionEstimate:
     """Minimal C for the off-diagonal estimate with factor
-    (1 + (d ^ R0) / t^(1/beta))^(-beta)."""
-    return _density_scan("wUE", kernel, alpha, beta, r0, True)
+    (1 + (d ^ R0) / t^(1/beta))^(-beta); `start` as for `due_constant`."""
+    return _density_scan("wUE", kernel, alpha, beta, r0, True, start)
 
 
 # -- Nash constant -----------------------------------------------------------------
@@ -207,11 +231,22 @@ def _random_functions(space, seed: int) -> tuple[np.ndarray, list]:
     return np.column_stack(cols), labels
 
 
+def random_columns(kernel: JumpKernel, seed: int) -> tuple[np.ndarray, list]:
+    """`_random_functions` of the kernel's space, drawn once per (kernel,
+    seed) and kept on the kernel as a read-only array."""
+    if seed not in kernel._random_columns:
+        U, labels = _random_functions(kernel.space, seed)
+        U.setflags(write=False)
+        kernel._random_columns[seed] = U, labels
+    U, labels = kernel._random_columns[seed]
+    return U, list(labels)
+
+
 def default_function_family(kernel: JumpKernel, rho: float,
                             seed: int = 0) -> tuple[np.ndarray, list]:
     """The default family as dense columns: the eigenfunctions of the
     truncated generator (unit L2(mu) norm, by eigenvalue), the indicators of
-    all balls and points, then `_random_functions`."""
+    all balls and points, then `random_columns`."""
     cols, labels = [], []
     for lam, phi in generator(kernel, rho=rho).eigenpairs():
         cols.append(phi)
@@ -219,7 +254,7 @@ def default_function_family(kernel: JumpKernel, rho: float,
     for ball in kernel.space.balls(include_points=True):
         cols.append(ball.indicator())
         labels.append(f"ball:{ball.start}:{ball.stop}")
-    U, random_labels = _random_functions(kernel.space, seed)
+    U, random_labels = random_columns(kernel, seed)
     return np.column_stack(cols + [U]), labels + random_labels
 
 
@@ -258,7 +293,7 @@ def tree_function_family(kernel: JumpKernel, rho: float, seed: int = 0) -> Funct
     # the node whose jump rates give each member's energies
     node = np.concatenate((np.concatenate((blocks, tree.parent[a]))[order], balls))
     l2sq = np.concatenate((np.ones(lam.size), volume[balls]))
-    U, random_labels = _random_functions(space, seed)
+    U, random_labels = random_columns(kernel, seed)
     labels = [f"eigen:{x:.6g}" for x in lam.tolist()]
     labels += [f"ball:{s}:{t}" for s, t in zip(tree.start[balls].tolist(),
                                                   tree.stop[balls].tolist())]
@@ -345,33 +380,32 @@ def truncation_comparison_check(kernel: JumpKernel, rho: float, omega, fs,
 
     `fs` holds the functions f as rows (one function is a 1-D array); the
     report has one record per function, in order, and each also reports
-    the empirical minimal factor attained over the scan.
+    the empirical minimal factor attained over the scan.  Each semigroup
+    evolves each function over the whole grid in one `apply_grid`; the
+    witness is the first time that attains the worst excess.
     """
     full = generator(kernel, rho=None, omega=omega)
     trunc = generator(kernel, rho=rho, omega=omega)
     sup_tail = kernel.tail_sup(rho)
-    times = [float(t) for t in time_grid]
+    times = np.asarray(time_grid, dtype=float)
     report = CheckReport()
     for f in np.atleast_2d(np.asarray(fs, dtype=float)):
         f_inf = float(np.abs(f).max())
-        worst = -np.inf
-        witness = None
-        empirical = -np.inf
-        for t in times:
-            diff = full.apply(t, f) - trunc.apply(t, f)
-            envelope = TRUNCATION_FACTOR * t * sup_tail * f_inf
-            gap = float(diff.max()) - envelope
-            tol = IDENTITY_RTOL * max(1.0, envelope, float(np.abs(diff).max()))
-            if gap - tol > worst:
-                worst = gap - tol
-                witness = {"t": t, "max_diff": float(diff.max()), "envelope": envelope}
-            if sup_tail > 0 and f_inf > 0:
-                empirical = max(empirical, float(diff.max()) / (t * sup_tail * f_inf))
+        diff = full.apply_grid(times, f) - trunc.apply_grid(times, f)
+        top = diff.max(axis=0)
+        envelope = TRUNCATION_FACTOR * times * sup_tail * f_inf
+        tol = IDENTITY_RTOL * np.maximum(np.maximum(1.0, envelope), np.abs(diff).max(axis=0))
+        excess = top - envelope - tol
+        k = int(np.argmax(excess))  # the first time that attains the worst excess
+        witness = {"t": float(times[k]), "max_diff": float(top[k]),
+                   "envelope": float(envelope[k])}
+        empirical = float((top / (times * sup_tail * f_inf)).max()) \
+            if sup_tail > 0 and f_inf > 0 else None
         params = {"rho": rho, "c_factor": TRUNCATION_FACTOR, "sup_tail": sup_tail,
                   "omega": "all" if omega is None else len(trunc.omega),
-                  "empirical_factor": None if empirical == -np.inf else empirical}
-        report.add(record("bounds.truncation_comparison", params, worst, 0.0, 0.0,
-                          worst <= 0.0, witness))
+                  "empirical_factor": empirical}
+        report.add(record("bounds.truncation_comparison", params, float(excess[k]), 0.0, 0.0,
+                          excess[k] <= 0.0, witness))
     return report
 
 
@@ -498,9 +532,10 @@ def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
     checks: list[CheckRecord] = []
 
     if estimates is None:
+        start = {}
         estimates = (tj_constant(kernel, beta, r0),
-                     due_constant(kernel, alpha, beta, r0),
-                     wue_constant(kernel, alpha, beta, r0),
+                     due_constant(kernel, alpha, beta, r0, start),
+                     wue_constant(kernel, alpha, beta, r0, start),
                      nash_constant(kernel, rho=r0, nu=cfg.nu, k0=cfg.k0(r0), seed=seed))
     c_tj, due, wue, nash = estimates
     c_tail = TRUNCATION_FACTOR * c_tj

@@ -21,6 +21,7 @@ import io
 import json
 import logging
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -342,6 +343,7 @@ class RunContext:
     seed: int
     artifacts: dict = field(default_factory=dict)
     _nash: dict = field(default_factory=dict, init=False, repr=False)
+    _scan_start: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def scenario(self):
@@ -360,12 +362,12 @@ class RunContext:
     @cached_property
     def due(self):
         e = self.exponents
-        return bounds_mod.due_constant(self.kernel, e.alpha, e.beta, e.r0)
+        return bounds_mod.due_constant(self.kernel, e.alpha, e.beta, e.r0, self._scan_start)
 
     @cached_property
     def wue(self):
         e = self.exponents
-        return bounds_mod.wue_constant(self.kernel, e.alpha, e.beta, e.r0)
+        return bounds_mod.wue_constant(self.kernel, e.alpha, e.beta, e.r0, self._scan_start)
 
     def nash(self, rho):
         """Nash estimate of the rho-truncated form."""
@@ -609,9 +611,11 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
     `bounds.heat_pair_classes`, one per tree node for an isotropic kernel
     (the truncated ones derived from the full-space engine), else one per
     pair of the dense generator; the class of each written pair is found
-    once per run.  The rows of one time are written as one joined string,
-    the bytes `csv.writer` would write.  supremum.csv reads the maxima of
-    the full-space classes and their `exits`.
+    once per run, and each written class is formatted once per time.  The
+    rows of one time are written as one joined string, the bytes
+    `csv.writer` would write, from "t,x,y," prefixes made once per time for
+    all files.  supremum.csv reads the maxima of the full-space classes and
+    their `exits`.
     """
     curves = out_dir / "curves"
     curves.mkdir(parents=True, exist_ok=True)
@@ -624,21 +628,25 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
         cols = np.concatenate((np.arange(n), np.arange(n)))
     full = bounds_mod.heat_pair_classes(kernel, "curves")
     # the truncated classes share the full-space class layout
-    at = full.index(rows, cols)
-    pairs = [_csv_fields([space.ids[i], space.ids[j]]) for i, j in zip(rows, cols)]
+    used, at = np.unique(full.index(rows, cols), return_inverse=True)
+    at = at.tolist()
+    pairs = [_csv_fields([space.ids[i], space.ids[j]]) + "," for i, j in zip(rows, cols)]
+    times = [float(t) for t in ctx.grid]
+    # the "t,x,y," of every row at each time, shared by all files
+    prefixes = [[repr(t) + "," + pair for pair in pairs] for t in times]
     header = "t,x,y,value\r\n"
 
-    def density_rows(t, values):
-        stamp = repr(t)
-        return "".join([f"{stamp},{pair},{v!r}\r\n"
-                        for pair, v in zip(pairs, values[at].tolist())])
+    def density_rows(k, values):
+        texts = [f"{v!r}\r\n" for v in values[used].tolist()]
+        return "".join(map(operator.add, prefixes[k], map(texts.__getitem__, at)))
 
-    for k, rho in enumerate(space.distance_levels):
+    for level, rho in enumerate(space.distance_levels):
         classes = bounds_mod.heat_pair_classes(kernel, f"curves rho={rho!r}", rho)
-        with open(curves / f"q_truncated_{k}.csv", "w", encoding="utf-8", newline="") as fh:
+        with open(curves / f"q_truncated_{level}.csv", "w", encoding="utf-8",
+                  newline="") as fh:
             fh.write(header)
-            for t in ctx.grid:
-                fh.write(density_rows(float(t), classes.values(float(t))))
+            for k, t in enumerate(times):
+                fh.write(density_rows(k, classes.values(t)))
 
     # p_full.csv and supremum.csv share one evaluation per time
     capped = np.minimum(full.dist, cfg.r0)
@@ -649,10 +657,9 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
         full_fh.write(header)
         sup_wr.writerow(["t", "max_density", "ondiag_quantity", "offdiag_quantity",
                          "exit_quantity"])
-        for t in ctx.grid:
-            t = float(t)
+        for k, t in enumerate(times):
             values = full.values(t)
-            full_fh.write(density_rows(t, values))
+            full_fh.write(density_rows(k, values))
             exit_q = max([0.0, *(full.exits(values)[0] * scale / t).tolist()])
             ondiag, offdiag = (
                 float(bounds_mod.scaled_density(values, t, cfg.alpha, cfg.beta, c).max())

@@ -46,7 +46,7 @@ from .errors import (
     NegativeInput,
     StepTooCoarse,
 )
-from .form import energy_and_scale, energy_batch, pair_terms
+from .form import energy_and_scale, energy_batch, tilt_sums
 from .kernel import ExponentConfig, JumpKernel
 from .reporting import IDENTITY_RTOL, CheckRecord, CheckReport, record, vacuous
 from .semigroup import SpectralGenerator, generator
@@ -165,29 +165,39 @@ def perturbation_identity_batch(kernel: JumpKernel, rho: float, ball: Ball,
     if F.ndim != 2 or F.shape != G.shape or F.shape[1] != kernel.n:
         raise DimensionMismatch(f"expected two m x {kernel.n} arrays, got shapes "
                                 f"{F.shape} and {G.shape}")
-    i, j, w2 = kernel.kept_pairs(rho)
-    plain = pair_terms(F, G, i, j, w2)
-    # psi = lam 1_B is 0 off B, where e^{-0.0} f == f exactly: only the pairs
-    # with an endpoint in B see the tilt
-    psi = lam * ball.indicator()
-    touched = np.flatnonzero(((i >= ball.start) & (i < ball.stop))
-                             | ((j >= ball.start) & (j < ball.stop)))
-    tilted = plain.copy()
-    tilted[:, touched] = pair_terms(np.exp(-psi) * F, np.exp(psi) * G,
-                                    i[touched], j[touched], w2[touched])
+    return _tilt_records(kernel, rho, ball, [lam] * len(F), F, G, _ball_pairs(kernel, ball)[0])
+
+
+def _ball_pairs(kernel: JumpKernel, ball: Ball) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in `kernel.kept_pairs()` of the pairs with an endpoint
+    in B, and of those with exactly one: sorted, so that the pairs of a
+    truncation level are a prefix of each."""
+    i, j, _ = kernel.kept_pairs()
+    in_i = (i >= ball.start) & (i < ball.stop)
+    in_j = (j >= ball.start) & (j < ball.stop)
+    return np.flatnonzero(in_i | in_j), np.flatnonzero(in_i != in_j)
+
+
+def _tilt_records(kernel: JumpKernel, rho: float, ball: Ball, lams: list, F, G,
+                  touched: np.ndarray) -> list[CheckRecord]:
+    """The record of each row pair (f, g) of F and G tilted by lams[row] 1_B;
+    `touched` is the first array of `_ball_pairs`."""
+    pairs = kernel.kept_pairs(rho)
+    touched = touched[:np.searchsorted(touched, pairs[0].size)]
+    lhs, scale_l, rhs, scale_r = tilt_sums(F, G, np.array(lams, dtype=float),
+                                           ball.indicator(), pairs, touched)
+    gaps = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), scale_l),
+                                          np.maximum(scale_r, 1e-300))
     records = []
-    for lhs, scale_l, rhs, scale_r in zip(tilted.sum(axis=1).tolist(),
-                                          np.abs(tilted).sum(axis=1).tolist(),
-                                          plain.sum(axis=1).tolist(),
-                                          np.abs(plain).sum(axis=1).tolist()):
-        gap = abs(lhs - rhs) / max(abs(rhs), scale_l, scale_r, 1e-300)
-        params = {"rho": rho, "lam": lam, "ball": list(ball.members), "radius": ball.radius}
-        if rho <= ball.radius:
+    members, radius = ball.members, ball.radius
+    for lam, gap in zip(lams, gaps.tolist()):
+        params = {"rho": rho, "lam": lam, "ball": list(members), "radius": radius}
+        if rho <= radius:
             records.append(record("davies.tilt_identity", params, gap, IDENTITY_RTOL, 0.0,
                                   gap <= IDENTITY_RTOL))
         else:
-            records.append(CheckRecord("davies.tilt_identity_control", params, float(gap),
-                                       None, 0.0, "pass", witness={"relative_gap": float(gap)}))
+            records.append(CheckRecord("davies.tilt_identity_control", params, gap,
+                                       None, 0.0, "pass", witness={"relative_gap": gap}))
     return records
 
 
@@ -679,48 +689,46 @@ def perturbation_battery(kernel: JumpKernel, n_pairs: int = 20, seed: int = 0) -
     ball radius, every lambda of BATTERY_LAMBDAS, and `n_pairs` seeded
     function pairs.  Controls take the truncation beyond the ball radius
     (where cross pairs carry weight); their gap is generically nonzero, and
-    the aggregate record requires at least 90% of them to show one.
+    the aggregate record requires at least 90% of them to show one.  Each
+    (ball, rho) cell is one normal draw for all its lambdas and one
+    `tilt_sums`; a control cell is skipped when no kept pair crosses the
+    ball's boundary.
     """
     space = kernel.space
     n = len(space)
     rng = np.random.default_rng(seed)
     levels = space.distance_levels
     report = CheckReport()
+    balls = [(ball, *_ball_pairs(kernel, ball)) for ball in space.balls() if ball.radius > 0]
 
-    for ball in space.balls():
-        if ball.radius <= 0:
-            continue
+    def cell(ball, rho, lams, m, touched):
+        # one draw per (ball, rho) cell: the same stream as one (m, 2, n)
+        # draw per lambda
+        X = rng.normal(size=(len(lams) * m, 2, n))
+        return _tilt_records(kernel, rho, ball, [lam for lam in lams for _ in range(m)],
+                             X[:, 0], X[:, 1], touched)
+
+    for ball, touched, _ in balls:
         for rho in levels:
-            if rho > ball.radius:
-                continue
-            for lam in BATTERY_LAMBDAS:
-                # one draw per cell: the same stream as n_pairs draws of f, g
-                X = rng.normal(size=(n_pairs, 2, n))
-                for rec in perturbation_identity_batch(kernel, rho, ball, lam,
-                                                       X[:, 0], X[:, 1]):
-                    report.add(rec)
+            if rho <= ball.radius:
+                report.records += cell(ball, rho, BATTERY_LAMBDAS, n_pairs, touched)
 
     controls = 0
     nonzero = 0
-    for ball in space.balls():
-        if ball.radius <= 0 or ball.radius >= space.diam:
+    tilts = [lam for lam in BATTERY_LAMBDAS if lam != 0]
+    for ball, touched, crossing in balls:
+        if ball.radius >= space.diam:
             continue
         for rho in levels:
-            if rho <= ball.radius:
+            # skipped when no kept jump leaves the ball
+            if rho <= ball.radius or not crossing.size \
+                    or crossing[0] >= kernel.kept_pairs(rho)[0].size:
                 continue
-            rows = kernel.truncated(rho)[ball.start:ball.stop]
-            if not (rows[:, :ball.start].any() or rows[:, ball.stop:].any()):
-                continue  # no kept jump leaves the ball
-            for lam in BATTERY_LAMBDAS:
-                if lam == 0:
-                    continue
-                X = rng.normal(size=(max(1, n_pairs // 4), 2, n))
-                for rec in perturbation_identity_batch(kernel, rho, ball, lam,
-                                                       X[:, 0], X[:, 1]):
-                    report.add(rec)
-                    controls += 1
-                    if rec.measured is not None and rec.measured > IDENTITY_RTOL:
-                        nonzero += 1
+            for rec in cell(ball, rho, tilts, max(1, n_pairs // 4), touched):
+                report.add(rec)
+                controls += 1
+                if rec.measured is not None and rec.measured > IDENTITY_RTOL:
+                    nonzero += 1
     if controls:
         rate = nonzero / controls
         report.add(record("davies.tilt_control_rate",

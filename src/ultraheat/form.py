@@ -25,6 +25,8 @@ from .kernel import JumpKernel
 from .reporting import IDENTITY_RTOL, CheckRecord, record
 from .space import Ball
 
+PAIR_BLOCK = 1 << 15  # pair terms that `tilt_sums` holds at a time
+
 
 def _as_vector(kernel: JumpKernel, f) -> np.ndarray:
     v = np.asarray(f, dtype=float)
@@ -44,14 +46,60 @@ def energy_and_scale(kernel: JumpKernel, f, g, rho=None) -> tuple[float, float]:
     return float(terms.sum()), float(np.abs(terms).sum())
 
 
-def pair_terms(f, g, i, j, w2) -> np.ndarray:
+def pair_terms(f, g, i, j, w2, out=None) -> np.ndarray:
     """(f(i) - f(j)) (g(i) - g(j)) w2 for the pairs (i, j) of `kept_pairs`,
     along the last axis of f and g.  The rows of the result are
-    C-contiguous, so each one sums in the same order as a single function's."""
+    C-contiguous, so each one sums in the same order as a single function's.
+    `out` is three C-contiguous arrays of the result's shape: the result is
+    written to the first, and the other two are overwritten."""
+    if out is None:
+        out = np.empty((3, *np.shape(f)[:-1], len(i)))
+    terms, a, b = out
     # the indices are in range by construction; "clip" skips the bounds check
-    df = f.take(i, axis=-1, mode="clip") - f.take(j, axis=-1, mode="clip")
-    dg = g.take(i, axis=-1, mode="clip") - g.take(j, axis=-1, mode="clip")
-    return df * dg * w2
+    f.take(i, axis=-1, mode="clip", out=terms)
+    terms -= f.take(j, axis=-1, mode="clip", out=a)
+    np.subtract(g.take(i, axis=-1, mode="clip", out=a),
+                g.take(j, axis=-1, mode="clip", out=b), out=a)
+    terms *= a
+    terms *= w2
+    return terms
+
+
+def tilt_sums(F, G, lam, ind, pairs, touched) -> np.ndarray:
+    """For each row f, g of F and G, with psi = lam[row] ind: the sum and
+    the absolute sum of the `pair_terms` of (e^{-psi} f, e^{psi} g), then
+    those of (f, g), as the rows of a 4 x rows array.
+
+    `pairs` is a `kept_pairs` prefix and `touched` lists, sorted, the
+    positions in it of the pairs with an endpoint where ind != 0: the only
+    terms the tilt changes, since e^{-0.0} f == f exactly.  For the same
+    reason a row with lam 0 is not tilted.  The rows are taken, those with
+    lam != 0 first, in blocks of about PAIR_BLOCK terms."""
+    i, j, w2 = pairs
+    order = np.argsort(lam == 0, kind="stable")
+    F, G, lam = F[order], G[order], lam[order]
+    tilted = np.count_nonzero(lam)
+    psi = np.multiply.outer(lam[:tilted], ind)
+    tF, tG = np.exp(-psi) * F[:tilted], np.exp(psi) * G[:tilted]
+    ti, tj, tw2 = i[touched], j[touched], w2[touched]
+    step = max(1, PAIR_BLOCK // max(1, i.size))
+    work = np.empty((3, min(step, len(F)), i.size))
+    sums = np.empty((4, len(F)))
+    for a in range(0, len(F), step):
+        b = min(a + step, len(F))
+        terms = pair_terms(F[a:b], G[a:b], i, j, w2, work[:, :b - a])
+        sums[2, a:b] = terms.sum(axis=1)
+        sums[3, a:b] = np.abs(terms, out=work[1, :b - a]).sum(axis=1)
+        c = min(b, tilted)
+        if c > a:
+            terms = terms[:c - a]
+            terms[:, touched] = pair_terms(tF[a:c], tG[a:c], ti, tj, tw2)
+            sums[0, a:c] = terms.sum(axis=1)
+            sums[1, a:c] = np.abs(terms, out=work[1, :c - a]).sum(axis=1)
+    sums[:2, tilted:] = sums[2:, tilted:]
+    out = np.empty_like(sums)
+    out[:, order] = sums
+    return out
 
 
 def energy(kernel: JumpKernel, f, g) -> float:

@@ -69,11 +69,13 @@ class JumpKernel:
         self.w.setflags(write=False)
         self._pairs = None
         self._profile = None
-        # the whole-space `semigroup.HierarchicalHeatKernel`, and the
-        # whole-domain `semigroup.SpectralGenerator` of each rho, built there
+        # the whole-space `semigroup.HierarchicalHeatKernel`, the
+        # whole-domain `semigroup.SpectralGenerator` of each rho, and the
+        # seeded columns of `bounds.random_columns` of each seed, built there
         # on first use
         self._heat = None
         self._generators = {}
+        self._random_columns = {}
 
     @property
     def n(self) -> int:

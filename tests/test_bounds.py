@@ -39,7 +39,7 @@ from ultraheat.davies import nash_quotients, nash_ratio_batch
 from ultraheat.errors import NotIsotropic
 from ultraheat.kernel import tj_witness
 from ultraheat.form import energy_and_scale
-from ultraheat.semigroup import EIGENVALUE_CLAMP, ball_chains
+from ultraheat.semigroup import EIGENVALUE_CLAMP, SpectralGenerator, ball_chains
 
 from conftest import ball_trees, exit_probability_slope, lca_index, random_scenario
 
@@ -172,6 +172,48 @@ class TestTruncationComparison:
                 report = truncation_comparison_check(kernel, rho, None, f,
                                                      [0.05, 0.5, 5.0])
                 assert report.passed, (seed, rho)
+
+
+def per_time_comparison(kernel, rho, f, times):
+    """(status, measured, witness t, witness max_diff) of the truncation
+    comparison of f, one `apply` of each semigroup per time."""
+    full, trunc = generator(kernel), generator(kernel, rho=rho)
+    sup_tail, f_inf = kernel.tail_sup(rho), float(np.abs(f).max())
+    worst, witness = -np.inf, None
+    for t in times:
+        diff = full.apply(t, f) - trunc.apply(t, f)
+        envelope = 4.0 * t * sup_tail * f_inf
+        gap = float(diff.max()) - envelope
+        tol = 1e-12 * max(1.0, envelope, float(np.abs(diff).max()))
+        if gap - tol > worst:
+            worst, witness = gap - tol, (t, float(diff.max()))
+    return ("pass" if worst <= 0.0 else "fail"), worst, *witness
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(ball_trees(max_points=32),
+                 st.integers(0, 40).map(lambda seed: random_scenario(2 * seed + 1, 24))),
+       st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=6), st.data())
+def test_truncation_comparison_grid_equals_per_time_applies(case, times, data):
+    # one `apply_grid` per function gives the statuses of one `apply` per
+    # time, and its values to 1e-12 max(1, max |P_t f|) absolute
+    if len(case) == 3:
+        space, exponent, scale = case
+        kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+    else:
+        space, kernel = case  # a raw kernel: dense and not isotropic
+    rho = data.draw(st.sampled_from(space.distance_levels))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    fs = [np.ones(len(space)), space.balls()[-1].indicator(), rng.uniform(-1, 1, len(space))]
+    report = truncation_comparison_check(kernel, rho, None, fs, times)
+    for rec, f in zip(report.records, fs):
+        status, measured, t, max_diff = per_time_comparison(kernel, rho, f, times)
+        tol = 1e-12 * max(1.0, max(float(np.abs(generator(kernel).apply(s, f)).max())
+                                   for s in times))
+        assert rec.status == status
+        assert abs(rec.measured - measured) <= tol
+        if rec.witness["t"] == t:
+            assert abs(rec.witness["max_diff"] - max_diff) <= tol
 
 
 class TestExitProbability:
@@ -661,6 +703,33 @@ def test_scans_agree_across_engines(case, alpha, beta, data):
         assert D[pair(wit)] == D[pair(dense_chain.witness)] or \
             density(2 * wit["t"])[pair(wit)] - wit["bound"] * (1 + 1e-12) \
             >= dense_chain.measured - tol
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scans_share_their_first_grid(seed):
+    # with a shared start, DUE and wUE give the bits of two scans of their
+    # own, in either order, with SCAN_POINTS fewer evaluations of the classes
+    space, kernel = random_scenario(seed)  # isotropic for even seeds, raw for odd
+    args = (1.0, 1.5, space.diam)
+    engine, name = ((HierarchicalHeatKernel, "node_values") if seed % 2 == 0
+                    else (SpectralGenerator, "density"))
+    evaluate = getattr(engine, name)
+    calls = []
+
+    def run(scans, start):
+        calls.append(0)
+
+        def spy(self, t):
+            calls[-1] += 1
+            return evaluate(self, t)
+
+        with mock.patch.object(engine, name, spy):
+            return {est.kind: est for est in (scan(kernel, *args, start) for scan in scans)}
+
+    alone = run((due_constant, wue_constant), None)
+    for scans in ((due_constant, wue_constant), (wue_constant, due_constant)):
+        assert run(scans, {}) == alone
+        assert calls[-1] == calls[0] - bounds.SCAN_POINTS
 
 
 def test_scans_log_the_engine(caplog, k4):

@@ -665,6 +665,39 @@ def test_each_check_logs_its_wall_time(tmp_path, caplog):
 NOT_ISOTROPIC = [[0, 1, .2, .3], [1, 0, .25, .2], [.2, .25, 0, 2], [.3, .2, 2, 0]]
 
 
+@pytest.mark.parametrize("kernel", [
+    {"isotropic": {"kind": "power", "exponent": 3.0}, "scaling": "none"},
+    {"matrix": NOT_ISOTROPIC},
+], ids=["isotropic", "dense"])
+def test_random_columns_are_drawn_once_per_kernel_and_seed(tmp_path, kernel):
+    # nash, energy_diff and theorem1 read the default family at every rho
+    # they use, on the tree path and the dense one alike
+    path = write_config(tmp_path, checks=list(ALL_CHECKS), kernel=kernel)
+    drawn = []
+    draw = bounds._random_functions
+
+    def spy(space, seed):
+        drawn.append(seed)
+        return draw(space, seed)
+
+    contexts = []
+    build = cli.build_context
+
+    def keep(cfg):
+        contexts.append(build(cfg))
+        return contexts[-1]
+
+    with mock.patch.object(bounds, "_random_functions", spy), \
+            mock.patch.object(cli, "build_context", keep):
+        assert main(["run", "--config", str(path)]) == 0
+    assert drawn == [7]
+    U, labels = bounds.random_columns(contexts[0].kernel, 7)
+    assert drawn == [7] and len(labels) == U.shape[1]
+    assert not U.flags.writeable
+    with pytest.raises(ValueError):
+        U[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("kernel,engine", [
     ({"isotropic": {"kind": "power", "exponent": 3.0}, "scaling": "none"},
      "hierarchical heat profile"),

@@ -4,11 +4,12 @@ sup bounds, vanishing, and the ODE comparison."""
 import logging
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
@@ -16,6 +17,7 @@ from scipy.special import logsumexp
 from ultraheat import (
     build_tree,
     davies,
+    form,
     isotropic_kernel,
     moser_iteration,
     ode_comparison_check,
@@ -144,8 +146,20 @@ def per_pair_battery(kernel, n_pairs, seed):
     return out
 
 
+# a ball of radius 2 beside a point: one control cell, at rho = 4
+NESTED = build_tree({"radius": 4.0, "children": [
+    {"radius": 2.0, "children": [{"id": "a", "mass": 1.0}, {"id": "b", "mass": 2.0}]},
+    {"id": "c", "mass": 0.5}]})
+# the whole space is the only ball: identity cells only, no control
+ONE_BALL = build_tree({"radius": 2.0, "children": [
+    {"id": "a", "mass": 1.0}, {"id": "b", "mass": 3.0}, {"id": "c", "mass": 0.5}]})
+
+
 @settings(max_examples=25, deadline=None)
 @given(ball_trees(max_points=24, max_levels=4), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+@example(case=(NESTED, 3.0, 1.0), n_pairs=1, seed=3)  # one row per control lambda
+@example(case=(ONE_BALL, 2.0, 0.5), n_pairs=4, seed=5)
+@example(case=(NESTED, 1.5, 2.0), n_pairs=6, seed=0)  # lambda 0 rows between tilted ones
 def test_battery_equals_the_per_pair_loop(case, n_pairs, seed):
     # one normal draw and one set of pair terms per cell give the very
     # records of a draw and two energies per pair, bit for bit
@@ -188,6 +202,32 @@ def test_battery_skips_the_controls_whose_ball_keeps_no_jump_out():
     records = [(r.name, r.params["rho"], r.params["lam"], starts[tuple(r.params["ball"])],
                 r.measured) for r in report.records if r.name != "davies.tilt_control_rate"]
     assert records == per_pair_battery(kernel, 4, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ball_trees(max_points=24, max_levels=4), st.lists(st.sampled_from([-3.0, 0.0, 0.5, 2.0]),
+                                                        min_size=1, max_size=9),
+       st.sampled_from([1, 5, 64, 1 << 15]), st.data())
+def test_tilt_sums_equal_the_per_row_energies(case, lams, block, data):
+    # rows with lambda 0 among tilted ones, in blocks that split the rows
+    # anywhere: each row's sums are those of two `energy_and_scale` calls,
+    # bit for bit, the tilted one over every pair
+    space, exponent, scale = case
+    kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+    ball = data.draw(st.sampled_from(space.balls()))
+    rho = data.draw(st.sampled_from(space.distance_levels))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    F, G = rng.normal(size=(2, len(lams), len(space)))
+    pairs = kernel.kept_pairs(rho)
+    touched = davies._ball_pairs(kernel, ball)[0]
+    touched = touched[:np.searchsorted(touched, pairs[0].size)]
+    with mock.patch.object(form, "PAIR_BLOCK", block):
+        got = form.tilt_sums(F, G, np.array(lams), ball.indicator(), pairs, touched)
+    for k, lam in enumerate(lams):
+        psi = lam * ball.indicator()
+        want = (*energy_and_scale(kernel, np.exp(-psi) * F[k], np.exp(psi) * G[k], rho),
+                *energy_and_scale(kernel, F[k], G[k], rho))
+        assert got[:, k].tolist() == list(want)
 
 
 class TestPowerInequality:
