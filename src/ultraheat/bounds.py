@@ -117,39 +117,42 @@ def heat_pair_classes(kernel: JumpKernel, use: str, rho: float | None = None) ->
     return classes
 
 
-def _scan_grid(classes: PairClasses, alpha: float, beta: float,
+def _scan_grid(kernel: JumpKernel, classes: PairClasses, alpha: float, beta: float,
                r0: float) -> tuple[np.ndarray, np.ndarray]:
     """The first grid of the DUE and wUE scans, and at each of its times
     the maxima over `classes` of `scaled_density` with the distance 0 (row
     0) and capped at R0 (row 1): one evaluation of the classes per time for
-    both scans."""
-    grid = log_time_grid(r0 ** beta * 1e-4, r0 ** beta, SCAN_POINTS)
-    capped = np.minimum(classes.dist, r0)
-    maxima = np.empty((2, grid.size))
-    for k, t in enumerate(grid):
-        values = classes.values(t)
-        maxima[:, k] = [float(scaled_density(values, t, alpha, beta, c).max())
-                        for c in (0.0, capped)]
-    return grid, maxima
+    both scans.  Evaluated once per kernel and (alpha, beta, R0,
+    SCAN_POINTS), and kept read-only on the kernel."""
+    key = (alpha, beta, r0, SCAN_POINTS)
+    if key not in kernel._scan_grids:
+        grid = log_time_grid(r0 ** beta * 1e-4, r0 ** beta, SCAN_POINTS)
+        capped = np.minimum(classes.dist, r0)
+        maxima = np.empty((2, grid.size))
+        for k, t in enumerate(grid):
+            values = classes.values(t)
+            maxima[:, k] = [float(scaled_density(values, t, alpha, beta, c).max())
+                            for c in (0.0, capped)]
+        grid.setflags(write=False)
+        maxima.setflags(write=False)
+        kernel._scan_grids[key] = grid, maxima
+    return kernel._scan_grids[key]
 
 
 def _density_scan(kind: str, kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                  off_diagonal: bool, start: dict | None) -> ConditionEstimate:
+                  off_diagonal: bool) -> ConditionEstimate:
     """Minimal C with `scaled_density` <= C over the time range, the distance
     capped at R0 when `off_diagonal`; the witness is the first pair of the
-    first maximising class.  The first grid is read from `start`, or
-    evaluated and stored there when it holds none."""
+    first maximising class.  The refinement starts from `_scan_grid`."""
     classes = heat_pair_classes(kernel, f"{kind} scan")
     capped = np.minimum(classes.dist, r0) if off_diagonal else 0.0
 
     def scaled_at(t):
         return scaled_density(classes.values(t), t, alpha, beta, capped)
 
-    start = {} if start is None else start
-    if not start:
-        start["grid"], start["maxima"] = _scan_grid(classes, alpha, beta, r0)
-    best, best_t = _refine_scan(lambda t: float(scaled_at(t).max()), start["grid"],
-                                start["maxima"][int(off_diagonal)])
+    grid, maxima = _scan_grid(kernel, classes, alpha, beta, r0)
+    best, best_t = _refine_scan(lambda t: float(scaled_at(t).max()), grid,
+                                maxima[int(off_diagonal)])
     c = int(np.argmax(scaled_at(best_t)))
     ids = kernel.space.ids
     return ConditionEstimate(
@@ -159,26 +162,22 @@ def _density_scan(kind: str, kernel: JumpKernel, alpha: float, beta: float, r0: 
     )
 
 
-def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                 start: dict | None = None) -> ConditionEstimate:
+def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float) -> ConditionEstimate:
     """Minimal C with p_t(x, y) <= C t^(-alpha/beta) over the time range.
 
     The supremum over the open interval (0, R0^beta) equals the maximum
     over its closure by continuity, so the scan grid includes the right
     endpoint; the grid is then refined around the maximiser until the
-    constant is stable to 1e-9.  A `start` dict shared with a
-    `wue_constant` call of the same arguments makes the two scans evaluate
-    their common first grid once: the first call fills it, the second reads
-    it.
+    constant is stable to 1e-9.  The first grid is evaluated once per
+    kernel for this scan and `wue_constant` of the same arguments.
     """
-    return _density_scan("DUE", kernel, alpha, beta, r0, False, start)
+    return _density_scan("DUE", kernel, alpha, beta, r0, False)
 
 
-def wue_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                 start: dict | None = None) -> ConditionEstimate:
+def wue_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float) -> ConditionEstimate:
     """Minimal C for the off-diagonal estimate with factor
-    (1 + (d ^ R0) / t^(1/beta))^(-beta); `start` as for `due_constant`."""
-    return _density_scan("wUE", kernel, alpha, beta, r0, True, start)
+    (1 + (d ^ R0) / t^(1/beta))^(-beta); the first grid as for `due_constant`."""
+    return _density_scan("wUE", kernel, alpha, beta, r0, True)
 
 
 # -- Nash constant -----------------------------------------------------------------
@@ -532,10 +531,9 @@ def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
     checks: list[CheckRecord] = []
 
     if estimates is None:
-        start = {}
         estimates = (tj_constant(kernel, beta, r0),
-                     due_constant(kernel, alpha, beta, r0, start),
-                     wue_constant(kernel, alpha, beta, r0, start),
+                     due_constant(kernel, alpha, beta, r0),
+                     wue_constant(kernel, alpha, beta, r0),
                      nash_constant(kernel, rho=r0, nu=cfg.nu, k0=cfg.k0(r0), seed=seed))
     c_tj, due, wue, nash = estimates
     c_tail = TRUNCATION_FACTOR * c_tj

@@ -343,7 +343,6 @@ class RunContext:
     seed: int
     artifacts: dict = field(default_factory=dict)
     _nash: dict = field(default_factory=dict, init=False, repr=False)
-    _scan_start: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def scenario(self):
@@ -362,12 +361,12 @@ class RunContext:
     @cached_property
     def due(self):
         e = self.exponents
-        return bounds_mod.due_constant(self.kernel, e.alpha, e.beta, e.r0, self._scan_start)
+        return bounds_mod.due_constant(self.kernel, e.alpha, e.beta, e.r0)
 
     @cached_property
     def wue(self):
         e = self.exponents
-        return bounds_mod.wue_constant(self.kernel, e.alpha, e.beta, e.r0, self._scan_start)
+        return bounds_mod.wue_constant(self.kernel, e.alpha, e.beta, e.r0)
 
     def nash(self, rho):
         """Nash estimate of the rho-truncated form."""
@@ -613,9 +612,9 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
     pair of the dense generator; the class of each written pair is found
     once per run, and each written class is formatted once per time.  The
     rows of one time are written as one joined string, the bytes
-    `csv.writer` would write, from "t,x,y," prefixes made once per time for
-    all files.  supremum.csv reads the maxima of the full-space classes and
-    their `exits`.
+    `csv.writer` would write, with the time's stamp joined in by
+    `str.join`, so a time holds one string per written pair.  supremum.csv
+    reads the maxima of the full-space classes and their `exits`.
     """
     curves = out_dir / "curves"
     curves.mkdir(parents=True, exist_ok=True)
@@ -632,21 +631,22 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
     at = at.tolist()
     pairs = [_csv_fields([space.ids[i], space.ids[j]]) + "," for i, j in zip(rows, cols)]
     times = [float(t) for t in ctx.grid]
-    # the "t,x,y," of every row at each time, shared by all files
-    prefixes = [[repr(t) + "," + pair for pair in pairs] for t in times]
     header = "t,x,y,value\r\n"
 
-    def density_rows(k, values):
+    def density_rows(t, values):
+        # every row is "t," + "x,y," + value, so the rows are the stamp
+        # joined before each "x,y,value"
         texts = [f"{v!r}\r\n" for v in values[used].tolist()]
-        return "".join(map(operator.add, prefixes[k], map(texts.__getitem__, at)))
+        stamp = repr(t) + ","
+        return stamp + stamp.join(map(operator.add, pairs, map(texts.__getitem__, at)))
 
     for level, rho in enumerate(space.distance_levels):
         classes = bounds_mod.heat_pair_classes(kernel, f"curves rho={rho!r}", rho)
         with open(curves / f"q_truncated_{level}.csv", "w", encoding="utf-8",
                   newline="") as fh:
             fh.write(header)
-            for k, t in enumerate(times):
-                fh.write(density_rows(k, classes.values(t)))
+            for t in times:
+                fh.write(density_rows(t, classes.values(t)))
 
     # p_full.csv and supremum.csv share one evaluation per time
     capped = np.minimum(full.dist, cfg.r0)
@@ -657,9 +657,9 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
         full_fh.write(header)
         sup_wr.writerow(["t", "max_density", "ondiag_quantity", "offdiag_quantity",
                          "exit_quantity"])
-        for k, t in enumerate(times):
+        for t in times:
             values = full.values(t)
-            full_fh.write(density_rows(k, values))
+            full_fh.write(density_rows(t, values))
             exit_q = max([0.0, *(full.exits(values)[0] * scale / t).tolist()])
             ondiag, offdiag = (
                 float(bounds_mod.scaled_density(values, t, cfg.alpha, cfg.beta, c).max())

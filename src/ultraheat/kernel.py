@@ -70,12 +70,14 @@ class JumpKernel:
         self._pairs = None
         self._profile = None
         # the whole-space `semigroup.HierarchicalHeatKernel`, the
-        # whole-domain `semigroup.SpectralGenerator` of each rho, and the
-        # seeded columns of `bounds.random_columns` of each seed, built there
-        # on first use
+        # whole-domain `semigroup.SpectralGenerator` of each rho, the seeded
+        # columns of `bounds.random_columns` of each seed, and the first grid
+        # of `bounds._scan_grid` of each (alpha, beta, R0, points), built
+        # there on first use
         self._heat = None
         self._generators = {}
         self._random_columns = {}
+        self._scan_grids = {}
 
     @property
     def n(self) -> int:

@@ -679,10 +679,13 @@ def test_scans_agree_across_engines(case, alpha, beta, data):
         return scaled_density(density(t)[i, j], t, alpha, beta, capped)
 
     # a 17-point first grid keeps the example fast
+    # the dense scans run on a kernel of their own, which keeps their first grid
     with mock.patch.object(bounds, "SCAN_POINTS", 17):
         with dense_engine():
-            dense = [scan(kernel, alpha, beta, r0) for scan in (due_constant, wue_constant)]
-            dense_chain = _chaining(kernel, alpha, beta, r0, *dense)
+            dense_kernel = JumpKernel(space, kernel.w)
+            dense = [scan(dense_kernel, alpha, beta, r0)
+                     for scan in (due_constant, wue_constant)]
+            dense_chain = _chaining(dense_kernel, alpha, beta, r0, *dense)
         fast = {a.kind: a for a in (due_constant(kernel, alpha, beta, r0),
                                     wue_constant(kernel, alpha, beta, r0))}
     for b in dense:
@@ -707,8 +710,9 @@ def test_scans_agree_across_engines(case, alpha, beta, data):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_scans_share_their_first_grid(seed):
-    # with a shared start, DUE and wUE give the bits of two scans of their
-    # own, in either order, with SCAN_POINTS fewer evaluations of the classes
+    # on one kernel, DUE and wUE give the bits of two scans on kernels of
+    # their own, in either order, with SCAN_POINTS fewer evaluations of the
+    # classes; the kept grid is read-only
     space, kernel = random_scenario(seed)  # isotropic for even seeds, raw for odd
     args = (1.0, 1.5, space.diam)
     engine, name = ((HierarchicalHeatKernel, "node_values") if seed % 2 == 0
@@ -716,7 +720,7 @@ def test_scans_share_their_first_grid(seed):
     evaluate = getattr(engine, name)
     calls = []
 
-    def run(scans, start):
+    def run(scans, kernels):
         calls.append(0)
 
         def spy(self, t):
@@ -724,12 +728,18 @@ def test_scans_share_their_first_grid(seed):
             return evaluate(self, t)
 
         with mock.patch.object(engine, name, spy):
-            return {est.kind: est for est in (scan(kernel, *args, start) for scan in scans)}
+            return {est.kind: est for est in (scan(k, *args) for scan, k in zip(scans, kernels))}
 
-    alone = run((due_constant, wue_constant), None)
+    def fresh():
+        return JumpKernel(space, kernel.w)
+
+    alone = run((due_constant, wue_constant), (fresh(), fresh()))
     for scans in ((due_constant, wue_constant), (wue_constant, due_constant)):
-        assert run(scans, {}) == alone
+        shared = fresh()
+        assert run(scans, (shared, shared)) == alone
         assert calls[-1] == calls[0] - bounds.SCAN_POINTS
+        for kept in shared._scan_grids.values():
+            assert not any(a.flags.writeable for a in kept)
 
 
 def test_scans_log_the_engine(caplog, k4):
