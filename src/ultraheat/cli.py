@@ -630,7 +630,6 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
     used, at = np.unique(full.index(rows, cols), return_inverse=True)
     at = at.tolist()
     pairs = [_csv_fields([space.ids[i], space.ids[j]]) + "," for i, j in zip(rows, cols)]
-    times = [float(t) for t in ctx.grid]
     header = "t,x,y,value\r\n"
 
     def density_rows(t, values):
@@ -640,13 +639,12 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
         stamp = repr(t) + ","
         return stamp + stamp.join(map(operator.add, pairs, map(texts.__getitem__, at)))
 
-    for level, rho in enumerate(space.distance_levels):
+    for k, rho in enumerate(space.distance_levels):
         classes = bounds_mod.heat_pair_classes(kernel, f"curves rho={rho!r}", rho)
-        with open(curves / f"q_truncated_{level}.csv", "w", encoding="utf-8",
-                  newline="") as fh:
+        with open(curves / f"q_truncated_{k}.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write(header)
-            for t in times:
-                fh.write(density_rows(t, classes.values(t)))
+            for t in ctx.grid:
+                fh.write(density_rows(float(t), classes.values(float(t))))
 
     # p_full.csv and supremum.csv share one evaluation per time
     capped = np.minimum(full.dist, cfg.r0)
@@ -657,7 +655,8 @@ def write_curves(ctx: RunContext, out_dir: Path) -> None:
         full_fh.write(header)
         sup_wr.writerow(["t", "max_density", "ondiag_quantity", "offdiag_quantity",
                          "exit_quantity"])
-        for t in times:
+        for t in ctx.grid:
+            t = float(t)
             values = full.values(t)
             full_fh.write(density_rows(t, values))
             exit_q = max([0.0, *(full.exits(values)[0] * scale / t).tolist()])
