@@ -117,49 +117,39 @@ def heat_pair_classes(kernel: JumpKernel, use: str, rho: float | None = None) ->
     return classes
 
 
-def _scan_grid(kernel: JumpKernel, classes: PairClasses, alpha: float, beta: float,
-               r0: float) -> tuple[np.ndarray, np.ndarray]:
-    """The first grid of the DUE and wUE scans, and at each of its times
-    the maxima over `classes` of `scaled_density` with the distance 0 (row
-    0) and capped at R0 (row 1): one evaluation of the classes per time for
-    both scans.  Evaluated once per kernel and (alpha, beta, R0,
-    SCAN_POINTS), and kept read-only on the kernel."""
-    key = (alpha, beta, r0, SCAN_POINTS)
-    if key not in kernel._scan_grids:
-        grid = log_time_grid(r0 ** beta * 1e-4, r0 ** beta, SCAN_POINTS)
-        capped = np.minimum(classes.dist, r0)
-        maxima = np.empty((2, grid.size))
-        for k, t in enumerate(grid):
-            values = classes.values(t)
-            maxima[:, k] = [float(scaled_density(values, t, alpha, beta, c).max())
-                            for c in (0.0, capped)]
-        grid.setflags(write=False)
-        maxima.setflags(write=False)
-        kernel._scan_grids[key] = grid, maxima
-    return kernel._scan_grids[key]
-
-
-def _density_scan(kind: str, kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                  off_diagonal: bool) -> ConditionEstimate:
-    """Minimal C with `scaled_density` <= C over the time range, the distance
-    capped at R0 when `off_diagonal`; the witness is the first pair of the
-    first maximising class.  The refinement starts from `_scan_grid`."""
-    classes = heat_pair_classes(kernel, f"{kind} scan")
-    capped = np.minimum(classes.dist, r0) if off_diagonal else 0.0
-
-    def scaled_at(t):
-        return scaled_density(classes.values(t), t, alpha, beta, capped)
-
-    grid, maxima = _scan_grid(kernel, classes, alpha, beta, r0)
-    best, best_t = _refine_scan(lambda t: float(scaled_at(t).max()), grid,
-                                maxima[int(off_diagonal)])
-    c = int(np.argmax(scaled_at(best_t)))
+def _density_scans(kernel: JumpKernel, alpha: float, beta: float,
+                   r0: float) -> tuple[ConditionEstimate, ConditionEstimate]:
+    """DUE and wUE: the minimal C with `scaled_density` <= C over the time
+    range, with the distance 0 and capped at R0.  One evaluation of the
+    classes per time of the first grid serves both; each is then refined on
+    its own, and its witness is the first pair of the first maximising
+    class."""
+    classes = heat_pair_classes(kernel, "DUE and wUE scans")
+    grid = log_time_grid(r0 ** beta * 1e-4, r0 ** beta, SCAN_POINTS)
+    caps = (0.0, np.minimum(classes.dist, r0))
+    maxima = np.empty((2, grid.size))
+    for k, t in enumerate(grid):
+        values = classes.values(t)
+        maxima[:, k] = [float(scaled_density(values, t, alpha, beta, c).max()) for c in caps]
     ids = kernel.space.ids
-    return ConditionEstimate(
-        kind, best,
-        [{"t": best_t, "x": ids[classes.rows[c]], "y": ids[classes.cols[c]]}],
-        {"alpha": alpha, "beta": beta, "R0": r0, "points": SCAN_POINTS},
-    )
+    out = []
+    for kind, capped, vals in zip(("DUE", "wUE"), caps, maxima):
+        def scaled_at(t, capped=capped):
+            return scaled_density(classes.values(t), t, alpha, beta, capped)
+
+        best, best_t = _refine_scan(lambda t: float(scaled_at(t).max()), grid, vals)
+        c = int(np.argmax(scaled_at(best_t)))
+        out.append(ConditionEstimate(
+            kind, best,
+            [{"t": best_t, "x": ids[classes.rows[c]], "y": ids[classes.cols[c]]}],
+            {"alpha": alpha, "beta": beta, "R0": r0, "points": SCAN_POINTS}))
+    return tuple(out)
+
+
+def _kept_scans(kernel: JumpKernel, alpha: float, beta: float, r0: float):
+    """`_density_scans`, run once per kernel and (alpha, beta, R0, SCAN_POINTS)."""
+    return kernel.kept(("DUE and wUE", alpha, beta, r0, SCAN_POINTS),
+                       lambda: _density_scans(kernel, alpha, beta, r0))
 
 
 def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float) -> ConditionEstimate:
@@ -168,16 +158,15 @@ def due_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float) -> Co
     The supremum over the open interval (0, R0^beta) equals the maximum
     over its closure by continuity, so the scan grid includes the right
     endpoint; the grid is then refined around the maximiser until the
-    constant is stable to 1e-9.  The first grid is evaluated once per
-    kernel for this scan and `wue_constant` of the same arguments.
+    constant is stable to 1e-9.  Read from `_density_scans`.
     """
-    return _density_scan("DUE", kernel, alpha, beta, r0, False)
+    return _kept_scans(kernel, alpha, beta, r0)[0]
 
 
 def wue_constant(kernel: JumpKernel, alpha: float, beta: float, r0: float) -> ConditionEstimate:
     """Minimal C for the off-diagonal estimate with factor
-    (1 + (d ^ R0) / t^(1/beta))^(-beta); the first grid as for `due_constant`."""
-    return _density_scan("wUE", kernel, alpha, beta, r0, True)
+    (1 + (d ^ R0) / t^(1/beta))^(-beta); read from `_density_scans`."""
+    return _kept_scans(kernel, alpha, beta, r0)[1]
 
 
 # -- Nash constant -----------------------------------------------------------------
@@ -233,11 +222,11 @@ def _random_functions(space, seed: int) -> tuple[np.ndarray, list]:
 def random_columns(kernel: JumpKernel, seed: int) -> tuple[np.ndarray, list]:
     """`_random_functions` of the kernel's space, drawn once per (kernel,
     seed) and kept on the kernel as a read-only array."""
-    if seed not in kernel._random_columns:
+    def draw():
         U, labels = _random_functions(kernel.space, seed)
         U.setflags(write=False)
-        kernel._random_columns[seed] = U, labels
-    U, labels = kernel._random_columns[seed]
+        return U, labels
+    U, labels = kernel.kept(("random columns", seed), draw)
     return U, list(labels)
 
 
@@ -328,18 +317,23 @@ def nash_constant(kernel: JumpKernel, rho: float, nu: float, k0: float,
     ||u||_2^(2+2nu) ((E_rho(u) + K0 ||u||_2^2) ||u||_1^(2nu))^(-1) over the
     family.  This is a lower estimate of the true constant; consumers
     enlarge the family with their own iterates when a downstream check
-    fails.
+    fails.  With the default family it is measured once per kernel and
+    (rho, nu, K0, seed).
     """
-    fam = function_family(kernel, rho, family, seed, "nash")
-    ratios = np.concatenate((nash_quotients(fam.energy, fam.l2sq, fam.l1, nu, k0),
-                             nash_ratio_batch(kernel, rho, nu, k0, fam.U)))
-    j = int(np.argmax(ratios))
-    return ConditionEstimate(
-        "Nash", float(ratios[j]),
-        [{"function": fam.labels[j]}],
-        {"rho": rho, "nu": nu, "K0": k0, "family_size": len(fam.labels),
-         "seed": seed, "note": "family-relative lower estimate"},
-    )
+    def estimate():
+        fam = function_family(kernel, rho, family, seed, "nash")
+        ratios = np.concatenate((nash_quotients(fam.energy, fam.l2sq, fam.l1, nu, k0),
+                                 nash_ratio_batch(kernel, rho, nu, k0, fam.U)))
+        j = int(np.argmax(ratios))
+        return ConditionEstimate(
+            "Nash", float(ratios[j]),
+            [{"function": fam.labels[j]}],
+            {"rho": rho, "nu": nu, "K0": k0, "family_size": len(fam.labels),
+             "seed": seed, "note": "family-relative lower estimate"},
+        )
+    if family is not None:
+        return estimate()
+    return kernel.kept(("Nash", rho, nu, k0, seed), estimate)
 
 
 # -- implication checks ---------------------------------------------------------------
@@ -507,7 +501,7 @@ class WueCertificate:
 
 
 def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
-                    seed: int = 0, estimates=None) -> WueCertificate:
+                    seed: int = 0) -> WueCertificate:
     """Run the full constant-tracking pipeline on one space and kernel.
 
     Measures the tail-jump and on-diagonal constants, verifies the two-step
@@ -523,19 +517,17 @@ def wue_certificate(kernel: JumpKernel, alpha: float, beta: float, r0: float,
     first worst pair in row-major order, as a pair-by-pair loop with a
     strict > would pick.
 
-    `estimates` is (C_TJ, DUE, wUE, Nash at rho = R0), each as measured for
-    these arguments; without it the four are measured here.
+    The four measured constants (C_TJ, DUE, wUE, Nash at rho = R0) are kept
+    on the kernel, so a run that has measured them reads them back here.
     """
     cfg = ExponentConfig(alpha, beta, r0)
     space = kernel.space
     checks: list[CheckRecord] = []
 
-    if estimates is None:
-        estimates = (tj_constant(kernel, beta, r0),
-                     due_constant(kernel, alpha, beta, r0),
-                     wue_constant(kernel, alpha, beta, r0),
-                     nash_constant(kernel, rho=r0, nu=cfg.nu, k0=cfg.k0(r0), seed=seed))
-    c_tj, due, wue, nash = estimates
+    c_tj = tj_constant(kernel, beta, r0)
+    due = due_constant(kernel, alpha, beta, r0)
+    wue = wue_constant(kernel, alpha, beta, r0)
+    nash = nash_constant(kernel, rho=r0, nu=cfg.nu, k0=cfg.k0(r0), seed=seed)
     c_tail = TRUNCATION_FACTOR * c_tj
     if not all(np.isfinite([c_tj, due.constant, wue.constant, nash.constant])):
         raise ConditionFailure("non-finite measured constant")

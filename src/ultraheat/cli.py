@@ -333,8 +333,8 @@ def _random_tree(rng, max_depth: int, q: float, mass_law: str, max_points: int,
 
 @dataclass
 class RunContext:
-    """What the checks of one run read.  Each shared estimate is measured when
-    a check first asks for it and kept, so it is the same whatever the order."""
+    """What the checks of one run read.  The estimates they share are kept
+    on the kernel, so each is measured once whatever the order."""
 
     space: UltrametricSpace
     kernel: JumpKernel
@@ -342,7 +342,6 @@ class RunContext:
     grid: np.ndarray
     seed: int
     artifacts: dict = field(default_factory=dict)
-    _nash: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def scenario(self):
@@ -354,27 +353,10 @@ class RunContext:
         levels = [r for r in self.space.distance_levels if r <= ball.radius]
         return ball, levels[-1] if levels else ball.radius
 
-    @cached_property
-    def c_tj(self) -> float:
-        return tj_constant(self.kernel, self.exponents.beta, self.exponents.r0)
-
-    @cached_property
-    def due(self):
-        e = self.exponents
-        return bounds_mod.due_constant(self.kernel, e.alpha, e.beta, e.r0)
-
-    @cached_property
-    def wue(self):
-        e = self.exponents
-        return bounds_mod.wue_constant(self.kernel, e.alpha, e.beta, e.r0)
-
     def nash(self, rho):
         """Nash estimate of the rho-truncated form."""
-        if rho not in self._nash:
-            self._nash[rho] = bounds_mod.nash_constant(
-                self.kernel, rho=rho, nu=self.exponents.nu,
-                k0=self.exponents.k0(rho), seed=self.seed)
-        return self._nash[rho]
+        return bounds_mod.nash_constant(self.kernel, rho=rho, nu=self.exponents.nu,
+                                        k0=self.exponents.k0(rho), seed=self.seed)
 
 
 def _check_ultrametric(ctx):
@@ -491,11 +473,13 @@ def _check_nash(ctx):
 
 
 def _check_due(ctx):
-    return _estimate_report(ctx.due)
+    e = ctx.exponents
+    return _estimate_report(bounds_mod.due_constant(ctx.kernel, e.alpha, e.beta, e.r0))
 
 
 def _check_wue(ctx):
-    return _estimate_report(ctx.wue)
+    e = ctx.exponents
+    return _estimate_report(bounds_mod.wue_constant(ctx.kernel, e.alpha, e.beta, e.r0))
 
 
 def _check_energy_diff(ctx):
@@ -518,15 +502,14 @@ def _check_p8(ctx):
 
 
 def _check_tail(ctx):
+    e = ctx.exponents
     return bounds_mod.tail_probability_check(
-        ctx.kernel, ctx.exponents.beta, ctx.c_tj, ctx.exponents.r0, ctx.grid)
+        ctx.kernel, e.beta, tj_constant(ctx.kernel, e.beta, e.r0), e.r0, ctx.grid)
 
 
 def _check_theorem1(ctx):
-    r0 = ctx.exponents.r0
-    cert = bounds_mod.wue_certificate(
-        ctx.kernel, ctx.exponents.alpha, ctx.exponents.beta, r0, seed=ctx.seed,
-        estimates=(ctx.c_tj, ctx.due, ctx.wue, ctx.nash(r0)))
+    e = ctx.exponents
+    cert = bounds_mod.wue_certificate(ctx.kernel, e.alpha, e.beta, e.r0, seed=ctx.seed)
     ctx.artifacts["certificate"] = cert
     report = CheckReport()
     for rec in cert.checks:

@@ -146,26 +146,18 @@ def tilted_evolution(gen: SpectralGenerator, psi, f):
 
 def perturbation_identity_check(kernel: JumpKernel, rho: float, ball: Ball,
                                 lam: float, f, g) -> CheckRecord:
-    """Tilt invariance of the truncated energy for one pair (f, g): the
-    one-pair case of `perturbation_identity_batch`."""
-    return perturbation_identity_batch(kernel, rho, ball, lam, [f], [g])[0]
-
-
-def perturbation_identity_batch(kernel: JumpKernel, rho: float, ball: Ball,
-                                lam: float, F, G) -> list[CheckRecord]:
-    """Tilt invariance of the truncated energy for each pair of rows (f, g)
-    of F and G, one record per pair.
+    """Tilt invariance of the truncated energy for the pair (f, g).
 
     For rho <= radius(B) both sides agree to relative IDENTITY_RTOL.  For rho >
     radius(B) the identity has no reason to hold; the record then reports
     the relative gap as a negative control (status is informational).
     """
-    F = np.asarray(F, dtype=float)
-    G = np.asarray(G, dtype=float)
-    if F.ndim != 2 or F.shape != G.shape or F.shape[1] != kernel.n:
-        raise DimensionMismatch(f"expected two m x {kernel.n} arrays, got shapes "
-                                f"{F.shape} and {G.shape}")
-    return _tilt_records(kernel, rho, ball, [lam] * len(F), F, G, _ball_pairs(kernel, ball)[0])
+    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+    if f.shape != (kernel.n,) or g.shape != f.shape:
+        raise DimensionMismatch(f"expected two vectors of length {kernel.n}, got shapes "
+                                f"{f.shape} and {g.shape}")
+    return _tilt_records(kernel, rho, ball, [lam], f[None], g[None],
+                         _ball_pairs(kernel, ball)[0])[0]
 
 
 def _ball_pairs(kernel: JumpKernel, ball: Ball) -> tuple[np.ndarray, np.ndarray]:

@@ -38,9 +38,10 @@ MASS_BLOCK = 1 << 16
 class JumpKernel:
     """Symmetric nonnegative weight matrix over point pairs, zero diagonal.
 
-    Immutable after construction; concurrent reads are safe.  The weights
-    are copied unless they are already a read-only array that owns its
-    data, so the caller's array stays writable and cannot change the kernel.
+    The weights never change after construction, and what is derived from
+    them is built once and kept (`kept`).  They are copied unless they are
+    already a read-only array that owns its data, so the caller's array
+    stays writable and cannot change the kernel.
     """
 
     def __init__(self, space: UltrametricSpace, weights):
@@ -67,17 +68,16 @@ class JumpKernel:
         self.space = space
         self.w = w
         self.w.setflags(write=False)
-        self._pairs = None
-        self._profile = None
-        # the whole-space `semigroup.HierarchicalHeatKernel`, the
-        # whole-domain `semigroup.SpectralGenerator` of each rho, the seeded
-        # columns of `bounds.random_columns` of each seed, and the first grid
-        # of `bounds._scan_grid` of each (alpha, beta, R0, points), built
-        # there on first use
-        self._heat = None
-        self._generators = {}
-        self._random_columns = {}
-        self._scan_grids = {}
+        self._kept = {}
+
+    def kept(self, key, build):
+        """What the kernel derives under `key`: `build()` on the first call,
+        the kept result on every later one.  The one cache of the package:
+        pairs, profile, engines, generators, random columns and measured
+        constants.  A kept value is never changed after it is built."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
 
     @property
     def n(self) -> int:
@@ -94,20 +94,22 @@ class JumpKernel:
         The list is built once per kernel and sorted stably by distance, so
         every truncation level selects a prefix of it.
         """
-        if self._pairs is None:
-            i, j = np.nonzero(np.triu(self.w > 0, 1))
-            d = self.space.distance_matrix()[i, j]
-            order = np.argsort(d, kind="stable")
-            i, j = i[order], j[order]
-            levels = np.array(self.space.distance_levels)
-            ends = np.concatenate(([0], np.searchsorted(d[order], levels, side="right")))
-            arrays = (levels, ends, i.astype(np.int32), j.astype(np.int32), 2.0 * self.w[i, j])
-            for a in arrays:
-                a.setflags(write=False)
-            self._pairs = arrays
-        levels, ends, i, j, w2 = self._pairs
+        levels, ends, i, j, w2 = self.kept("pairs", self._sorted_pairs)
         stop = len(i) if rho is None else ends[np.count_nonzero(levels <= rho)]
         return i[:stop], j[:stop], w2[:stop]
+
+    def _sorted_pairs(self):
+        """The arrays of `kept_pairs`, with the prefix end of each level."""
+        i, j = np.nonzero(np.triu(self.w > 0, 1))
+        d = self.space.distance_matrix()[i, j]
+        order = np.argsort(d, kind="stable")
+        i, j = i[order], j[order]
+        levels = np.array(self.space.distance_levels)
+        ends = np.concatenate(([0], np.searchsorted(d[order], levels, side="right")))
+        arrays = (levels, ends, i.astype(np.int32), j.astype(np.int32), 2.0 * self.w[i, j])
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     def truncated(self, rho=None) -> np.ndarray:
         """Weights w(x, y) 1{d(x, y) <= rho} of the rho-truncated kernel:
@@ -134,11 +136,10 @@ class JumpKernel:
         level by more than 1e-12 relative.  The scan runs once per kernel;
         its outcome, the profile or the reason it has none, is kept.
         """
-        if self._profile is None:
-            self._profile = self._scan_profile()
-        if isinstance(self._profile, str):
-            raise NotIsotropic(self._profile)
-        return self._profile
+        profile = self.kept("profile", self._scan_profile)
+        if isinstance(profile, str):
+            raise NotIsotropic(profile)
+        return profile
 
     def _scan_profile(self):
         """The node profile, or the message of the level it fails on."""
@@ -221,6 +222,7 @@ def tj_constant(kernel: JumpKernel, beta: float, r0: float) -> float:
     The tail is right-continuous and constant between consecutive distance
     levels d_i < d_{i+1}, so the supremum over each interval is attained in
     the limit r -> min(d_{i+1}, R0) and the scan over levels is exact.
+    The scan runs once per kernel and (beta, R0).
     """
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
@@ -228,7 +230,7 @@ def tj_constant(kernel: JumpKernel, beta: float, r0: float) -> float:
         if kernel.space.diam == 0:
             return 0.0
         raise ValueError(f"R0 must lie in (0, diam] = (0, {kernel.space.diam}], got {r0}")
-    return tj_witness(kernel, beta, r0)["constant"]
+    return kernel.kept(("C_TJ", beta, r0), lambda: tj_witness(kernel, beta, r0))["constant"]
 
 
 def tj_witness(kernel: JumpKernel, beta: float, r0: float) -> dict:

@@ -250,9 +250,7 @@ def generator(kernel: JumpKernel, rho: float | None = None, omega=None) -> Spect
     if omega is not None:
         return SpectralGenerator(kernel, rho=rho, omega=omega)
     key = None if rho is None else float(rho)
-    if key not in kernel._generators:
-        kernel._generators[key] = SpectralGenerator(kernel, rho=key)
-    return kernel._generators[key]
+    return kernel.kept(("generator", key), lambda: SpectralGenerator(kernel, rho=key))
 
 
 # -- self checks -----------------------------------------------------------------
@@ -437,9 +435,8 @@ class HierarchicalHeatKernel:
         kernel); raises NotIsotropic when the kernel is not isotropic.  The
         whole-space engine is built once per kernel and kept on it; a
         truncated one is derived from its arrays."""
-        if kernel._heat is None:
-            kernel._heat = cls(kernel.space, kernel.node_profile())
-        return kernel._heat if rho is None else kernel._heat.truncated(rho)
+        heat = kernel.kept("heat", lambda: cls(kernel.space, kernel.node_profile()))
+        return heat if rho is None else heat.truncated(rho)
 
     def truncated(self, rho: float) -> "HierarchicalHeatKernel":
         """The engine of the rho-truncated profile, sharing the tree arrays."""

@@ -1,5 +1,6 @@
 """Runner, generators, curves, exit codes, and report determinism."""
 
+import collections
 import contextlib
 import copy
 import csv
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultraheat import bounds, cli, davies
+from ultraheat import kernel as kernel_mod
 from ultraheat.cli import (
     ALL_CHECKS,
     RunConfig,
@@ -571,23 +573,33 @@ def test_negative_seed_flag_exits_two(tmp_path, capsys):
 
 
 def test_each_condition_is_measured_once(tmp_path, monkeypatch):
-    calls = {"due": 0, "wue": 0, "nash": 0, "tj": 0}
+    # the measurements themselves, not the reads: one DUE and wUE scan, one
+    # tail-jump level scan, one Nash family per rho (the scenario's rho and
+    # R0 differ on S4), one whole-domain generator per rho and one heat engine
+    built = collections.Counter()
 
-    def counted(key, fn):
+    def counted(owner, name, key):
+        fn = getattr(owner, name)
+
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            found = key(*args, **kwargs)
+            if found is not None:
+                built[found] += 1
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for key, name in (("due", "due_constant"), ("wue", "wue_constant"),
-                      ("nash", "nash_constant")):
-        monkeypatch.setattr(bounds, name, counted(key, getattr(bounds, name)))
-    for module in (cli, bounds):
-        monkeypatch.setattr(module, "tj_constant", counted("tj", module.tj_constant))
+    counted(bounds, "_density_scans", lambda *a: "DUE and wUE")
+    counted(kernel_mod, "tj_witness", lambda *a: "C_TJ")
+    counted(bounds, "function_family",
+            lambda kernel, rho, family, seed, use: ("Nash", rho) if use == "nash" else None)
+    counted(SpectralGenerator, "__init__", lambda self, kernel, rho=None, omega=None:
+            ("generator", rho) if omega is None else None)
+    counted(HierarchicalHeatKernel, "__init__", lambda *a: "engine")
     path = write_config(tmp_path, checks=list(ALL_CHECKS))
     assert main(["run", "--config", str(path)]) == 0
-    # Nash is estimated at the scenario's rho and at R0, which differ on S4
-    assert calls == {"due": 1, "wue": 1, "nash": 2, "tj": 1}
+    assert built == dict.fromkeys(
+        ["DUE and wUE", "C_TJ", ("Nash", 1.0), ("Nash", 2.0), ("generator", None),
+         ("generator", 1.0), ("generator", 2.0), "engine"], 1)
 
 
 def _records_by_check(path):

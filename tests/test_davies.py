@@ -40,6 +40,7 @@ from ultraheat.davies import (
 )
 from ultraheat.form import energy_and_scale
 from ultraheat.errors import (
+    DimensionMismatch,
     GridRefinementFailed,
     IntegratorFailure,
     NegativeInput,
@@ -85,6 +86,12 @@ class TestTiltIdentity:
         f = np.array([1.0, 0, 0, 0])
         rec = perturbation_identity_check(k4, 2.0, ball, 1.0, f, f)
         assert rec.measured == 0.0
+
+    @pytest.mark.parametrize("shapes", [((3,), (4,)), ((4,), (3,)), ((1, 4), (1, 4))])
+    def test_rejects_a_pair_of_other_shape(self, s4, k4, shapes):
+        f, g = (np.ones(shape) for shape in shapes)
+        with pytest.raises(DimensionMismatch):
+            perturbation_identity_check(k4, 1.0, s4.ball("a", 1), 1.0, f, g)
 
     def test_exhaustive_over_balls_and_ranges(self):
         for seed in (0, 1, 2):

@@ -33,3 +33,29 @@ def test_sources_parse_as_oldest_python(folder):
     assert paths
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=OLDEST_PYTHON)
+
+
+def _private_kernel_attributes(source: str) -> list:
+    """`kernel._x` and `<expr>.kernel._x` in `source`: a private attribute
+    read or written on a kernel, as (line, attribute)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and not node.attr.startswith("__"):
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == "kernel") or \
+                    (isinstance(owner, ast.Attribute) and owner.attr == "kernel"):
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_only_the_kernel_module_touches_kernel_internals():
+    # what a kernel derives is kept through `JumpKernel.kept`, its one cache;
+    # a module that reads or writes `kernel._x` keeps a second one
+    assert _private_kernel_attributes("kernel._kept[key] = gen.kernel._pairs\nkernel.kept") \
+        == [(1, "_kept"), (1, "_pairs")]
+    paths = sorted((ROOT / "src" / "ultraheat").glob("*.py"))
+    assert any(path.name == "kernel.py" for path in paths)
+    for path in paths:
+        if path.name != "kernel.py":
+            assert _private_kernel_attributes(path.read_text(encoding="utf-8")) == [], path.name
