@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConditionFailure, NotIsotropic
-from .davies import nash_quotients, nash_ratio_batch
+from .davies import nash_quotients, nash_ratio_batch, positive_times
 from .form import energy_batch
 from .kernel import ExponentConfig, JumpKernel, tj_constant
 from .reporting import IDENTITY_RTOL, CheckRecord, CheckReport, json_text, record, vacuous
@@ -186,11 +186,6 @@ class FunctionFamily(NamedTuple):
     l1: np.ndarray
     U: np.ndarray
 
-    @classmethod
-    def of_columns(cls, U: np.ndarray, labels: list) -> "FunctionFamily":
-        none = np.zeros(0)
-        return cls(labels, none, none, none, none, U)
-
 
 def _random_functions(space, seed: int) -> tuple[np.ndarray, list]:
     """The seeded columns that close the default family: random simple
@@ -292,19 +287,17 @@ def tree_function_family(kernel: JumpKernel, rho: float, seed: int = 0) -> Funct
         l2sq, np.concatenate((l1[order], volume[balls])), U)
 
 
-def function_family(kernel: JumpKernel, rho: float, family, seed: int,
-                    use: str) -> FunctionFamily:
-    """The supplied functions as columns, or the default family: in closed
-    form on the ball tree when the kernel is isotropic, else as dense
-    columns.  Logs which of the two served `use` at this rho."""
-    if family is not None:
-        U = np.column_stack([np.asarray(u, dtype=float) for u in family])
-        return FunctionFamily.of_columns(U, [f"supplied:{i}" for i in range(U.shape[1])])
+def function_family(kernel: JumpKernel, rho: float, seed: int, use: str) -> FunctionFamily:
+    """The default family: in closed form on the ball tree when the kernel
+    is isotropic, else as dense columns.  Logs which of the two served `use`
+    at this rho."""
     try:
         fam = tree_function_family(kernel, rho, seed)
     except NotIsotropic as exc:
         log.info("%s rho=%s: dense family (not isotropic: %s)", use, rho, exc)
-        return FunctionFamily.of_columns(*default_function_family(kernel, rho, seed))
+        U, labels = default_function_family(kernel, rho, seed)
+        none = np.zeros(0)
+        return FunctionFamily(labels, none, none, none, none, U)
     n = len(kernel.space)  # the Haar basis has one function per point
     log.info("%s rho=%s: hierarchical family, %d Haar + %d indicators + %d random", use, rho,
              n, fam.energy.size - n, fam.U.shape[1])
@@ -312,16 +305,16 @@ def function_family(kernel: JumpKernel, rho: float, family, seed: int,
 
 
 def nash_constant(kernel: JumpKernel, rho: float, nu: float, k0: float,
-                  family=None, seed: int = 0) -> ConditionEstimate:
+                  seed: int = 0) -> ConditionEstimate:
     """Family-relative Nash constant: the largest quotient
     ||u||_2^(2+2nu) ((E_rho(u) + K0 ||u||_2^2) ||u||_1^(2nu))^(-1) over the
-    family.  This is a lower estimate of the true constant; consumers
-    enlarge the family with their own iterates when a downstream check
-    fails.  With the default family it is measured once per kernel and
+    default family (`function_family`).  This is a lower estimate of the
+    true constant; consumers enlarge the family with their own iterates
+    when a downstream check fails.  It is measured once per kernel and
     (rho, nu, K0, seed).
     """
     def estimate():
-        fam = function_family(kernel, rho, family, seed, "nash")
+        fam = function_family(kernel, rho, seed, "nash")
         ratios = np.concatenate((nash_quotients(fam.energy, fam.l2sq, fam.l1, nu, k0),
                                  nash_ratio_batch(kernel, rho, nu, k0, fam.U)))
         j = int(np.argmax(ratios))
@@ -331,20 +324,17 @@ def nash_constant(kernel: JumpKernel, rho: float, nu: float, k0: float,
             {"rho": rho, "nu": nu, "K0": k0, "family_size": len(fam.labels),
              "seed": seed, "note": "family-relative lower estimate"},
         )
-    if family is not None:
-        return estimate()
     return kernel.kept(("Nash", rho, nu, k0, seed), estimate)
 
 
 # -- implication checks ---------------------------------------------------------------
 
 
-def energy_difference_check(kernel: JumpKernel, rho: float, family=None,
-                            seed: int = 0) -> CheckReport:
-    """E(u) - E_rho(u) <= 4 ||u||_2^2 sup_x J(x, B(x,rho)^c) over a family:
-    in closed form for the members of `tree_function_family`, and as the
-    difference of the two energies for explicit columns."""
-    fam = function_family(kernel, rho, family, seed, "energy_diff")
+def energy_difference_check(kernel: JumpKernel, rho: float, seed: int = 0) -> CheckReport:
+    """E(u) - E_rho(u) <= 4 ||u||_2^2 sup_x J(x, B(x,rho)^c) over the default
+    family: in closed form for the members of `tree_function_family`, and as
+    the difference of the two energies for explicit columns."""
+    fam = function_family(kernel, rho, seed, "energy_diff")
     U, mu = fam.U, kernel.mu
     sup_tail = kernel.tail_sup(rho)
     lhs = np.concatenate((fam.gap, energy_batch(kernel, U, None) - energy_batch(kernel, U, rho)))
@@ -380,7 +370,7 @@ def truncation_comparison_check(kernel: JumpKernel, rho: float, omega, fs,
     full = generator(kernel, rho=None, omega=omega)
     trunc = generator(kernel, rho=rho, omega=omega)
     sup_tail = kernel.tail_sup(rho)
-    times = np.asarray(time_grid, dtype=float)
+    times = positive_times(time_grid)
     report = CheckReport()
     for f in np.atleast_2d(np.asarray(fs, dtype=float)):
         f_inf = float(np.abs(f).max())

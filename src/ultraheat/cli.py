@@ -61,16 +61,13 @@ ALL_CHECKS = (
     "energy_diff", "p8", "tail", "theorem1",
 )
 
-# The values the checks run at where they differ from the library default.
-# Sequences keep their literal types, as their entries go into record params
-# as given (DERIVATIVE_P holds ints).
-N_RANDOM_PAIRS = 5               # perturbation: function pairs per case
-N_POWER_FUNCTIONS = 25           # power: functions per exponent
+# The values the checks run at that no library default gives.  Sequences
+# keep their literal types, as their entries go into record params as given
+# (DERIVATIVE_P holds ints).
 DERIVATIVE_P = (1, 2)            # lp_derivative: exponents p
 DERIVATIVE_LAMBDAS = (0.0, 2.0)  # lp_derivative: tilt strengths
 TILT = 2.0                       # moser and supbound: tilt strength
 MOSER_K_MAX = 6                  # moser: last level 2^(k_max + 1)
-ODE_SAMPLES = 25                 # ode: random samples
 
 # longest time grid a config may ask for; the derivative check needs at least
 # davies.MIN_DERIVATIVE_GRID points
@@ -252,18 +249,26 @@ def build_kernel(space: UltrametricSpace, section: dict) -> JumpKernel:
 # -- generators ----------------------------------------------------------------------
 
 
-def _regular_tree(branching: int, depth: int, q: float, masses) -> dict:
+def _tree(depth: int, points: int, width, radius, mass) -> dict:
+    """A ball tree of `points` leaves at most `depth` levels deep, as
+    `build_tree` reads it.  A node at level > 0 with more than one point
+    splits them into `width()` children (at most one per point) as evenly as
+    it can, the first children taking one more; its radius is
+    `radius(level)`.  Each leaf draws `mass()` when it is reached, in
+    preorder."""
     counter = [0]
 
-    def node(level):
-        if level == 0:
+    def node(level, budget):
+        if level == 0 or budget <= 1:
             i = counter[0]
             counter[0] += 1
-            return {"id": f"p{i}", "mass": float(masses[i])}
-        return {"radius": q ** (level - 1),
-                "children": [node(level - 1) for _ in range(branching)]}
+            return {"id": f"p{i}", "mass": mass()}
+        count = int(min(width(), budget))
+        base, extra = divmod(budget, count)
+        children = [node(level - 1, base + (1 if c < extra else 0)) for c in range(count)]
+        return {"radius": radius(level), "children": children}
 
-    return node(depth)
+    return node(depth, points)
 
 
 def generate_space(kind: str, depth: int = 3, branching: int = 3, q: float = 2.0,
@@ -287,45 +292,28 @@ def generate_space(kind: str, depth: int = 3, branching: int = 3, q: float = 2.0
                           f"at most {MAX_GENERATED_POINTS} are allowed")
     rng = np.random.default_rng(seed)
 
-    def draw_masses(count):
+    def mass():
         if mass_law == "unit":
-            return np.ones(count)
+            return 1.0
         if mass_law == "uniform":
-            return rng.uniform(0.5, 2.0, count)
+            return float(rng.uniform(0.5, 2.0, 1)[0])
         if mass_law == "loguniform":
-            return np.exp(rng.uniform(math.log(0.25), math.log(4.0), count))
+            return float(np.exp(rng.uniform(math.log(0.25), math.log(4.0), 1))[0])
         raise UnknownGenerator(f"unknown mass law {mass_law!r}")
 
     try:
         if kind == "random":
-            spec = _random_tree(rng, depth, q, mass_law, max_points, draw_masses)
+            levels = int(rng.integers(2, max(3, depth + 1)))
+            spec = _tree(levels, max_points, lambda: rng.integers(2, 5), lambda level: q ** level,
+                         mass)
         else:
-            spec = _regular_tree(b, depth, q, draw_masses(b ** depth))
+            spec = _tree(depth, b ** depth, lambda: b, lambda level: q ** (level - 1), mass)
     except OverflowError as exc:
         raise ConfigError(f"generator radius q ** {depth} overflows for q={q}") from exc
     space = build_tree(spec)
     kernel_spec = {"isotropic": {"kind": "power", "exponent": 3.0, "scale": 1.0},
                    "scaling": "mass"}
     return space, kernel_spec
-
-
-def _random_tree(rng, max_depth: int, q: float, mass_law: str, max_points: int,
-                 draw_masses) -> dict:
-    counter = [0]
-
-    def node(level, budget):
-        if level == 0 or budget <= 1:
-            i = counter[0]
-            counter[0] += 1
-            return {"id": f"p{i}", "mass": float(draw_masses(1)[0])}
-        width = int(min(rng.integers(2, 5), budget))
-        base, extra = divmod(budget, width)
-        children = [node(level - 1, base + (1 if c < extra else 0))
-                    for c in range(width)]
-        return {"radius": q ** level, "children": children}
-
-    depth = int(rng.integers(2, max(3, max_depth + 1)))
-    return node(depth, max_points)
 
 
 # -- check registry --------------------------------------------------------------------
@@ -400,11 +388,11 @@ def _check_vanishing(ctx):
 
 
 def _check_perturbation(ctx):
-    return davies.perturbation_battery(ctx.kernel, n_pairs=N_RANDOM_PAIRS, seed=ctx.seed)
+    return davies.perturbation_battery(ctx.kernel, seed=ctx.seed)
 
 
 def _check_power(ctx):
-    return davies.power_battery(ctx.kernel, n_functions=N_POWER_FUNCTIONS, seed=ctx.seed)
+    return davies.power_battery(ctx.kernel, seed=ctx.seed)
 
 
 def _on_scenario(name: str):
@@ -456,7 +444,7 @@ def _check_supbound(ctx):
 
 
 def _check_ode(ctx):
-    return davies.ode_sweep(n_samples=ODE_SAMPLES, seed=ctx.seed)
+    return davies.ode_sweep(seed=ctx.seed)
 
 
 def _estimate_report(est) -> CheckReport:

@@ -23,6 +23,8 @@ import numpy as np
 
 from .errors import (
     Asymmetric,
+    DimensionMismatch,
+    KernelError,
     MalformedCsv,
     NegativeProfile,
     NegativeWeight,
@@ -50,9 +52,9 @@ class JumpKernel:
             w = w.copy()
         n = len(space)
         if w.shape != (n, n):
-            raise NegativeWeight(f"weight matrix shape {w.shape} does not match {n} points")
+            raise DimensionMismatch(f"weight matrix shape {w.shape} does not match {n} points")
         if not np.all(np.isfinite(w)):
-            raise NegativeWeight("weights must be finite")
+            raise KernelError("weights must be finite")
         if np.any(w < 0):
             i, j = map(int, np.argwhere(w < 0)[0])
             raise NegativeWeight(f"w({space.ids[i]},{space.ids[j]}) = {w[i, j]} < 0")

@@ -190,6 +190,8 @@ class SpectralGenerator:
     def density(self, t: float) -> np.ndarray:
         """Heat kernel p_t(x, y) = (e^{tL})_{xy} / mu(y) over the domain;
         exact zeros across components."""
+        if t < 0:
+            raise ValueError(f"times must be >= 0, got {t}")
         out = np.zeros((self.size, self.size))
         for block, (lam, vec) in zip(self.blocks, self._eigs):
             core = (vec * np.exp(-lam * t)) @ vec.T  # e^{-t A} in the symmetrised basis
@@ -448,6 +450,8 @@ class HierarchicalHeatKernel:
         """p_t at every node, in preorder: p_t(x, x) at the leaf of x, and at
         any other node the value of the pairs whose lowest common ancestor
         it is (0.0 above the truncation range)."""
+        if t < 0:
+            raise ValueError(f"times must be >= 0, got {t}")
         terms = np.exp(-self._rate * t) * self._step
         fill = -np.expm1(-self._gap * t) * self._sign
         fill[self._at_leaf] = 1.0

@@ -130,7 +130,7 @@ class UltrametricSpace:
             seen, dupes = set(), set()
             for p in self.ids:
                 (dupes if p in seen else seen).add(p)
-            raise EmptySpace(f"duplicate point ids: {sorted(dupes)}")
+            raise SpaceError(f"duplicate point ids: {sorted(dupes)}")
         self.masses.setflags(write=False)
         self._index = {p: i for i, p in enumerate(self.ids)}
 

@@ -4,6 +4,7 @@ import collections
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -30,6 +31,7 @@ from ultraheat.cli import (
     main,
 )
 from ultraheat.errors import ConfigError, NotIsotropic, UnknownGenerator
+from ultraheat.reporting import json_text
 from ultraheat.semigroup import HierarchicalHeatKernel, SpectralGenerator, generator
 from ultraheat.space import build_tree, save_space
 
@@ -37,6 +39,40 @@ from conftest import S2_SPEC, S4_SPEC, kernel_to_csv, random_scenario
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+GENERATED_SIZES = {"dyadic": {"depth": 4}, "bary": {"branching": 3, "depth": 2},
+                   "random": {"depth": 5, "max_points": 48}}
+# sha256 of `json_text(space.to_spec())`, first 24 hex digits.  numpy's exp
+# and the C library's differ in the last bit on some draws, so the last
+# digits of a loguniform mass depend on the CPU: those masses are hashed
+# rounded to 12 decimals, which no draw below lies within 4 ulp of a tie of.
+PINNED_SPECS = {
+    ("dyadic", "unit", 1): "f306976699d553bff45baabb",
+    ("dyadic", "unit", 42): "f306976699d553bff45baabb",
+    ("dyadic", "uniform", 1): "940c2ba2cb575fee944fe7f2",
+    ("dyadic", "uniform", 42): "384bd9da838acc840138e8fa",
+    ("dyadic", "loguniform", 1): "c48cda295ee4ea240e87fb4b",
+    ("dyadic", "loguniform", 42): "f54092efa3c11d7e46383a20",
+    ("bary", "unit", 1): "5c3218fcb23810d5e67fd680",
+    ("bary", "unit", 42): "5c3218fcb23810d5e67fd680",
+    ("bary", "uniform", 1): "ab243c1c1932f1c541a9ac60",
+    ("bary", "uniform", 42): "5d214c07ecf05f1bcfb3db9f",
+    ("bary", "loguniform", 1): "43c99716c19791b0b47de537",
+    ("bary", "loguniform", 42): "21b31965828aa001e5c26db6",
+    ("random", "unit", 1): "1ef7e4c34c6b862b47dbe514",
+    ("random", "unit", 42): "4f74050e9fbff05ed24a79d5",
+    ("random", "uniform", 1): "d75416069b6b6f0370ddbc81",
+    ("random", "uniform", 42): "b3cb7f44d76f364131675aa5",
+    ("random", "loguniform", 1): "4ffb753664fb5c4963d43115",
+    ("random", "loguniform", 42): "fad443d63152d44cc25bb1ae",
+}
+
+
+def _rounded_masses(node: dict) -> dict:
+    return {key: round(value, 12) if key == "mass" else
+            [_rounded_masses(c) for c in value] if key == "children" else value
+            for key, value in node.items()}
+
 
 
 def write_config(tmp_path, **overrides):
@@ -140,6 +176,17 @@ class TestGenerate:
         p2 = generate_files("random", tmp_path / "g2", seed=42)
         assert p1[0].read_text() == p2[0].read_text()
         assert p1[1].read_text() == p2[1].read_text()
+
+    @pytest.mark.parametrize("kind,law,seed", sorted(PINNED_SPECS))
+    def test_spec_is_pinned(self, kind, law, seed):
+        # configs such as configs/random.json draw their space here, so the
+        # bytes must not move between commits
+        space, _ = generate_space(kind, mass_law=law, seed=seed, **GENERATED_SIZES[kind])
+        spec = space.to_spec()
+        if law == "loguniform":
+            spec = _rounded_masses(spec)
+        digest = hashlib.sha256(json_text(spec).encode()).hexdigest()
+        assert digest[:24] == PINNED_SPECS[kind, law, seed]
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(UnknownGenerator):
@@ -395,6 +442,16 @@ BAD_INPUTS = {
     "random tree beyond the point cap": (
         lambda tmp: {"space": {"generator": {"kind": "random", "max_points": 5000}}},
         f"space: generator.max_points must be in [1, {cli.MAX_GENERATED_POINTS}]"),
+    "kernel matrix of the wrong shape": (
+        lambda tmp: {"kernel": {"matrix": [[0, 1], [1, 0]]}},
+        "kernel: weight matrix shape (2, 2) does not match 4 points"),
+    "kernel csv with an infinite weight": (
+        lambda tmp: {"kernel": {"file": _file(tmp / "k.csv", "a,b,c,d\n0,inf,1,1\ninf,0,1,1\n"
+                                                              "1,1,0,1\n1,1,1,0\n")}},
+        "kernel: weights must be finite"),
+    "duplicate point ids": (
+        lambda tmp: {"space": {"inline": {"radius": 1, "children": [{"id": "a"}, {"id": "a"}]}}},
+        "space: duplicate point ids: ['a']"),
     "kernel file a number": (
         lambda tmp: {"kernel": {"file": 5}}, "kernel: [Errno 2] No such file"),
     "kernel file true": (
@@ -591,7 +648,7 @@ def test_each_condition_is_measured_once(tmp_path, monkeypatch):
     counted(bounds, "_density_scans", lambda *a: "DUE and wUE")
     counted(kernel_mod, "tj_witness", lambda *a: "C_TJ")
     counted(bounds, "function_family",
-            lambda kernel, rho, family, seed, use: ("Nash", rho) if use == "nash" else None)
+            lambda kernel, rho, seed, use: ("Nash", rho) if use == "nash" else None)
     counted(SpectralGenerator, "__init__", lambda self, kernel, rho=None, omega=None:
             ("generator", rho) if omega is None else None)
     counted(HierarchicalHeatKernel, "__init__", lambda *a: "engine")

@@ -306,6 +306,14 @@ class TestLpDerivative:
             lp_derivative_check(k4, cfg, 1.0, s4.ball("a", 1), 0.0,
                                 np.ones(4), 1, [0.1, 0.5, 1.0], 1.0)
 
+    def test_zero_time_rejected(self, s4, k4):
+        # the step 1e-4 t vanishes at t = 0, where the record read the other
+        # points only
+        cfg = ExponentConfig(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match=r"^times must be > 0, got 0\.0$"):
+            lp_derivative_check(k4, cfg, 1.0, s4.ball("a", 1), 0.0, np.ones(4), 1,
+                                [0.0] + np.linspace(0.1, 1, 8).tolist(), 1.0)
+
     def test_negative_input(self, s4, k4):
         cfg = ExponentConfig(1.0, 1.0, 2.0)
         with pytest.raises(NegativeInput):
@@ -391,6 +399,12 @@ class TestIteration:
                     step = (d_tj * trace.a_factor ** k) ** (2.0 ** -k)
                     assert trace.w[k, j] <= step * trace.w[k - 1, j] * (1 + 1e-6)
 
+    def test_zero_time_rejected(self, s4, k4):
+        cfg = ExponentConfig(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match=r"^times must be > 0, got 0\.0$"):
+            moser_iteration(k4, cfg, 1.0, s4.ball("a", 1), 0.0, np.ones(4),
+                            t=0.0, k_max=3, c_n=1.0)
+
     def test_k_max_guard(self, s4, k4):
         cfg = ExponentConfig(1.0, 1.0, 2.0)
         with pytest.raises(ValueError):
@@ -425,6 +439,11 @@ class TestIteration:
 
 
 class TestSupBounds:
+    def test_zero_time_rejected(self, s4, k4):
+        cfg = ExponentConfig(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match=r"^times must be > 0, got 0\.0$"):
+            sup_bound_check(k4, cfg, 1.0, s4.ball("a", 1), 0.0, [0.1, 0.0, 1.0], 1.0)
+
     def test_s4_no_tilt(self, s4, k4):
         cfg = ExponentConfig(1.0, 1.0, 2.0)
         c_n = nash_constant(k4, rho=1.0, nu=1.0, k0=cfg.k0(1.0)).constant

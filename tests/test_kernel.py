@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from ultraheat import JumpKernel, generator, isotropic_kernel, power_profile, tj_constant
 from ultraheat.errors import (
     Asymmetric,
+    DimensionMismatch,
+    KernelError,
     MalformedCsv,
     NegativeProfile,
     NegativeWeight,
@@ -69,6 +71,19 @@ class TestConstruction:
         w = np.zeros((4, 4)); w[0, 1] = w[1, 0] = -1.0
         with pytest.raises(NegativeWeight):
             JumpKernel(s4, w)
+
+    def test_wrong_shape_rejected(self, s4):
+        with pytest.raises(DimensionMismatch, match=r"^weight matrix shape \(3, 4\) does not "
+                                                    r"match 4 points$"):
+            JumpKernel(s4, np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_weight_rejected(self, s4, value):
+        # a kernel error, not a negative weight
+        w = np.zeros((4, 4)); w[0, 1] = w[1, 0] = value
+        with pytest.raises(KernelError, match="^weights must be finite$") as exc:
+            JumpKernel(s4, w)
+        assert type(exc.value) is KernelError
 
     def test_csv_round_trip(self, k4, tmp_path):
         path = tmp_path / "kernel.csv"

@@ -175,6 +175,11 @@ class TestHeatKernel:
         with pytest.raises(ValueError):
             gen.apply_grid([0.5, -1e-9], np.ones(4))
 
+    def test_density_rejects_negative_time(self, k4):
+        # as `apply_grid` does; e^{tL} at t < 0 is no heat kernel
+        with pytest.raises(ValueError, match=r"^times must be >= 0, got -1\.0$"):
+            generator(k4).density(-1.0)
+
     def test_wrong_length_rejected(self, k4):
         # n + 3 and n - 1 entries: neither the grid nor one time reads a prefix
         gen = generator(k4)
@@ -281,6 +286,12 @@ class TestFastIsotropicPath:
                 for j in range(len(s4)):
                     assert values[s4.lca(i, j)] == pytest.approx(
                         dens[i, j], rel=1e-12, abs=1e-12)
+
+    def test_node_values_reject_negative_time(self, k4):
+        fast = HierarchicalHeatKernel.from_kernel(k4)
+        assert fast.node_values(0.0)[fast.space.tree.leaf].tolist() == [1.0] * 4
+        with pytest.raises(ValueError, match=r"^times must be >= 0, got -1\.0$"):
+            fast.node_values(-1.0)
 
     def test_agrees_on_larger_spaces(self):
         for kind, kwargs in (("dyadic", {"depth": 6}), ("bary", {"branching": 3, "depth": 4})):

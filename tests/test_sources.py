@@ -1,11 +1,18 @@
-"""The repository's own text: the README quickstart runs as printed, and
-every Python file parses under the oldest supported grammar."""
+"""The repository's own text: the README quickstart runs as printed,
+every Python file parses under the oldest supported grammar, and every name
+that the benchmark's tracer times or probes exists."""
 
 import ast
+import dataclasses
+import importlib.util
+import inspect
 import re
 from pathlib import Path
 
 import pytest
+
+from ultraheat import cli, davies
+from ultraheat.semigroup import SpectralGenerator
 
 ROOT = Path(__file__).resolve().parent.parent
 OLDEST_PYTHON = (3, 10)  # requires-python in pyproject.toml
@@ -59,3 +66,59 @@ def test_only_the_kernel_module_touches_kernel_internals():
     for path in paths:
         if path.name != "kernel.py":
             assert _private_kernel_attributes(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def _bench_metrics():
+    """bench/metrics.py, loaded by path and not registered as a module."""
+    spec = importlib.util.spec_from_file_location("bench_metrics", ROOT / "bench" / "metrics.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolves(span: str) -> bool:
+    """Whether the tracer hooks `span`: a `cli.CHECK_REGISTRY` token, or a
+    public function, class or method defined in a layer module, as
+    `layer.name`, `layer.Class.*` or `layer.Class.method`."""
+    parts = span.split(".")
+    if parts[:2] == ["cli", "check"]:
+        return len(parts) == 3 and parts[2] in cli.CHECK_REGISTRY
+    module = importlib.import_module(f"ultraheat.{parts[0]}")
+    obj = vars(module).get(parts[1])
+    if parts[1].startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+        return False
+    if len(parts) == 2:
+        return inspect.isfunction(obj)
+    if len(parts) != 3 or not inspect.isclass(obj):
+        return False
+    if parts[2] == "*":
+        return True
+    member = vars(obj).get(parts[2])
+    if isinstance(member, (classmethod, staticmethod)):
+        member = member.__func__
+    return (parts[2] == "__init__" or not parts[2].startswith("_")) \
+        and inspect.isfunction(member)
+
+
+def test_every_timed_span_exists():
+    # a span that has gone makes its bench metrics absent, which only the
+    # bench self-test would notice
+    spans = set()
+    for _name, _unit, _better, source, *_ in _bench_metrics().PER_LAYER:
+        if source[0] in ("incl", "self", "calls"):
+            spans.add(source[1])
+        elif source[0] == "counter":
+            spans.add(source[2])
+    assert len(spans) == 48
+    assert [span for span in sorted(spans) if not _resolves(span)] == []
+    assert not _resolves("cli.check.nonesuch") and not _resolves("bounds._density_scans")
+
+
+def test_every_probed_attribute_exists(k4):
+    # what the tracer's probes read from arguments and results
+    gen = SpectralGenerator(k4, rho=1.0)
+    assert (gen.is_whole, gen.rho, len(gen.blocks)) == (True, 1.0, 2)
+    assert gen.omega.tolist() == [0, 1, 2, 3]
+    assert k4.n == 4
+    assert {"times", "c_nash"} <= {f.name for f in dataclasses.fields(davies.IterationTrace)}
+    assert list(inspect.signature(davies.moser_iteration).parameters)[8] == "c_n"

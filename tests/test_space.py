@@ -57,6 +57,13 @@ class TestBuildTree:
         with pytest.raises(EmptySpace):
             build_tree({"radius": 1, "children": []})
 
+    def test_duplicate_ids_rejected(self):
+        # a space error, not an empty space
+        with pytest.raises(SpaceError) as exc:
+            build_tree({"radius": 1, "children": [{"id": "x"}, {"id": "y"}, {"id": "x"}]})
+        assert type(exc.value) is SpaceError
+        assert str(exc.value) == "duplicate point ids: ['x']"
+
     def test_singleton_leaf_spec(self):
         space = build_tree({"id": "only", "mass": 1.5})
         assert len(space) == 1 and space.diam == 0.0
