@@ -420,7 +420,7 @@ def tail_probability_check(kernel: JumpKernel, beta: float, c_tj: float, r0: flo
     at the first time that attains the worst excess.
     """
     space = kernel.space
-    times = [float(t) for t in time_grid]
+    times = positive_times(time_grid).tolist()
     c_tail = TRUNCATION_FACTOR * c_tj
     report = CheckReport()
 

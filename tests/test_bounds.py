@@ -249,6 +249,21 @@ class TestExitProbability:
         report = tail_probability_check(k8, 1.5, c_tj, r0, [0.01, 0.1])
         assert report.passed
 
+    def test_empty_grid_rejected(self, k4):
+        # before, two passing records measured -inf
+        with pytest.raises(ValueError, match="^need at least one time, got an empty grid$"):
+            tail_probability_check(k4, 1.0, 1.25, 2.0, [])
+
+    def test_zero_time_rejected(self, k4):
+        # before, the empirical factor divided 0 by 0 and max dropped the NaN
+        with pytest.raises(ValueError, match=r"^times must be > 0, got 0\.0$"):
+            tail_probability_check(k4, 1.0, 1.25, 2.0, [0.0, 0.1])
+
+    def test_witness_time_is_a_python_float(self, k4):
+        # the report writes the witness through float.__repr__
+        for rec in tail_probability_check(k4, 1.0, 1.25, 2.0, np.array([0.01, 0.1])).records:
+            assert type(rec.witness["t"]) is float
+
 
 class TestCertificate:
     def test_s4_passes(self, k4):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from hypothesis.extra.numpy import arrays
+from scipy.integrate import ODEintWarning, odeint, quad
 from scipy.special import logsumexp
 
 from ultraheat import (
@@ -47,6 +48,7 @@ from ultraheat.errors import (
     StepTooCoarse,
 )
 from ultraheat.kernel import ExponentConfig, JumpKernel
+from ultraheat.reporting import IDENTITY_RTOL
 from ultraheat.space import Ball
 from ultraheat.bounds import nash_constant
 
@@ -280,6 +282,49 @@ class TestPowerInequality:
     def test_battery(self):
         _, kernel = random_scenario(5, max_points=24)
         assert power_battery(kernel, n_functions=30, seed=5).passed
+
+    def test_rejects_a_function_of_other_shape(self, s4, k4):
+        with pytest.raises(DimensionMismatch):
+            power_inequality_check(k4, 1.0, s4.ball("a", 1), 1.0, np.ones(3), 2.0)
+
+    def test_rejects_p_below_one(self, s4, k4):
+        with pytest.raises(ValueError, match="^p must be >= 1, got 0.5$"):
+            power_inequality_check(k4, 1.0, s4.ball("a", 1), 1.0, np.ones(4), 0.5)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_battery_equals_per_draw_energies(self, seed):
+        # the battery forms each p's energies in one pass per distinct rho;
+        # every record must read as one energy_and_scale call per draw gives,
+        # down to the float repr that the report writes
+        _, kernel = random_scenario(seed, max_points=24)
+        space, n, count = kernel.space, len(kernel.space), 12
+        levels = space.distance_levels
+        balls = [b for b in space.balls() if b.radius >= levels[0]]
+        rng = np.random.default_rng(seed)
+        records = iter(power_battery(kernel, n_functions=count, seed=seed).records)
+        rhos = set()
+        for p in davies.BATTERY_P:
+            for _ in range(count):
+                ball = balls[rng.integers(0, len(balls))]
+                ok_levels = [r for r in levels if r <= ball.radius]
+                rho = ok_levels[rng.integers(0, len(ok_levels))]
+                lam = float(rng.uniform(-5, 5))
+                f = rng.uniform(0.0, 2.0, size=n)
+                psi = lam * ball.indicator()
+                lhs, scale = energy_and_scale(kernel, np.exp(-psi) * f,
+                                              np.exp(psi) * f ** (2 * p - 1), rho)
+                rhs = energy_and_scale(kernel, f ** p, f ** p, rho)[0] / p
+                margin = IDENTITY_RTOL * max(scale, abs(rhs), 1.0)
+                rec = next(records)
+                assert rec.name == "davies.power_inequality"
+                assert rec.params == {"rho": rho, "lam": lam, "p": p,
+                                      "ball": list(ball.members)}
+                assert repr((rec.measured, rec.bound, rec.margin)) == repr((lhs, rhs, margin))
+                if p == 1:
+                    assert next(records).name == "davies.power_equality_p1"
+                rhos.add(rho)
+        assert next(records).name == "davies.scalar_power_inequality"
+        assert len(rhos) > 1  # more than one pass per p
 
 
 class TestLpDerivative:
@@ -520,6 +565,32 @@ class TestVanishing:
             report = vanishing_check(kernel, [1e-2, 1.0, 1e2])
             assert report.passed, (seed, report.failures())
 
+    def test_a_leaked_cross_block_weight_fails_both_records(self, s4):
+        # a truncation that keeps the weight of (a, c), across the blocks
+        # {a, b} and {c, d} of rho = 1, must fail the exact and the dense record
+        truncated = JumpKernel.truncated
+
+        def leaky(kernel, rho=None):
+            w = truncated(kernel, rho)
+            if rho is None or rho >= kernel.space.diam:
+                return w
+            w = w.copy()
+            w[0, 2] = w[2, 0] = kernel.w[0, 2]
+            return w
+
+        times = [1e-3, 1.0, 1e3]
+        clean = vanishing_check(isotropic_kernel(s4, power_profile(3.0), scaling="none"),
+                                times)
+        with mock.patch.object(JumpKernel, "truncated", leaky):
+            leaked = vanishing_check(
+                isotropic_kernel(s4, power_profile(3.0), scaling="none"), times)
+        assert [(r.name, r.params) for r in leaked.records] == \
+            [(r.name, r.params) for r in clean.records]
+        block = [r for r in leaked.records if r.params["rho"] == 1.0]
+        assert [r.name for r in block] == ["davies.vanishing", "davies.vanishing_dense"]
+        assert all(r.status == "fail" and r.measured > 0.0 for r in block)
+        assert clean.passed
+
 
 def bernoulli_oracle(params: OdeComparisonParams, t: float) -> float:
     """Closed-form solution via the linearising substitution u^-theta."""
@@ -622,6 +693,32 @@ class TestOdeComparison:
         times = np.exp(np.linspace(math.log(1e-6), 0.0, davies.ODE_EVAL_POINTS))
         assert t_bad in times and t_bad < 0.4
 
+    def test_sweep_solutions_equal_the_numpy_scalar_right_hand_side(self):
+        # the solver's rhs works on Python floats and drops w^-theta when
+        # there is no weight; LSODA must take exactly the steps it took with
+        # the numpy-scalar rhs that always multiplied by w(t)^-theta
+        t_max = davies.ODE_SWEEP_T_MAX
+        sweep = davies.ode_sweep_params(25, seed=0)
+        assert {params.w is None for params in sweep} == {True, False}
+        for params in sweep:
+            b, p, theta, K, w = params.b, params.p, params.theta, params.k, params.weight
+
+            def rhs(t, u):
+                return -b * t ** (p - 2) * w(t) ** (-theta) * u[0] * abs(u[0]) ** theta \
+                    + K * u[0]
+
+            t_start = 0.0 if p >= 2 else t_max * 1e-9
+            t_eval = np.exp(np.linspace(math.log(t_max * 1e-6), math.log(t_max),
+                                        davies.ODE_EVAL_POINTS))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ODEintWarning)
+                y, _ = odeint(rhs, [params.u0], np.concatenate(([t_start], t_eval)),
+                              rtol=davies.ODE_RTOL, atol=davies.ODE_ATOL,
+                              mxstep=davies.ODE_MAX_STEPS, full_output=True, tfirst=True)
+            times, u = davies.solve_comparison_ode(params, t_max)
+            assert times.tobytes() == t_eval.tobytes()
+            assert u.tobytes() == y[1:, 0].tobytes()
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             OdeComparisonParams(b=0.0, p=2.0, theta=1.0, k=1.0, a=1.0)
@@ -707,6 +804,25 @@ class TestLpNorms:
             out = lp_norms(F, mu, LP_QS)
         assert np.all(out[:, 0] == 0.0)
         assert np.all(out[:, 1] > 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 9)),
+                  elements=st.one_of(st.sampled_from([-np.inf, np.inf, np.nan, 0.0, -0.0,
+                                                      1.0, -1.0, 709.0, -745.0]),
+                                     st.floats(-1e3, 1e3))),
+           st.lists(st.integers(0, 4), max_size=3))
+    def test_row_logsumexp_is_scipys_bitwise(self, a, empty_rows):
+        # ties at the max, -inf entries, all -inf rows, +inf and NaN; equal
+        # down to the sign of zero, and NaN where scipy gives NaN
+        for r in empty_rows:
+            if r < a.shape[0]:
+                a[r] = -np.inf
+        want = logsumexp(a, axis=1)
+        got = davies._logsumexp_rows(np.ascontiguousarray(a))
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        ok = ~np.isnan(want)
+        assert got[ok].tobytes() == want[ok].tobytes()
 
     def test_large_q_approaches_column_max(self):
         rng = np.random.default_rng(5)
