@@ -22,8 +22,10 @@ import json
 import logging
 import math
 import operator
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -43,7 +45,7 @@ from .kernel import (
     power_profile,
     tj_constant,
 )
-from .reporting import FAIL, IDENTITY_RTOL, CheckReport, json_text, record, vacuous
+from .reporting import FAIL, IDENTITY_RTOL, CheckReport, json_chunks, json_text, record, vacuous
 from .semigroup import generator, semigroup_selfcheck
 from .space import (
     UltrametricSpace,
@@ -538,12 +540,18 @@ class VerificationReport:
     summary: dict
     environment: dict
 
+    def _chunks(self):
+        # each record's dict is built only when its text is written
+        return json_chunks({"summary": self.summary, "environment": self.environment},
+                           "records",
+                           (r.to_dict(check=c) for r, c in zip(self.records, self.checks)))
+
+    def write(self, fh) -> None:
+        """Write the report's JSON text to `fh` one record at a time."""
+        fh.writelines(self._chunks())
+
     def to_json(self) -> str:
-        return json_text({
-            "records": [r.to_dict(check=c) for r, c in zip(self.records, self.checks)],
-            "summary": self.summary,
-            "environment": self.environment,
-        })
+        return "".join(self._chunks())
 
 
 def execute_checks(ctx: RunContext, checks) -> VerificationReport:
@@ -657,6 +665,21 @@ def build_context(cfg: RunConfig) -> RunContext:
     )
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A text file to write `path` through: it is written under a temporary
+    name in the same directory and moved into place once complete, or
+    removed if the writing raises."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the configured checks; write curves, report, certificate."""
     if not cfg.checks:
@@ -667,11 +690,11 @@ def run(cfg: RunConfig) -> int:
     report = execute_checks(ctx, cfg.checks)
     # curves first: a run whose curves fail leaves no report behind
     write_curves(ctx, out_dir)
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    with _replacing(out_dir / "report.json") as fh:
+        report.write(fh)
         fh.write("\n")
     if "certificate" in ctx.artifacts:
-        with open(out_dir / "certificate.json", "w", encoding="utf-8") as fh:
+        with _replacing(out_dir / "certificate.json") as fh:
             fh.write(ctx.artifacts["certificate"].to_json() + "\n")
     failed = any(r.status == FAIL for r in report.records)
     return 1 if failed else 0

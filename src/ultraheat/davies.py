@@ -213,9 +213,10 @@ def _tilt_records(kernel: JumpKernel, rho: float, ball: Ball, lams: list, F, G,
     gaps = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(rhs), scale_l),
                                           np.maximum(scale_r, 1e-300))
     records = []
-    members, radius = ball.members, ball.radius
+    # one member list, shared by the params of every record of the cell
+    members, radius = list(ball.members), ball.radius
     for lam, gap in zip(lams, gaps.tolist()):
-        params = {"rho": rho, "lam": lam, "ball": list(members), "radius": radius}
+        params = {"rho": rho, "lam": lam, "ball": members, "radius": radius}
         if rho <= radius:
             records.append(record("davies.tilt_identity", params, gap, IDENTITY_RTOL, 0.0,
                                   gap <= IDENTITY_RTOL))

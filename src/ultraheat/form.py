@@ -125,9 +125,14 @@ def energy_batch(kernel: JumpKernel, functions: np.ndarray, rho=None) -> np.ndar
 
 
 def indicator_energy_check(kernel: JumpKernel, ball: Ball) -> CheckRecord:
-    """Check E(1_B, 1_B) = 2 j(B, B^c) by direct summation of both sides."""
-    ind = ball.indicator()
-    lhs = energy(kernel, ind, ind)
+    """Check E(1_B, 1_B) = 2 j(B, B^c) by direct summation of both sides.
+
+    The left side is the sum of the `pair_terms` of (1_B, 1_B): w2 on a pair
+    with one endpoint in B and +0.0 on any other, formed as that array
+    directly, so its sum has the bits of `energy(kernel, 1_B, 1_B)`."""
+    i, j, w2 = kernel.kept_pairs()
+    crossing = ((i >= ball.start) & (i < ball.stop)) != ((j >= ball.start) & (j < ball.stop))
+    lhs = float(np.where(crossing, w2, 0.0).sum())
     inside = slice(ball.start, ball.stop)
     cross = kernel.w[inside, :].sum() - kernel.w[inside, inside].sum()
     rhs = 2.0 * float(cross)

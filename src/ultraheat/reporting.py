@@ -6,6 +6,7 @@ ordered collection of records with pass/fail bookkeeping.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -96,6 +97,26 @@ def json_text(obj) -> str:
 
     One recursive pass: each container returns its own string."""
     return _emit(obj, "\n")
+
+
+def json_chunks(obj: dict, key: str, items) -> Iterator[str]:
+    """The text of `json_text({**obj, key: list(items)})` in pieces, one per
+    item of the iterable `items`, so that a writer never holds the whole
+    text, and each item is only read when its turn comes.  The keys of
+    `obj` are str."""
+    sep = "{\n  "
+    for k in sorted([*obj, key]):
+        yield sep + _quote(k) + ": "
+        sep = ",\n  "
+        if k != key:
+            yield _emit(obj[k], "\n  ")
+            continue
+        empty = True
+        for item in items:
+            yield ("[\n    " if empty else ",\n    ") + _emit(item, "\n    ")
+            empty = False
+        yield "[]" if empty else "\n  ]"
+    yield "\n}"
 
 
 def _emit(obj, nl: str) -> str:

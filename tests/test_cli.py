@@ -11,9 +11,11 @@ import logging
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +33,7 @@ from ultraheat.cli import (
     main,
 )
 from ultraheat.errors import ConfigError, NotIsotropic, UnknownGenerator
-from ultraheat.reporting import json_text
+from ultraheat.reporting import IDENTITY_RTOL, CheckRecord, CheckReport, json_text, record
 from ultraheat.semigroup import HierarchicalHeatKernel, SpectralGenerator, generator
 from ultraheat.space import build_tree, save_space
 
@@ -613,9 +615,99 @@ def test_run_whose_curves_fail_writes_no_report(tmp_path, capsys):
     assert not (tmp_path / "out" / "certificate.json").exists()
 
 
+def test_run_whose_report_fails_leaves_no_report(tmp_path, monkeypatch):
+    # a record the writer cannot write raises in the middle of report.json;
+    # neither it nor its temporary file is left in the output directory
+    check_form = cli.CHECK_REGISTRY["form"]
+
+    def form_with_bad_record(ctx):
+        report = check_form(ctx)
+        report.add(record("form.bad", {"value": object()}, 0.0, 0.0, 0.0, True))
+        return report
+
+    monkeypatch.setitem(cli.CHECK_REGISTRY, "form", form_with_bad_record)
+    path = write_config(tmp_path, checks=["form", "theorem1"])
+    with pytest.raises(TypeError):
+        cli.run(load_config(path))
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["curves"]
+
+
+def whole_report_text(report) -> str:
+    """The report's text built as one dict, then one string."""
+    return json_text({
+        "records": [r.to_dict(check=c) for r, c in zip(report.records, report.checks)],
+        "summary": report.summary,
+        "environment": report.environment,
+    })
+
+
+def written_text(report) -> str:
+    buf = io.StringIO()
+    report.write(buf)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
-def test_shipped_config_runs(tmp_path, config):
+def test_shipped_config_runs(tmp_path, config, monkeypatch):
+    # report.json holds the text of the report as one dict
+    reports = []
+    execute = cli.execute_checks
+
+    def recording(*args):
+        reports.append(execute(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "execute_checks", recording)
     assert main(["run", "--config", str(CONFIGS / config), "--out", str(tmp_path)]) == 0
+    text = whole_report_text(reports[0])
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == text + "\n"
+    assert written_text(reports[0]) == reports[0].to_json() == text
+
+
+def test_streamed_report_of_special_values():
+    # non-finite measured values, numpy scalars and arrays in the params, and
+    # the report with no record
+    records = [
+        CheckRecord("a", {"x": np.float64(1.5), "n": np.int64(3)}, math.nan, None, 0.0, "pass"),
+        CheckRecord("b", {"v": np.arange(3.0), "m": np.eye(2)}, math.inf, -math.inf, 0.0,
+                    "fail", witness={"w": np.float32(-math.inf)}),
+        CheckRecord("c", {}, -math.inf, np.float64(math.nan), 0.0, "vacuous"),
+    ]
+    for recs in (records, []):
+        report = cli.VerificationReport(records=recs, checks=["form"] * len(recs),
+                                        summary=CheckReport(recs).counts(),
+                                        environment={"version": "x", "seed": 1})
+        text = whole_report_text(report)
+        assert written_text(report) == report.to_json() == text
+        json.loads(text)
+
+
+def test_report_is_written_without_its_whole_text():
+    # a regression to writing one string, or to building every record's
+    # dict first, holds about the size of the text at once
+    recs = [record("davies.tilt_identity", {"rho": 0.5, "lam": 1.0 + k, "ball": list(range(20))},
+                   1e-17 * k, IDENTITY_RTOL, 0.0, True) for k in range(2500)]
+    report = cli.VerificationReport(records=recs, checks=["perturbation"] * len(recs),
+                                    summary=CheckReport(recs).counts(),
+                                    environment={"version": "x", "seed": 1})
+    size = len(whole_report_text(report))
+
+    class Sink:
+        written = 0
+
+        def writelines(self, chunks):
+            for chunk in chunks:
+                self.written += len(chunk)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        report.write(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written == size
+    assert peak < 0.1 * size
 
 
 def test_grid_limit_admits_the_derivative_grid():

@@ -255,6 +255,22 @@ class TestIndicatorEnergyIdentity:
             for ball in space.balls(include_points=True):
                 assert indicator_energy_check(kernel, ball).status == "pass"
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(ball_trees(max_points=48),
+                     st.integers(0, 40).map(lambda seed: random_scenario(2 * seed + 1, 32))))
+    def test_left_side_has_the_bits_of_the_energy(self, case):
+        # the left side is formed without the gathers of `pair_terms`, yet
+        # it is the same array of terms, so the same sum to the last bit
+        if len(case) == 3:
+            space, exponent, scale = case
+            kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+        else:
+            space, kernel = case  # a raw kernel: every pair carries a weight
+        for ball in space.balls(include_points=True):
+            ind = ball.indicator()
+            measured = indicator_energy_check(kernel, ball).measured
+            assert measured.hex() == energy(kernel, ind, ind).hex()
+
 
 def test_energy_scale_bounds_value(k4):
     rng = np.random.default_rng(1)

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from ultraheat import build_tree
 from ultraheat.cli import generate_files
-from ultraheat.reporting import json_text
+from ultraheat.reporting import json_chunks, json_text
 from ultraheat.space import save_space
 
 from conftest import S4_SPEC
@@ -72,6 +72,18 @@ VALUES = st.recursive(
 @given(VALUES)
 def test_emitter_writes_the_bytes_of_the_two_pass_writer(obj):
     assert json_text(obj) == two_pass_json_text(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), VALUES, max_size=4), st.text(max_size=4),
+       st.lists(VALUES, max_size=4))
+def test_chunks_join_to_the_text_of_the_whole(obj, key, items):
+    # the list under `key` is streamed item by item, empty or not, wherever
+    # its key sorts among the others
+    obj.pop(key, None)
+    chunks = list(json_chunks(obj, key, iter(items)))
+    assert "".join(chunks) == json_text({**obj, key: items})
+    assert len(chunks) == 2 * len(obj) + len(items) + 3
 
 
 @pytest.mark.parametrize("value", [np.float64("nan"), np.float64("inf"), np.float32("-inf"),
