@@ -32,17 +32,17 @@ Verified implications:
 """
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConditionFailure, NotIsotropic
-from .davies import nash_quotients, nash_ratio_batch, positive_times
+from .davies import nash_quotients, nash_ratio_batch
 from .form import energy_batch
 from .kernel import ExponentConfig, JumpKernel, tj_constant
-from .reporting import IDENTITY_RTOL, CheckRecord, CheckReport, json_text, record, vacuous
+from .reporting import (IDENTITY_RTOL, CheckRecord, CheckReport, json_text, log_time_grid,
+                        positive_times, record, vacuous)
 from .semigroup import HierarchicalHeatKernel, PairClasses, ball_chains, generator
 
 
@@ -53,13 +53,6 @@ CHAIN_POINTS = 17  # time points of the certificate's chaining scan
 TRUNCATION_FACTOR = 4.0  # the 4 of P_t f <= Q_t f + 4 t sup J ||f||_inf and C_tail = 4 C_TJ
 
 log = logging.getLogger(__name__)
-
-
-def log_time_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
-    """Log-spaced grid including both endpoints."""
-    if t_min <= 0 or t_max < t_min:
-        raise ValueError(f"need 0 < t_min <= t_max, got [{t_min}, {t_max}]")
-    return np.exp(np.linspace(math.log(t_min), math.log(t_max), points))
 
 
 @dataclass
@@ -81,7 +74,7 @@ def _refine_scan(values_at, grid, vals):
     lo = grid[max(0, int(np.argmax(vals)) - 1)]
     hi = grid[min(len(grid) - 1, int(np.argmax(vals)) + 1)]
     for _ in range(SCAN_MAX_ROUNDS):
-        sub = np.exp(np.linspace(math.log(lo), math.log(hi), 17))
+        sub = log_time_grid(lo, hi, 17)
         sub_vals = np.array([values_at(t) for t in sub])
         j = int(np.argmax(sub_vals))
         new_best = float(sub_vals[j])

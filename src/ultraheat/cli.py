@@ -45,7 +45,8 @@ from .kernel import (
     power_profile,
     tj_constant,
 )
-from .reporting import FAIL, IDENTITY_RTOL, CheckReport, json_chunks, json_text, record, vacuous
+from .reporting import (FAIL, IDENTITY_RTOL, CheckReport, json_chunks, json_text,
+                        log_time_grid, record, vacuous)
 from .semigroup import generator, semigroup_selfcheck
 from .space import (
     UltrametricSpace,
@@ -415,7 +416,7 @@ def _check_lp_derivative(ctx):
     c_n = ctx.nash(rho).constant
     report = CheckReport()
     grid = ctx.grid if len(ctx.grid) >= davies.MIN_DERIVATIVE_GRID else \
-        bounds_mod.log_time_grid(ctx.grid[0], ctx.grid[-1], davies.MIN_DERIVATIVE_GRID)
+        log_time_grid(ctx.grid[0], ctx.grid[-1], davies.MIN_DERIVATIVE_GRID)
     rng = np.random.default_rng(ctx.seed)
     f = rng.uniform(0.1, 1.0, len(ctx.space))
     for p in DERIVATIVE_P:
@@ -660,7 +661,7 @@ def build_context(cfg: RunConfig) -> RunContext:
         space=space,
         kernel=kernel,
         exponents=exponents,
-        grid=bounds_mod.log_time_grid(cfg.grid_min, cfg.grid_max, cfg.grid_points),
+        grid=log_time_grid(cfg.grid_min, cfg.grid_max, cfg.grid_points),
         seed=cfg.seed,
     )
 

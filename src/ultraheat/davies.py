@@ -39,15 +39,15 @@ from scipy.integrate import ODEintWarning, odeint
 from scipy.linalg import expm
 
 from .errors import (
-    DimensionMismatch,
     GridRefinementFailed,
     IntegratorFailure,
     NegativeInput,
     StepTooCoarse,
 )
-from .form import energy_batch, pair_terms, tilt_sums
+from .form import _as_vector, energy_batch, pair_terms, tilt_sums
 from .kernel import ExponentConfig, JumpKernel
-from .reporting import IDENTITY_RTOL, CheckRecord, CheckReport, record, vacuous
+from .reporting import (IDENTITY_RTOL, CheckRecord, CheckReport, log_time_grid, positive_times,
+                        record, vacuous)
 from .semigroup import SpectralGenerator, generator
 from .space import Ball
 
@@ -107,18 +107,6 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def positive_times(time_grid) -> np.ndarray:
-    """`time_grid` as a float array, checked to hold at least one time and
-    only times > 0: the checks that read it divide by t."""
-    times = np.asarray(time_grid, dtype=float)
-    if times.size == 0:
-        raise ValueError("need at least one time, got an empty grid")
-    bad = times[~(times > 0)]
-    if bad.size:
-        raise ValueError(f"times must be > 0, got {float(bad[0])!r}")
-    return times
-
-
 def lp_norm(values, mu, q: float) -> float:
     """Weighted norm (sum |f|^q mu)^(1/q) of one function."""
     return float(lp_norms(np.asarray(values, dtype=float)[:, None], mu, [q])[0, 0])
@@ -173,6 +161,25 @@ def tilted_evolution(gen: SpectralGenerator, psi, f):
     return lambda times: tilt_out * gen.apply_grid(times, tilt_in)
 
 
+def _tilt(kernel: JumpKernel, rho: float, ball: Ball, lam: float):
+    """(the kept rho-truncated generator, psi = lam 1_B), once rho <= r(B):
+    only then does no kept jump cross B, so that the tilt cancels in E_rho."""
+    if rho > ball.radius:
+        raise ValueError(f"truncation rho={rho} must not exceed ball radius {ball.radius}")
+    return generator(kernel, rho=rho), lam * ball.indicator()
+
+
+def _tilted_start(kernel: JumpKernel, rho: float, ball: Ball, lam: float, f, check: str):
+    """The `tilted_evolution` of f / ||f||_2 by `_tilt`, for f a length-n
+    vector that is >= 0 and not identically zero; `check` names the caller."""
+    f = _as_vector(kernel, f)
+    if not np.all(f >= 0):
+        raise NegativeInput(f"{check} requires f >= 0")
+    if not f.any():
+        raise ValueError(f"{check} requires f not identically zero")
+    return tilted_evolution(*_tilt(kernel, rho, ball, lam), f / lp_norm(f, kernel.mu, 2))
+
+
 # -- tilt identity and power inequality -----------------------------------------
 
 
@@ -184,10 +191,7 @@ def perturbation_identity_check(kernel: JumpKernel, rho: float, ball: Ball,
     radius(B) the identity has no reason to hold; the record then reports
     the relative gap as a negative control (status is informational).
     """
-    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
-    if f.shape != (kernel.n,) or g.shape != f.shape:
-        raise DimensionMismatch(f"expected two vectors of length {kernel.n}, got shapes "
-                                f"{f.shape} and {g.shape}")
+    f, g = _as_vector(kernel, f), _as_vector(kernel, g)
     return _tilt_records(kernel, rho, ball, [lam], f[None], g[None],
                          _ball_pairs(kernel, ball)[0])[0]
 
@@ -229,9 +233,7 @@ def _tilt_records(kernel: JumpKernel, rho: float, ball: Ball, lams: list, F, G,
 def power_inequality_check(kernel: JumpKernel, rho: float, ball: Ball,
                            lam: float, f, p: float) -> CheckRecord:
     """E_rho(e^{-psi} f, e^{psi} f^{2p-1}) >= E_rho(f^p) / p for f >= 0."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (kernel.n,):
-        raise DimensionMismatch(f"expected vector of length {kernel.n}, got shape {f.shape}")
+    f = _as_vector(kernel, f)
     if np.any(f < 0):
         raise NegativeInput("power inequality requires f >= 0")
     if p < 1:
@@ -299,9 +301,7 @@ def lp_derivative_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float,
     are retried once with the Nash constant enlarged over the evolved
     family f_t^p (`_with_nash_enlargement`).
     """
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0):
-        raise NegativeInput("derivative check requires f >= 0")
+    evolve = _tilted_start(kernel, rho, ball, lam, f, "derivative check")
     times = np.asarray(time_grid, dtype=float)
     if times.size < MIN_DERIVATIVE_GRID:
         raise StepTooCoarse(
@@ -310,10 +310,8 @@ def lp_derivative_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float,
         )
     positive_times(times)
     mu = kernel.mu
-    f = f / lp_norm(f, mu, 2)
     k0 = cfg.k0(rho)
     nu = cfg.nu
-    evolve = tilted_evolution(generator(kernel, rho=rho), lam * ball.indicator(), f)
 
     def run(c_n_used):
         eps = np.finfo(float).eps
@@ -406,15 +404,9 @@ def moser_iteration(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
     if not 1 <= k_max <= K_MAX_LIMIT:
         raise ValueError(f"k_max must lie in [1, {K_MAX_LIMIT}], got {k_max}")
     positive_times([t])
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0):
-        raise NegativeInput("iteration requires f >= 0")
-    if rho > ball.radius:
-        raise ValueError(f"truncation rho={rho} must not exceed ball radius {ball.radius}")
+    evolve = _tilted_start(kernel, rho, ball, lam, f, "iteration")
     mu = kernel.mu
-    f = f / lp_norm(f, mu, 2)
     nu, k0 = cfg.nu, cfg.k0(rho)
-    evolve = tilted_evolution(generator(kernel, rho=rho), lam * ball.indicator(), f)
 
     ks = np.arange(1, k_max + 2)
     exponents = (2.0 ** (ks - 1) - 1.0) / (2.0 ** ks * nu)
@@ -517,14 +509,11 @@ def sup_bound_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
     ||Q_t^psi f||_inf over ||f||_2 = 1 is the best row, so the norm is
     max_x || q_t(x, .) e^{psi(x) - psi(.)} ||_{L2(mu)}.
     """
-    if rho > ball.radius:
-        raise ValueError(f"truncation rho={rho} must not exceed ball radius {ball.radius}")
+    gen, psi = _tilt(kernel, rho, ball, lam)
     mu = kernel.mu
     nu, k0 = cfg.nu, cfg.k0(rho)
-    psi = lam * ball.indicator()
     ind = ball.indicator()
     tilt = np.exp(psi[:, None] - psi[None, :])
-    gen = generator(kernel, rho=rho)
     times = positive_times(time_grid).tolist()
 
     def run(c_n_used):
@@ -555,13 +544,10 @@ def sup_bound_check(kernel: JumpKernel, cfg: ExponentConfig, rho: float, ball: B
         t_star = (wit_op or wit_kernel)["t"]
         rows = gen.density(t_star) * tilt
         x_star = int(np.argmax((rows * rows * mu[None, :]).sum(axis=1)))
-        f_star = np.abs(rows[x_star]) * np.exp(psi)
-        norm = lp_norm(f_star, mu, 2)
-        if norm > 0:
-            f_star = f_star / norm
         s_grid = np.exp(np.linspace(math.log(t_star) - 3 * math.log(10),
                                     math.log(t_star), 97))
-        return tilted_evolution(gen, psi, f_star)(s_grid)
+        return _tilted_start(kernel, rho, ball, lam, np.abs(rows[x_star]) * np.exp(psi),
+                             "sup bound")(s_grid)
 
     (worst_op, wit_op, worst_kernel, wit_kernel), c_n_used, enlarged = _with_nash_enlargement(
         run, c_n, lambda r: max(r[0], r[2]) > REL_MARGIN, evolved_extremiser,
@@ -591,7 +577,7 @@ def vanishing_check(kernel: JumpKernel, time_grid) -> CheckReport:
     report = CheckReport()
     space = kernel.space
     D = space.distance_matrix()
-    times = [float(t) for t in time_grid]
+    times = positive_times(time_grid).tolist()
     for rho in space.distance_levels:
         cross = D > rho
         params = {"rho": rho, "times": times}
@@ -651,6 +637,7 @@ def solve_comparison_ode(params: OdeComparisonParams,
     (`odeint`) and reported at ODE_EVAL_POINTS log-spaced times over
     [t_max 10^-6, t_max]."""
     b, p, theta, K, w = params.b, params.p, params.theta, params.k, params.w
+    positive_times([t_max])
     probe = [params.weight(t_max * s) for s in (1e-6, 0.25, 0.5, 1.0)]
     if not all(np.isfinite(v) and v > 0 for v in probe):
         raise IntegratorFailure(f"weight must be finite and positive, got {probe}")
@@ -671,7 +658,7 @@ def solve_comparison_ode(params: OdeComparisonParams,
     # the grading term is singular at 0 for p < 2; starting slightly later
     # only removes decay, which is the conservative direction for the bound
     t_start = 0.0 if p >= 2 else t_max * 1e-9
-    t_eval = np.exp(np.linspace(math.log(t_max * 1e-6), math.log(t_max), ODE_EVAL_POINTS))
+    t_eval = log_time_grid(t_max * 1e-6, t_max, ODE_EVAL_POINTS)
     # odeint warns on failure even with full_output; the message is raised below
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)

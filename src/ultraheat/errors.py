@@ -66,11 +66,7 @@ class NonzeroDiagonal(KernelError):
 
 # -- form ---------------------------------------------------------------------
 
-class FormError(UltraheatError, ValueError):
-    """Invalid energy-form input."""
-
-
-class DimensionMismatch(FormError):
+class DimensionMismatch(UltraheatError, ValueError):
     """A function vector or a matrix does not match the point count."""
 
 

@@ -87,6 +87,28 @@ class CheckReport:
         return out
 
 
+def positive_times(time_grid) -> np.ndarray:
+    """`time_grid` as a float array, checked to hold at least one time and
+    only finite times > 0: the checks that read it divide by t."""
+    times = np.asarray(time_grid, dtype=float)
+    if times.size == 0:
+        raise ValueError("need at least one time, got an empty grid")
+    bad = times[~((times > 0) & (times < np.inf))]
+    if bad.size:
+        rule = "> 0" if np.isfinite(bad[0]) else "finite"
+        raise ValueError(f"times must be {rule}, got {float(bad[0])!r}")
+    return times
+
+
+def log_time_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
+    """Log-spaced grid including both endpoints, which must be `positive_times`
+    with t_min <= t_max."""
+    positive_times([t_min, t_max])
+    if t_max < t_min:
+        raise ValueError(f"need t_min <= t_max, got [{t_min}, {t_max}]")
+    return np.exp(np.linspace(math.log(t_min), math.log(t_max), points))
+
+
 def json_text(obj) -> str:
     """`obj` as the written artifacts hold it, the bytes of
     `json.dumps(obj, indent=2, sort_keys=True)` after two conversions: a

@@ -49,10 +49,10 @@ from typing import Callable
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DimensionMismatch, EmptyDomain
-from .form import energy_and_scale
+from .errors import EmptyDomain
+from .form import _as_vector, energy_and_scale
 from .kernel import JumpKernel
-from .reporting import CheckReport, record
+from .reporting import CheckReport, positive_times, record
 from .space import UltrametricSpace
 
 # Eigenvalues within this of zero are clamped to exactly zero.
@@ -222,11 +222,7 @@ class SpectralGenerator:
     def apply_grid(self, times, f) -> np.ndarray:
         """e^{tL} f for every t in `times`; returns (n, len(times)).  `f` is
         a full-length vector (DimensionMismatch otherwise)."""
-        v = np.asarray(f, dtype=float)
-        if v.shape != (len(self.space),):
-            raise DimensionMismatch(
-                f"expected vector of length {len(self.space)}, got shape {v.shape}"
-            )
+        v = _as_vector(self.kernel, f)
         ts = np.asarray(times, dtype=float)
         if (ts < 0).any():
             raise ValueError(f"times must be >= 0, got {ts.min()}")
@@ -263,7 +259,7 @@ def semigroup_selfcheck(gen: SpectralGenerator, time_grid, seed: int = 0) -> Che
     form/generator duality, each at its stated tolerance."""
     report = CheckReport()
     mu = gen._mu
-    times = [float(t) for t in time_grid]
+    times = positive_times(time_grid).tolist()
 
     worst_sym = worst_pos = worst_mass = worst_ck = 0.0
     wit_sym = wit_ck = None

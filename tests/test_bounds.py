@@ -148,6 +148,11 @@ class TestTruncationComparison:
         with pytest.raises(ValueError, match="^need at least one time, got an empty grid$"):
             truncation_comparison_check(k4, 1.0, None, np.ones(4), [])
 
+    def test_infinite_time_rejected(self, k4):
+        # before, inf - inf made the excess NaN and the record failed
+        with pytest.raises(ValueError, match="^times must be finite, got inf$"):
+            truncation_comparison_check(k4, 1.0, None, np.ones(4), [math.inf])
+
     def test_conservation_equality(self, k4):
         report = truncation_comparison_check(k4, 1.0, None, np.ones(4), [0.5])
         assert report.passed
@@ -258,6 +263,11 @@ class TestExitProbability:
         # before, the empirical factor divided 0 by 0 and max dropped the NaN
         with pytest.raises(ValueError, match=r"^times must be > 0, got 0\.0$"):
             tail_probability_check(k4, 1.0, 1.25, 2.0, [0.0, 0.1])
+
+    def test_infinite_time_rejected(self, k4):
+        # before, both records passed, measured -inf
+        with pytest.raises(ValueError, match="^times must be finite, got inf$"):
+            tail_probability_check(k4, 2.0, 1.0, 2.0, [math.inf])
 
     def test_witness_time_is_a_python_float(self, k4):
         # the report writes the witness through float.__repr__

@@ -366,6 +366,29 @@ class TestLpDerivative:
                                 np.array([-1.0, 1, 1, 1]), 1,
                                 np.linspace(0.1, 1, 8), 1.0)
 
+    def test_zero_function_rejected(self, s4, k4):
+        # before, f / ||f||_2 was NaN and the record passed, measured -inf
+        cfg = ExponentConfig(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="^derivative check requires f not identically zero$"):
+            lp_derivative_check(k4, cfg, 1.0, s4.ball("a", 1), 0.0, np.zeros(4), 1,
+                                np.linspace(0.1, 1, 8), 1.0)
+
+    def test_wrong_length_rejected(self, s4, k4):
+        # before, numpy's broadcast error
+        cfg = ExponentConfig(1.0, 1.0, 2.0)
+        with pytest.raises(DimensionMismatch, match=r"^expected vector of length 4, got shape \(3,\)$"):
+            lp_derivative_check(k4, cfg, 1.0, s4.ball("a", 1), 0.0, np.ones(3), 1,
+                                np.linspace(0.1, 1, 8), 1.0)
+
+    def test_truncation_beyond_ball_radius_rejected(self, s4, k4):
+        # at rho = 2 > r(B) = 1 kept jumps cross B and the tilt no longer
+        # cancels; before, the check returned a record
+        cfg = ExponentConfig(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError,
+                           match=r"^truncation rho=2\.0 must not exceed ball radius 1\.0$"):
+            lp_derivative_check(k4, cfg, 2.0, s4.ball("a", 1), 1.0, np.ones(4), 1,
+                                np.linspace(0.1, 1, 8), 1.0)
+
     def test_undersized_nash_constant_triggers_enlargement(self, s4, k4):
         cfg = ExponentConfig(1.0, 1.0, 2.0)
         grid = np.exp(np.linspace(math.log(1e-3), 0.0, 16))
@@ -449,6 +472,20 @@ class TestIteration:
         with pytest.raises(ValueError, match=r"^times must be > 0, got 0\.0$"):
             moser_iteration(k4, cfg, 1.0, s4.ball("a", 1), 0.0, np.ones(4),
                             t=0.0, k_max=3, c_n=1.0)
+
+    def test_zero_function_rejected(self, s4, k4):
+        # before, the NaN iterates ended in GridRefinementFailed (drift nan)
+        cfg = ExponentConfig(1.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="^iteration requires f not identically zero$"):
+            moser_iteration(k4, cfg, 1.0, s4.ball("a", 1), 0.0, np.zeros(4),
+                            t=1.0, k_max=3, c_n=1.0)
+
+    def test_wrong_length_rejected(self, s4, k4):
+        # before, numpy's broadcast error
+        cfg = ExponentConfig(1.0, 1.0, 2.0)
+        with pytest.raises(DimensionMismatch, match=r"^expected vector of length 4, got shape \(3,\)$"):
+            moser_iteration(k4, cfg, 1.0, s4.ball("a", 1), 0.0, np.ones(3),
+                            t=1.0, k_max=3, c_n=1.0)
 
     def test_k_max_guard(self, s4, k4):
         cfg = ExponentConfig(1.0, 1.0, 2.0)
@@ -547,6 +584,11 @@ class TestVanishing:
                  and r.params["rho"] == 1.0]
         assert exact and exact[0].measured == 0.0
 
+    def test_empty_grid_rejected(self, k4):
+        # before, both records of the rho = 1 level passed on no time at all
+        with pytest.raises(ValueError, match="^need at least one time, got an empty grid$"):
+            vanishing_check(k4, [])
+
     def test_top_level_vacuous(self, k4):
         report = vanishing_check(k4, [1.0])
         top = [r for r in report.records if r.params["rho"] == 2.0]
@@ -614,6 +656,12 @@ class TestOdeComparison:
         assert u1 == pytest.approx(math.e / (1 + math.e), rel=1e-10)
         assert 4 * math.exp(0.5) == pytest.approx(6.5948850828, rel=1e-9)
         assert u1 < 4 * math.exp(0.5)
+
+    def test_zero_horizon_rejected(self):
+        # before, "math domain error" from the log of the grid's first time
+        params = OdeComparisonParams(b=1, p=2, theta=1, k=1, a=1, u0=0.5)
+        with pytest.raises(ValueError, match=r"^times must be > 0, got 0\.0$"):
+            ode_comparison_check(params, 0.0)
 
     def test_solver_matches_bernoulli_closed_form(self):
         # v = u^-theta solves the linear v' = theta b t^{p-2} w^-theta - theta K v,

@@ -255,6 +255,11 @@ class TestSelfCheck:
             report = semigroup_selfcheck(generator(kernel), [0.05, 0.5, 5.0])
             assert report.passed, [r.name for r in report.failures()]
 
+    def test_empty_grid_rejected(self, k4):
+        # before, the check passed its five records on no time at all
+        with pytest.raises(ValueError, match="^need at least one time, got an empty grid$"):
+            semigroup_selfcheck(generator(k4), [])
+
     def test_corrupted_generator_fails_duality(self, k4):
         gen = generator(k4)
         gen.matrix = gen.matrix + np.triu(np.full((4, 4), 1e-3), 1)
