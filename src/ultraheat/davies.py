@@ -161,20 +161,34 @@ def tilted_evolution(gen: SpectralGenerator, psi, f):
     return lambda times: tilt_out * gen.apply_grid(times, tilt_in)
 
 
-def _tilt(kernel: JumpKernel, rho: float, ball: Ball, lam: float):
-    """(the kept rho-truncated generator, psi = lam 1_B), once rho <= r(B):
-    only then does no kept jump cross B, so that the tilt cancels in E_rho."""
+def _tilt_range(rho: float, ball: Ball) -> None:
+    """The tilt hypothesis rho <= r(B): only then does no kept jump of the
+    rho-truncated kernel cross B, so that the tilt by lam 1_B cancels in
+    E_rho."""
     if rho > ball.radius:
         raise ValueError(f"truncation rho={rho} must not exceed ball radius {ball.radius}")
+
+
+def _tilt(kernel: JumpKernel, rho: float, ball: Ball, lam: float):
+    """(the kept rho-truncated generator, psi = lam 1_B), once `_tilt_range`
+    holds."""
+    _tilt_range(rho, ball)
     return generator(kernel, rho=rho), lam * ball.indicator()
+
+
+def _nonnegative(kernel: JumpKernel, f, check: str) -> np.ndarray:
+    """f as a length-n vector with every entry >= 0 (so none NaN); `check`
+    names the caller."""
+    f = _as_vector(kernel, f)
+    if not np.all(f >= 0):
+        raise NegativeInput(f"{check} requires f >= 0")
+    return f
 
 
 def _tilted_start(kernel: JumpKernel, rho: float, ball: Ball, lam: float, f, check: str):
     """The `tilted_evolution` of f / ||f||_2 by `_tilt`, for f a length-n
     vector that is >= 0 and not identically zero; `check` names the caller."""
-    f = _as_vector(kernel, f)
-    if not np.all(f >= 0):
-        raise NegativeInput(f"{check} requires f >= 0")
+    f = _nonnegative(kernel, f, check)
     if not f.any():
         raise ValueError(f"{check} requires f not identically zero")
     return tilted_evolution(*_tilt(kernel, rho, ball, lam), f / lp_norm(f, kernel.mu, 2))
@@ -232,10 +246,10 @@ def _tilt_records(kernel: JumpKernel, rho: float, ball: Ball, lams: list, F, G,
 
 def power_inequality_check(kernel: JumpKernel, rho: float, ball: Ball,
                            lam: float, f, p: float) -> CheckRecord:
-    """E_rho(e^{-psi} f, e^{psi} f^{2p-1}) >= E_rho(f^p) / p for f >= 0."""
-    f = _as_vector(kernel, f)
-    if np.any(f < 0):
-        raise NegativeInput("power inequality requires f >= 0")
+    """E_rho(e^{-psi} f, e^{psi} f^{2p-1}) >= E_rho(f^p) / p for f >= 0,
+    under the tilt hypothesis rho <= r(B) (`_tilt_range`)."""
+    f = _nonnegative(kernel, f, "power inequality")
+    _tilt_range(rho, ball)
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return _power_records(kernel, rho, p, [(ball, lam)], f[None])[0]

@@ -28,10 +28,13 @@ from .space import Ball
 PAIR_BLOCK = 1 << 15  # pair terms that `tilt_sums` holds at a time
 
 
-def _as_vector(kernel: JumpKernel, f) -> np.ndarray:
-    v = np.asarray(f, dtype=float)
-    if v.shape != (kernel.n,):
-        raise DimensionMismatch(f"expected vector of length {kernel.n}, got shape {v.shape}")
+def _as_vector(owner, f, rows: bool = False) -> np.ndarray:
+    """`f` as a float vector, which must have one entry per point of
+    `owner.space` (the space of a kernel or of a heat engine); with `rows`,
+    also the rows of a 2-D array of such vectors."""
+    v, n = np.asarray(f, dtype=float), len(owner.space)
+    if v.shape[-1:] != (n,) or v.ndim > 1 + rows:
+        raise DimensionMismatch(f"expected vector of length {n}, got shape {v.shape}")
     return v
 
 

@@ -93,10 +93,24 @@ def positive_times(time_grid) -> np.ndarray:
     times = np.asarray(time_grid, dtype=float)
     if times.size == 0:
         raise ValueError("need at least one time, got an empty grid")
-    bad = times[~((times > 0) & (times < np.inf))]
-    if bad.size:
-        rule = "> 0" if np.isfinite(bad[0]) else "finite"
-        raise ValueError(f"times must be {rule}, got {float(bad[0])!r}")
+    return _checked_times(times, times > 0, "> 0")
+
+
+def evaluation_times(t) -> np.ndarray:
+    """`t`, one time or a sequence, as a float array checked to hold only
+    finite times >= 0: the rule of the semigroup evaluators, for which
+    t = 0 gives the identity."""
+    times = np.asarray(t, dtype=float)
+    return _checked_times(times, times >= 0, ">= 0")
+
+
+def _checked_times(times: np.ndarray, ok: np.ndarray, rule: str) -> np.ndarray:
+    """`times`, or a ValueError naming the first that is not finite or
+    breaks `rule` (`ok` is False there)."""
+    ok &= times < np.inf
+    if not ok.all():
+        bad = float(times[~ok][0])
+        raise ValueError(f"times must be {rule if math.isfinite(bad) else 'finite'}, got {bad!r}")
     return times
 
 

@@ -29,16 +29,19 @@ Fast isotropic path.  For kernels w(x, y) = g(N) mu(x) mu(y), N the lowest
 common ancestor of x and y (`JumpKernel.node_profile`), the Haar basis of
 the ball tree diagonalises the semigroup, so p_t(x, x) depends only on x
 and p_t(x, y), x != y, only on N.  `HierarchicalHeatKernel` evaluates that
-profile, the exit probabilities of every ball and the rho-truncated profile
-on the preorder arrays of `space.tree` in O(nodes * depth) per time, with
-no n x n matrix.  Its `PairClasses` serve the DUE, wUE and chaining scans,
-the exit-probability check and the curves, and its eigenvalues and
-`jump_rates` the Nash family (`bounds.tree_function_family`); the switch
-is automatic (`bounds.heat_pair_classes` and `bounds.function_family`:
-hierarchical when `from_kernel` succeeds, dense on `NotIsotropic`), and the
-dense `SpectralGenerator` stays the fallback and the oracle.  All other
-checks evaluate the dense generator, built once per (kernel, rho) by
-`generator`.
+profile, the exit probabilities of every ball, the evolution P_t f of
+functions (`apply_grid`) and the rho-truncated versions of all three on the
+preorder arrays of `space.tree` in O(nodes * depth) per time, with no
+n x n matrix.  Its `PairClasses` serve the DUE, wUE and chaining scans, the
+exit-probability check and the curves, its `apply_grid` the truncation
+comparison, and its eigenvalues and `jump_rates` the Nash family
+(`bounds.tree_function_family`); the switch is automatic
+(`bounds.heat_pair_classes`, `bounds.function_family` and the truncation
+comparison: hierarchical when `from_kernel` succeeds, dense on
+`NotIsotropic`), and the dense `SpectralGenerator` stays the fallback and
+the oracle.  All other checks evaluate the dense generator, built once per
+(kernel, rho) by `generator`.  Every evaluator takes finite times >= 0
+(`reporting.evaluation_times`).
 """
 
 import copy
@@ -52,7 +55,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import EmptyDomain
 from .form import _as_vector, energy_and_scale
 from .kernel import JumpKernel
-from .reporting import CheckReport, positive_times, record
+from .reporting import CheckReport, evaluation_times, positive_times, record
 from .space import UltrametricSpace
 
 # Eigenvalues within this of zero are clamped to exactly zero.
@@ -190,8 +193,7 @@ class SpectralGenerator:
     def density(self, t: float) -> np.ndarray:
         """Heat kernel p_t(x, y) = (e^{tL})_{xy} / mu(y) over the domain;
         exact zeros across components."""
-        if t < 0:
-            raise ValueError(f"times must be >= 0, got {t}")
+        evaluation_times(t)
         out = np.zeros((self.size, self.size))
         for block, (lam, vec) in zip(self.blocks, self._eigs):
             core = (vec * np.exp(-lam * t)) @ vec.T  # e^{-t A} in the symmetrised basis
@@ -221,11 +223,12 @@ class SpectralGenerator:
 
     def apply_grid(self, times, f) -> np.ndarray:
         """e^{tL} f for every t in `times`; returns (n, len(times)).  `f` is
-        a full-length vector (DimensionMismatch otherwise)."""
+        a full-length vector (DimensionMismatch otherwise), or the rows of an
+        (m, n) array, evolved one at a time into (m, n, len(times))."""
+        if np.ndim(f) == 2:
+            return np.array([self.apply_grid(times, v) for v in f])
         v = _as_vector(self.kernel, f)
-        ts = np.asarray(times, dtype=float)
-        if (ts < 0).any():
-            raise ValueError(f"times must be >= 0, got {ts.min()}")
+        ts = evaluation_times(times)
         sub = v[self.omega]
         out = np.zeros((len(self.space), ts.size))
         out_sub = np.zeros((self.size, ts.size))
@@ -310,19 +313,33 @@ def semigroup_selfcheck(gen: SpectralGenerator, time_grid, seed: int = 0) -> Che
 # -- fast hierarchical path --------------------------------------------------------
 
 
-def _sibling_volumes(tree) -> np.ndarray:
-    """mu(P minus B) for the ball B of every node and its parent P (0.0 at
-    the root): the volumes of B's siblings before it plus those after it,
-    each side summed in order, so that a small mass is not the difference of
-    two large ones."""
-    parent, volume = tree.parent.tolist(), tree.volume.tolist()
-    rest = [0.0] * len(parent)
-    for nodes in (range(1, len(parent)), range(len(parent) - 1, 0, -1)):
-        run = [0.0] * len(parent)  # per parent: its children's volumes seen so far
-        for k in nodes:
-            rest[k] += run[parent[k]]
-            run[parent[k]] += volume[k]
-    return np.array(rest)
+def _sibling_slots(tree) -> tuple:
+    """Where each non-root node sits among its siblings: (nodes, row, front,
+    back, shape).  Node nodes[k] is in row row[k] of a table of the given
+    shape, one row per parent, with a zero column before and after the
+    children; front[k] is the column before it and back[k] the column after
+    it counted from the right."""
+    nodes = np.flatnonzero(tree.parent >= 0)  # in preorder, so siblings in order
+    nodes = nodes[np.argsort(tree.parent[nodes], kind="stable")]
+    parents, row = np.unique(tree.parent[nodes], return_inverse=True)
+    front = np.arange(nodes.size) - np.searchsorted(row, row)
+    width = int(tree.children.max())
+    return nodes, row, front, width - 1 - front, (parents.size, width + 2)
+
+
+def _sibling_sums(slots: tuple, values: np.ndarray) -> np.ndarray:
+    """S(P minus B) for the ball B of every node and its parent P (0.0 at
+    the root), with S(C) = values[C] for each node C (`values` may carry
+    further axes): the values of B's siblings before it plus those after it,
+    each side summed in order, so that a small sum is not the difference of
+    two large ones.  `slots` is `_sibling_slots(tree)`; each side is one
+    running sum along the rows of the table of siblings."""
+    nodes, row, front, back, shape = slots
+    table = np.zeros(shape + values.shape[1:])
+    table[row, front + 1] = values[nodes]
+    rest = np.zeros(values.shape)
+    rest[nodes] = table.cumsum(axis=1)[row, front] + table[:, ::-1].cumsum(axis=1)[row, back]
+    return rest
 
 
 class HierarchicalHeatKernel:
@@ -383,7 +400,9 @@ class HierarchicalHeatKernel:
         self._path_row, self._path_col = rows[order], cols[order]
 
         self._g = np.asarray(g, dtype=float)
-        self._rest = _sibling_volumes(tree)
+        self._is_leaf = tree.children == 0
+        self._siblings = _sibling_slots(tree)
+        self._rest = _sibling_sums(self._siblings, tree.volume)
         self._set_range(None)
 
     def _set_range(self, rho: float | None) -> None:
@@ -407,12 +426,17 @@ class HierarchicalHeatKernel:
         self._base = np.where(inside, 1.0 / volume[root], 0.0)
         self._row, self._up = row, up
         self._step = 1.0 / volume[col] - 1.0 / volume[up]
-        self._at_leaf = tree.children[row] == 0
-        # e^{-a t} - e^{-b t} = sign(b - a) e^{-min(a, b) t} (1 - e^{-|b - a| t})
-        gap = np.where(self._at_leaf, 0.0, self.eigenvalue[row] - self.eigenvalue[up])
-        self._rate = np.where(gap < 0, self.eigenvalue[row], self.eigenvalue[up])
-        self._gap, self._sign = np.abs(gap), np.sign(gap)
+        at_leaf = tree.children[row] == 0
+        # e^{-a t} - e^{-b t} = sign(b - a) e^{-min(a, b) t} (1 - e^{-|b - a| t}),
+        # kept negated, so that each factor of `node_values` is one product
+        # and one exponential; a leaf's own pair takes 1.0 for the last factor
+        gap = np.where(at_leaf, 0.0, self.eigenvalue[row] - self.eigenvalue[up])
+        self._neg_rate = -np.where(gap < 0, self.eigenvalue[row], self.eigenvalue[up])
+        self._neg_gap, self._neg_sign = -np.abs(gap), -np.sign(gap)
+        self._neg_eigenvalue, self._leaf_one = -self.eigenvalue, at_leaf.astype(float)
         self._sibling_mass = self._rest[col]
+        # the pairs that start at a leaf, as (point, node, strict ancestor)
+        self._leaf_pairs = tree.start[row[at_leaf]], col[at_leaf], up[at_leaf]
 
     def jump_rates(self, rho: float | None = None, above: bool = False) -> np.ndarray:
         """J(x, B^c) for the ball B of every node, the same at each point x
@@ -430,11 +454,14 @@ class HierarchicalHeatKernel:
     @classmethod
     def from_kernel(cls, kernel: JumpKernel, rho: float | None = None) -> "HierarchicalHeatKernel":
         """The engine of the rho-truncated kernel (rho=None: the whole
-        kernel); raises NotIsotropic when the kernel is not isotropic.  The
-        whole-space engine is built once per kernel and kept on it; a
-        truncated one is derived from its arrays."""
+        kernel); raises NotIsotropic when the kernel is not isotropic.  Each
+        is built once per (kernel, rho) and kept on the kernel; a truncated
+        one is derived from the arrays of the whole-space one."""
         heat = kernel.kept("heat", lambda: cls(kernel.space, kernel.node_profile()))
-        return heat if rho is None else heat.truncated(rho)
+        if rho is None:
+            return heat
+        rho = float(rho)
+        return kernel.kept(("heat", rho), lambda: heat.truncated(rho))
 
     def truncated(self, rho: float) -> "HierarchicalHeatKernel":
         """The engine of the rho-truncated profile, sharing the tree arrays."""
@@ -442,18 +469,48 @@ class HierarchicalHeatKernel:
         out._set_range(rho)
         return out
 
-    def node_values(self, t: float) -> np.ndarray:
+    def node_values(self, t) -> np.ndarray:
         """p_t at every node, in preorder: p_t(x, x) at the leaf of x, and at
         any other node the value of the pairs whose lowest common ancestor
-        it is (0.0 above the truncation range)."""
-        if t < 0:
-            raise ValueError(f"times must be >= 0, got {t}")
-        terms = np.exp(-self._rate * t) * self._step
-        fill = -np.expm1(-self._gap * t) * self._sign
-        fill[self._at_leaf] = 1.0
-        terms *= fill
-        own = np.where(self.space.tree.children == 0, 1.0, -np.expm1(-self.eigenvalue * t))
-        return self._base * own + np.bincount(self._row, terms, minlength=own.size)
+        it is (0.0 above the truncation range).  For a vector of times, one
+        row per time, each bitwise the row of its scalar call: the sums of
+        all times are one `bincount`, time k in the bins from size * k on,
+        which keeps the order of each sum."""
+        times = evaluation_times(t)
+        ts = times.reshape(-1, 1)
+        terms = np.exp(self._neg_rate * ts) * self._step
+        terms *= np.expm1(self._neg_gap * ts) * self._neg_sign + self._leaf_one
+        own = np.where(self._is_leaf, 1.0, -np.expm1(self._neg_eigenvalue * ts))
+        k, size = own.shape
+        bins = self._row if k == 1 else (self._row + size * np.arange(k)[:, None]).ravel()
+        sums = np.bincount(bins, terms.ravel(), minlength=k * size).reshape(k, size)
+        return (self._base * own + sums).reshape(times.shape + (size,))
+
+    def apply_grid(self, times, f) -> np.ndarray:
+        """P_t f for every t in `times`, as (n, len(times)) like
+        `SpectralGenerator.apply_grid`, for f a vector of length n; for the
+        rows of an (m, n) array, (m, n, len(times)).  With
+        S(A) = sum_{y in A} f(y) mu(y) and C_x(N) the child of N that holds x,
+
+            P_t f(x) = p_t(x, x) f(x) mu(x) + sum_N p_t(N) S(N minus C_x(N))
+
+        over the strict ancestors N of x, with S(N minus C) summed over the
+        siblings of C as `_sibling_sums` does for masses.  The truncated
+        engine gives Q_t f, which never crosses a ball above rho.  Each sum
+        over pairs is one `bincount` over all functions and times."""
+        rows, size = _as_vector(self, f, rows=True), self._base.size
+        fmu = rows.reshape(-1, rows.shape[-1]) * self.space.masses
+        values = self.node_values(times).reshape(-1, size)
+        (m, n), k = fmu.shape, values.shape[0]
+        point, col, up = self._leaf_pairs
+        # S(C) of each function on every node C inside the range, in point order
+        sums = np.bincount((col + size * np.arange(m)[:, None]).ravel(), fmu[:, point].ravel(),
+                           minlength=m * size).reshape(m, size)
+        terms = _sibling_sums(self._siblings, sums.T)[col].T[:, None, :] * values[:, up]
+        off = np.bincount((point + n * np.arange(m * k)[:, None]).ravel(), terms.ravel(),
+                          minlength=m * k * n).reshape(m, k, n)
+        out = (values[:, self.space.tree.leaf] * fmu[:, None, :] + off).transpose(0, 2, 1)
+        return out if rows.ndim == 2 else out[0]
 
     def exits(self, values: np.ndarray) -> np.ndarray:
         """P_t 1_{B^c} on the ball B of every node, from `node_values(t)`."""

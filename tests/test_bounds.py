@@ -182,14 +182,25 @@ class TestTruncationComparison:
                 assert report.passed, (seed, rho)
 
 
+def comparison_semigroups(kernel, rho):
+    """The full and rho-truncated semigroups that the truncation comparison
+    evolves with: the heat engines of an isotropic kernel, else the dense
+    generators."""
+    try:
+        full = HierarchicalHeatKernel.from_kernel(kernel)
+    except NotIsotropic:
+        return generator(kernel), generator(kernel, rho=rho)
+    return full, HierarchicalHeatKernel.from_kernel(kernel, rho)
+
+
 def per_time_comparison(kernel, rho, f, times):
     """(status, measured, witness t, witness max_diff) of the truncation
-    comparison of f, one `apply` of each semigroup per time."""
-    full, trunc = generator(kernel), generator(kernel, rho=rho)
+    comparison of f, one `apply_grid` of each semigroup per time."""
+    full, trunc = comparison_semigroups(kernel, rho)
     sup_tail, f_inf = kernel.tail_sup(rho), float(np.abs(f).max())
     worst, witness = -np.inf, None
     for t in times:
-        diff = full.apply(t, f) - trunc.apply(t, f)
+        diff = full.apply_grid([t], f)[:, 0] - trunc.apply_grid([t], f)[:, 0]
         envelope = 4.0 * t * sup_tail * f_inf
         gap = float(diff.max()) - envelope
         tol = 1e-12 * max(1.0, envelope, float(np.abs(diff).max()))
@@ -203,8 +214,9 @@ def per_time_comparison(kernel, rho, f, times):
                  st.integers(0, 40).map(lambda seed: random_scenario(2 * seed + 1, 24))),
        st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=6), st.data())
 def test_truncation_comparison_grid_equals_per_time_applies(case, times, data):
-    # one `apply_grid` per function gives the statuses of one `apply` per
-    # time, and its values to 1e-12 max(1, max |P_t f|) absolute
+    # one `apply_grid` of all functions gives the statuses of one
+    # `apply_grid` per function and time on the same semigroups, and its
+    # values to 1e-12 max(1, max |P_t f|) absolute
     if len(case) == 3:
         space, exponent, scale = case
         kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
@@ -216,12 +228,57 @@ def test_truncation_comparison_grid_equals_per_time_applies(case, times, data):
     report = truncation_comparison_check(kernel, rho, None, fs, times)
     for rec, f in zip(report.records, fs):
         status, measured, t, max_diff = per_time_comparison(kernel, rho, f, times)
-        tol = 1e-12 * max(1.0, max(float(np.abs(generator(kernel).apply(s, f)).max())
+        full = comparison_semigroups(kernel, rho)[0]
+        tol = 1e-12 * max(1.0, max(float(np.abs(full.apply_grid([s], f)).max())
                                    for s in times))
         assert rec.status == status
         assert abs(rec.measured - measured) <= tol
         if rec.witness["t"] == t:
             assert abs(rec.witness["max_diff"] - max_diff) <= tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(ball_trees(max_points=32), st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_truncation_comparison_keeps_its_statuses_on_both_paths(case, times, seed):
+    # the heat engines (omega=None) and the dense generators (omega, the
+    # whole space, forces them) give each record the same status, and values
+    # within 1e-12 max(1, max|f|) absolute
+    space, exponent, scale = case
+    kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+    rng = np.random.default_rng(seed)
+    fs = [np.ones(len(space)), 1.0 - space.balls()[-1].indicator(),
+          rng.uniform(0, 1, len(space))]
+    for rho in space.distance_levels:
+        engine = truncation_comparison_check(kernel, rho, None, fs, times).records
+        dense = truncation_comparison_check(kernel, rho, space.ids, fs, times).records
+        for a, b in zip(engine, dense):
+            assert a.status == b.status
+            assert (a.params["omega"], b.params["omega"]) == ("all", len(space))
+            assert abs(a.measured - b.measured) <= 1e-12
+            assert abs(a.witness["max_diff"] - b.witness["max_diff"]) <= 1e-12 \
+                or a.witness["t"] != b.witness["t"]
+
+
+def test_truncation_comparison_builds_no_generator_when_isotropic(k4):
+    # the heat engines serve an isotropic kernel: no eigendecomposition
+    with mock.patch("ultraheat.semigroup.SpectralGenerator.__init__",
+                    side_effect=AssertionError("dense generator built")):
+        for rho in (1.0, 2.0):
+            assert truncation_comparison_check(k4, rho, None, np.eye(4), [0.1, 1.0]).passed
+
+
+def test_truncation_comparison_logs_the_engine(caplog, k4):
+    caplog.set_level("INFO", logger="ultraheat.bounds")
+    raw = np.array(k4.w)
+    raw[0, 2] = raw[2, 0] = 0.3
+    for kernel, omega in ((k4, None), (JumpKernel(k4.space, raw), None), (k4, ["a", "b"])):
+        truncation_comparison_check(kernel, 1.0, omega, np.ones(4), [0.5])
+    lines = [r.getMessage() for r in caplog.records if r.name == "ultraheat.bounds"]
+    assert lines[0] == "truncation comparison rho=1.0: hierarchical heat engine"
+    assert lines[1].startswith("truncation comparison rho=1.0: dense generators (not isotropic: ")
+    assert lines[2] == "truncation comparison rho=1.0: dense generators (killed outside a domain)"
+    assert len(lines) == 3
 
 
 class TestExitProbability:

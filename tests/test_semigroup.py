@@ -585,3 +585,69 @@ def test_truncated_engine_matches_dense_blocks(case):
             dens, fast = gen.density(t), classes.values(t)[at]
             assert np.all(fast[D > rho] == 0.0)
             assert np.abs(fast - dens).max() <= 1e-10 * dens.max()
+
+
+def _largest_rate(gen) -> float:
+    """lambda_max of a dense generator: the largest |eigenvalue| of its blocks."""
+    return max(float(np.abs(lam).max()) for lam, _ in gen._eigs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ball_trees(), st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=5),
+       st.integers(0, 2 ** 32 - 1))
+def test_engine_apply_grid_matches_dense(case, times, seed):
+    # P_t f and every Q_t f, whole and truncated at each level, within
+    # 8 n eps (1 + lambda_max t) max|f| of the dense generator.  That bound is
+    # the dense side's error: its eigenvectors are orthonormal to about
+    # n eps, and each eigenvalue is off by about eps lambda_max, which
+    # e^{-lambda t} turns into eps lambda_max t (a zero mode can sit at
+    # -1.25e-12 where lambda_max is 1360).  The engine sums nonnegative
+    # node values over at most depth ancestors; 1,500 draws of n <= 48 and
+    # t <= 10 reached at most 1.8 n eps (1 + lambda_max t) max|f|.
+    space, exponent, scale = case
+    kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+    f = np.random.default_rng(seed).uniform(-1, 1, len(space))
+    ts = np.array(times)
+    for rho in [None, *space.distance_levels]:
+        engine, gen = HierarchicalHeatKernel.from_kernel(kernel, rho), generator(kernel, rho=rho)
+        got, want = engine.apply_grid(ts, f), gen.apply_grid(ts, f)
+        assert got.shape == want.shape == (len(space), ts.size)
+        bound = 8 * len(space) * np.finfo(float).eps * (1 + _largest_rate(gen) * ts) \
+            * np.abs(f).max()
+        assert np.all(np.abs(got - want).max(axis=0) <= bound), rho
+
+
+@settings(max_examples=30, deadline=None)
+@given(ball_trees(max_points=32), st.lists(st.floats(0.0, 100.0), min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_grid_evaluations_equal_the_scalar_calls(case, times, seed):
+    # one row per time, bitwise: `node_values` over a vector and the engine's
+    # `apply_grid` over a grid and over rows of functions
+    space, exponent, scale = case
+    kernel = isotropic_kernel(space, power_profile(exponent, scale), scaling="mass")
+    F = np.random.default_rng(seed).uniform(-1, 1, (3, len(space)))
+    for rho in [None, *space.distance_levels]:
+        engine = HierarchicalHeatKernel.from_kernel(kernel, rho)
+        grid, evolved = engine.node_values(times), engine.apply_grid(times, F)
+        assert grid.shape == (len(times), space.tree.parent.size)
+        assert evolved.shape == (3, len(space), len(times))
+        for k, t in enumerate(times):
+            assert np.array_equal(grid[k], engine.node_values(t))
+            for f, row in zip(F, evolved):
+                assert np.array_equal(row[:, k], engine.apply_grid([t], f)[:, 0])
+
+
+def test_engine_apply_grid_closed_forms(s4, k4):
+    # S4 with w = d^-3: P_t 1 = 1, Q_t f keeps each ball's mean, and the Haar
+    # function of {a, b} decays at its own rate in both
+    engine = HierarchicalHeatKernel.from_kernel(k4)
+    trunc = HierarchicalHeatKernel.from_kernel(k4, 1.0)
+    ts = [0.0, 0.5, 2.0]
+    assert np.allclose(engine.apply_grid(ts, np.ones(4)), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose(trunc.apply_grid(ts, [0, 0, 1, 1]), [[0] * 3] * 2 + [[1] * 3] * 2,
+                       rtol=0, atol=1e-15)
+    haar = np.array([1.0, -1.0, 0.0, 0.0])
+    rate = 2 * (2 * k4.w[0, 1] + 2 * k4.w[0, 2])  # 2 (w_ab (mu_a + mu_b) + w_ac mu(c, d))
+    for sg in (engine, generator(k4)):
+        assert np.allclose(sg.apply_grid(ts, haar), np.outer(haar, np.exp(-rate * np.array(ts))),
+                           rtol=1e-14, atol=1e-15)

@@ -68,6 +68,39 @@ def test_only_the_kernel_module_touches_kernel_internals():
             assert _private_kernel_attributes(path.read_text(encoding="utf-8")) == [], path.name
 
 
+def _engine_privates() -> set:
+    """The private attributes of `HierarchicalHeatKernel`: each `self._x` of
+    its methods and each of its `_method`s, read from semigroup.py."""
+    tree = ast.parse((ROOT / "src" / "ultraheat" / "semigroup.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "HierarchicalHeatKernel")
+    names = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    names |= {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _attributes_named(source: str, names: set) -> list:
+    """Each attribute in `source`, on any object, whose name is in `names`,
+    as (line, attribute)."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in names)
+
+
+def test_only_the_semigroup_module_touches_engine_internals():
+    # the engine's arrays depend on its truncation range (`_set_range`); a
+    # module that reads them keeps a copy that a later change would miss
+    privates = _engine_privates()
+    assert {"_row", "_neg_rate", "_path_row", "_path_col", "_set_range"} <= privates
+    assert _attributes_named("heat._row + engine.eigenvalue + fast._path_col[0]", privates) \
+        == [(1, "_path_col"), (1, "_row")]
+    paths = sorted((ROOT / "src" / "ultraheat").glob("*.py"))
+    assert any(path.name == "semigroup.py" for path in paths)
+    for path in paths:
+        if path.name != "semigroup.py":
+            assert _attributes_named(path.read_text(encoding="utf-8"), privates) == [], path.name
+
+
 def _bench_metrics():
     """bench/metrics.py, loaded by path and not registered as a module."""
     spec = importlib.util.spec_from_file_location("bench_metrics", ROOT / "bench" / "metrics.py")
