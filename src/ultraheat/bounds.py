@@ -348,11 +348,14 @@ def energy_difference_check(kernel: JumpKernel, rho: float, seed: int = 0) -> Ch
     return report
 
 
-def _comparison_semigroups(kernel: JumpKernel, rho: float, omega):
-    """The full and the rho-truncated semigroup of the truncation comparison,
-    killed outside omega unless it is None: the kept heat engines when the
-    kernel is isotropic and omega is None, else dense generators.  Logs
-    which engine served."""
+def _comparison_gaps(kernel: JumpKernel, rho: float, omega):
+    """(gaps, domain) of the truncation comparison: gaps(times, F) is
+    P_t f - Q_t f for the rows f of F as [f, x, t], with P the full and Q the
+    rho-truncated semigroup, killed outside omega unless it is None, and
+    domain is "all" or the size of omega.  The semigroups are the kept heat
+    engines, which evolve all rows at once, when the kernel is isotropic and
+    omega is None, else dense generators, one row at a time.  Logs which
+    engine served."""
     if omega is None:
         try:
             full = HierarchicalHeatKernel.from_kernel(kernel)
@@ -361,11 +364,15 @@ def _comparison_semigroups(kernel: JumpKernel, rho: float, omega):
                      rho, exc)
         else:
             log.info("truncation comparison rho=%s: hierarchical heat engine", rho)
-            return full, HierarchicalHeatKernel.from_kernel(kernel, rho)
+            trunc = HierarchicalHeatKernel.from_kernel(kernel, rho)
+            return lambda times, F: full.apply_grid(times, F) - trunc.apply_grid(times, F), "all"
     else:
         log.info("truncation comparison rho=%s: dense generators (killed outside a domain)",
                  rho)
-    return generator(kernel, rho=None, omega=omega), generator(kernel, rho=rho, omega=omega)
+    full, trunc = generator(kernel, rho=None, omega=omega), generator(kernel, rho=rho, omega=omega)
+    return (lambda times, F: np.array([full.apply_grid(times, f) - trunc.apply_grid(times, f)
+                                       for f in F]),
+            "all" if omega is None else trunc.size)
 
 
 def truncation_comparison_check(kernel: JumpKernel, rho: float, omega, fs,
@@ -377,14 +384,14 @@ def truncation_comparison_check(kernel: JumpKernel, rho: float, omega, fs,
     `fs` holds the functions f as rows (one function is a 1-D array); the
     report has one record per function, in order, and each also reports
     the empirical minimal factor attained over the scan.  Each semigroup
-    evolves all functions over the whole grid in one `apply_grid`; the
-    witness is the first time that attains the worst excess.
+    evolves the functions over the whole grid at once (`_comparison_gaps`);
+    the witness is the first time that attains the worst excess.
     """
     times = positive_times(time_grid)
-    full, trunc = _comparison_semigroups(kernel, rho, omega)
+    gaps, domain = _comparison_gaps(kernel, rho, omega)
     sup_tail = kernel.tail_sup(rho)
     F = np.atleast_2d(np.asarray(fs, dtype=float))
-    diff = full.apply_grid(times, F) - trunc.apply_grid(times, F)  # [f, x, t]
+    diff = gaps(times, F)  # [f, x, t]
     f_inf = np.abs(F).max(axis=1)[:, None]
     top = diff.max(axis=1)
     envelope = TRUNCATION_FACTOR * times * sup_tail * f_inf
@@ -398,8 +405,7 @@ def truncation_comparison_check(kernel: JumpKernel, rho: float, omega, fs,
         empirical = float((top[j] / scale[j]).max()) if sup_tail > 0 and f_inf[j, 0] > 0 \
             else None
         params = {"rho": rho, "c_factor": TRUNCATION_FACTOR, "sup_tail": sup_tail,
-                  "omega": "all" if omega is None else trunc.size,
-                  "empirical_factor": empirical}
+                  "omega": domain, "empirical_factor": empirical}
         report.add(record("bounds.truncation_comparison", params, float(excess[j, k]), 0.0,
                           0.0, excess[j, k] <= 0.0, witness))
     return report

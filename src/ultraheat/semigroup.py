@@ -223,10 +223,7 @@ class SpectralGenerator:
 
     def apply_grid(self, times, f) -> np.ndarray:
         """e^{tL} f for every t in `times`; returns (n, len(times)).  `f` is
-        a full-length vector (DimensionMismatch otherwise), or the rows of an
-        (m, n) array, evolved one at a time into (m, n, len(times))."""
-        if np.ndim(f) == 2:
-            return np.array([self.apply_grid(times, v) for v in f])
+        a full-length vector (DimensionMismatch otherwise)."""
         v = _as_vector(self.kernel, f)
         ts = evaluation_times(times)
         sub = v[self.omega]
