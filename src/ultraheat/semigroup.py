@@ -453,9 +453,10 @@ class HierarchicalHeatKernel:
         """The engine of the rho-truncated kernel (rho=None: the whole
         kernel); raises NotIsotropic when the kernel is not isotropic.  Each
         is built once per (kernel, rho) and kept on the kernel; a truncated
-        one is derived from the arrays of the whole-space one."""
+        one is derived from the arrays of the whole-space one, which is
+        itself the engine of every rho >= the diameter."""
         heat = kernel.kept("heat", lambda: cls(kernel.space, kernel.node_profile()))
-        if rho is None:
+        if rho is None or rho >= kernel.space.diam:
             return heat
         rho = float(rho)
         return kernel.kept(("heat", rho), lambda: heat.truncated(rho))
