@@ -101,6 +101,8 @@ def evaluation_times(t) -> np.ndarray:
     finite times >= 0: the rule of the semigroup evaluators, for which
     t = 0 gives the identity."""
     times = np.asarray(t, dtype=float)
+    if times.ndim == 0 and 0.0 <= float(times) < math.inf:  # one good time, decided at once
+        return times
     return _checked_times(times, times >= 0, ">= 0")
 
 
