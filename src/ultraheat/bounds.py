@@ -353,9 +353,11 @@ def _comparison_gaps(kernel: JumpKernel, rho: float, omega):
     P_t f - Q_t f for the rows f of F as [f, x, t], with P the full and Q the
     rho-truncated semigroup, killed outside omega unless it is None, and
     domain is "all" or the size of omega.  The semigroups are the kept heat
-    engines, which evolve all rows at once, when the kernel is isotropic and
-    omega is None, else dense generators, one row at a time.  Logs which
-    engine served."""
+    engines when the kernel is isotropic and omega is None: the whole engine
+    applies p_t - q_t, the difference of the two engines' node values, to
+    all rows at once, so that no gap is the difference of two evolved
+    functions.  Else they are dense generators, one row at a time.  Logs
+    which engine served."""
     if omega is None:
         try:
             full = HierarchicalHeatKernel.from_kernel(kernel)
@@ -365,7 +367,8 @@ def _comparison_gaps(kernel: JumpKernel, rho: float, omega):
         else:
             log.info("truncation comparison rho=%s: hierarchical heat engine", rho)
             trunc = HierarchicalHeatKernel.from_kernel(kernel, rho)
-            return lambda times, F: full.apply_grid(times, F) - trunc.apply_grid(times, F), "all"
+            return (lambda times, F: full.apply_values(
+                full.node_values(times) - trunc.node_values(times), F)), "all"
     else:
         log.info("truncation comparison rho=%s: dense generators (killed outside a domain)",
                  rho)

@@ -33,7 +33,7 @@ profile, the exit probabilities of every ball, the evolution P_t f of
 functions (`apply_grid`) and the rho-truncated versions of all three on the
 preorder arrays of `space.tree` in O(nodes * depth) per time, with no
 n x n matrix.  Its `PairClasses` serve the DUE, wUE and chaining scans, the
-exit-probability check and the curves, its `apply_grid` the truncation
+exit-probability check and the curves, its `apply_values` the truncation
 comparison, and its eigenvalues and `jump_rates` the Nash family
 (`bounds.tree_function_family`); the switch is automatic
 (`bounds.heat_pair_classes`, `bounds.function_family` and the truncation
@@ -487,19 +487,28 @@ class HierarchicalHeatKernel:
     def apply_grid(self, times, f) -> np.ndarray:
         """P_t f for every t in `times`, as (n, len(times)) like
         `SpectralGenerator.apply_grid`, for f a vector of length n; for the
-        rows of an (m, n) array, (m, n, len(times)).  With
-        S(A) = sum_{y in A} f(y) mu(y) and C_x(N) the child of N that holds x,
+        rows of an (m, n) array, (m, n, len(times)).  The truncated engine
+        gives Q_t f, which never crosses a ball above rho.  It is
+        `apply_values` of `node_values(times)`."""
+        return self.apply_values(self.node_values(np.reshape(times, -1)), f)
 
-            P_t f(x) = p_t(x, x) f(x) mu(x) + sum_N p_t(N) S(N minus C_x(N))
+    def apply_values(self, values: np.ndarray, f) -> np.ndarray:
+        """sum_y v(x, y) f(y) mu(y) for a kernel v given, like p_t, by one
+        value per node, and for each row of `values` (one row per time); the
+        shape is that of `apply_grid`.  The values must vanish at the nodes
+        above this engine's range, as the difference of `node_values` of the
+        whole engine and of a truncated one does, so that P_t f - Q_t f is
+        one sum.  With S(A) = sum_{y in A} f(y) mu(y) and C_x(N) the child
+        of N that holds x,
+
+            sum_y v(x, y) f(y) mu(y) = v(x, x) f(x) mu(x) + sum_N v(N) S(N minus C_x(N))
 
         over the strict ancestors N of x, with S(N minus C) summed over the
-        siblings of C as `_sibling_sums` does for masses.  The truncated
-        engine gives Q_t f, which never crosses a ball above rho.  Each sum
-        over pairs is one `bincount` over all functions and times."""
-        rows, size = _as_vector(self, f, rows=True), self._base.size
+        siblings of C as `_sibling_sums` does for masses.  Each sum over
+        pairs is one `bincount` over all functions and rows."""
+        rows = _as_vector(self, f, rows=True)
         fmu = rows.reshape(-1, rows.shape[-1]) * self.space.masses
-        values = self.node_values(times).reshape(-1, size)
-        (m, n), k = fmu.shape, values.shape[0]
+        (m, n), (k, size) = fmu.shape, values.shape
         point, col, up = self._leaf_pairs
         # S(C) of each function on every node C inside the range, in point order
         sums = np.bincount((col + size * np.arange(m)[:, None]).ravel(), fmu[:, point].ravel(),
