@@ -348,16 +348,15 @@ def energy_difference_check(kernel: JumpKernel, rho: float, seed: int = 0) -> Ch
     return report
 
 
-def _comparison_gaps(kernel: JumpKernel, rho: float, omega):
-    """(gaps, domain) of the truncation comparison: gaps(times, F) is
-    P_t f - Q_t f for the rows f of F as [f, x, t], with P the full and Q the
-    rho-truncated semigroup, killed outside omega unless it is None, and
-    domain is "all" or the size of omega.  The semigroups are the kept heat
-    engines when the kernel is isotropic and omega is None: the whole engine
-    applies p_t - q_t, the difference of the two engines' node values, to
-    all rows at once, so that no gap is the difference of two evolved
-    functions.  Else they are dense generators, one row at a time.  Logs
-    which engine served."""
+def _comparison_gaps(kernel: JumpKernel, rho: float, omega, times, F):
+    """(P_t f - Q_t f for the rows f of F as [f, x, t], domain), with P the
+    full and Q the rho-truncated semigroup, killed outside omega unless it
+    is None, and domain "all" or the size of omega.  The semigroups are the
+    kept heat engines when the kernel is isotropic and omega is None: the
+    whole engine applies p_t - q_t, the difference of the two engines' node
+    values, to all rows at once, so that no gap is the difference of two
+    evolved functions.  Else they are dense generators, one row at a time.
+    Logs which engine served."""
     if omega is None:
         try:
             full = HierarchicalHeatKernel.from_kernel(kernel)
@@ -367,14 +366,12 @@ def _comparison_gaps(kernel: JumpKernel, rho: float, omega):
         else:
             log.info("truncation comparison rho=%s: hierarchical heat engine", rho)
             trunc = HierarchicalHeatKernel.from_kernel(kernel, rho)
-            return (lambda times, F: full.apply_values(
-                full.node_values(times) - trunc.node_values(times), F)), "all"
+            return full.apply_values(full.node_values(times) - trunc.node_values(times), F), "all"
     else:
         log.info("truncation comparison rho=%s: dense generators (killed outside a domain)",
                  rho)
     full, trunc = generator(kernel, rho=None, omega=omega), generator(kernel, rho=rho, omega=omega)
-    return (lambda times, F: np.array([full.apply_grid(times, f) - trunc.apply_grid(times, f)
-                                       for f in F]),
+    return (np.array([full.apply_grid(times, f) - trunc.apply_grid(times, f) for f in F]),
             "all" if omega is None else trunc.size)
 
 
@@ -391,10 +388,9 @@ def truncation_comparison_check(kernel: JumpKernel, rho: float, omega, fs,
     the witness is the first time that attains the worst excess.
     """
     times = positive_times(time_grid)
-    gaps, domain = _comparison_gaps(kernel, rho, omega)
-    sup_tail = kernel.tail_sup(rho)
     F = np.atleast_2d(np.asarray(fs, dtype=float))
-    diff = gaps(times, F)  # [f, x, t]
+    diff, domain = _comparison_gaps(kernel, rho, omega, times, F)  # [f, x, t]
+    sup_tail = kernel.tail_sup(rho)
     f_inf = np.abs(F).max(axis=1)[:, None]
     top = diff.max(axis=1)
     envelope = TRUNCATION_FACTOR * times * sup_tail * f_inf
