@@ -475,14 +475,14 @@ class HierarchicalHeatKernel:
         all times are one `bincount`, time k in the bins from size * k on,
         which keeps the order of each sum."""
         times = evaluation_times(t)
-        ts = times.reshape(-1, 1)
+        ts = times[..., None]  # one time: shape (1,); k times: (k, 1)
         terms = np.exp(self._neg_rate * ts) * self._step
         terms *= np.expm1(self._neg_gap * ts) * self._neg_sign + self._leaf_one
         own = np.where(self._is_leaf, 1.0, -np.expm1(self._neg_eigenvalue * ts))
-        k, size = own.shape
+        k, size = times.size, self._base.size
         bins = self._row if k == 1 else (self._row + size * np.arange(k)[:, None]).ravel()
-        sums = np.bincount(bins, terms.ravel(), minlength=k * size).reshape(k, size)
-        return (self._base * own + sums).reshape(times.shape + (size,))
+        sums = np.bincount(bins, terms.ravel(), minlength=k * size).reshape(own.shape)
+        return self._base * own + sums
 
     def apply_grid(self, times, f) -> np.ndarray:
         """P_t f for every t in `times`, as (n, len(times)) like
