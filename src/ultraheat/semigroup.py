@@ -495,11 +495,12 @@ class HierarchicalHeatKernel:
     def apply_values(self, values: np.ndarray, f) -> np.ndarray:
         """sum_y v(x, y) f(y) mu(y) for a kernel v given, like p_t, by one
         value per node, and for each row of `values` (one row per time); the
-        shape is that of `apply_grid`.  The values must vanish at the nodes
-        above this engine's range, as the difference of `node_values` of the
-        whole engine and of a truncated one does, so that P_t f - Q_t f is
-        one sum.  With S(A) = sum_{y in A} f(y) mu(y) and C_x(N) the child
-        of N that holds x,
+        shape is that of `apply_grid`.  Only the nodes inside this engine's
+        range are read, so v must vanish above it; the whole engine reads
+        every node, so it applies p_t - q_t, the difference of its
+        `node_values` and a truncated engine's, and P_t f - Q_t f is one sum.
+        With S(A) = sum_{y in A} f(y) mu(y) and C_x(N) the child of N that
+        holds x,
 
             sum_y v(x, y) f(y) mu(y) = v(x, x) f(x) mu(x) + sum_N v(N) S(N minus C_x(N))
 
